@@ -2,7 +2,10 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"salamander/internal/telemetry"
@@ -172,5 +175,50 @@ func TestChaosRejectsTinyFleet(t *testing.T) {
 	cfg.Nodes = 3
 	if _, err := Run(cfg, nil); err == nil {
 		t.Fatal("3-node fleet accepted")
+	}
+}
+
+// TestChaosReportDigestsPinned compares each rendered report against the
+// SHA-256 checked in under testdata/ — the bytes `salchaos -seed S -ops 2000
+// -shards N` prints. The determinism tests above only compare two runs of
+// the same build; this pins the reports across commits, so a refactor of the
+// cluster layer that shifts any placement, repair or event-ordering decision
+// fails here. A deliberate behaviour change regenerates the file.
+func TestChaosReportDigestsPinned(t *testing.T) {
+	raw, err := os.ReadFile("testdata/report_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var seed uint64
+		var shards int
+		var want string
+		if _, err := fmt.Sscanf(line, "%d %d %s", &seed, &shards, &want); err != nil {
+			t.Fatalf("bad digest row %q: %v", line, err)
+		}
+		rows++
+		t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			cfg.Ops = 2000
+			cfg.Shards = shards
+			rep, err := Run(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			rep.Render(&buf)
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+				t.Errorf("report digest %s, pinned %s; report:\n%s", got, want, buf.Bytes())
+			}
+		})
+	}
+	if rows != 24 {
+		t.Errorf("testdata holds %d digest rows, want 24 (12 seeds x shards 1 and 16)", rows)
 	}
 }
