@@ -68,7 +68,6 @@ func main() {
 		shardBench = flag.Int("shardbench", 0, "run the metadata-shard scaling benchmark from 1 to N shards (0 skips it); fails below the 2x floor at N vs 1")
 		shardOps   = flag.Int("shardbench-ops", 600, "mixed get/replace operations per shard-scaling point")
 		shardOut   = flag.String("shardbench-out", "", "write the shard scaling points as JSON to this file")
-		shardBase  = flag.String("shardbench-baseline", "", "compare against this baseline JSON; fail on >15% modeled-throughput regression")
 	)
 	flag.Parse()
 
@@ -87,7 +86,7 @@ func main() {
 	}
 
 	if *shardBench > 0 {
-		if err := runShardBench(*shardBench, *shardOps, *shardOut, *shardBase); err != nil {
+		if err := runShardBench(*shardBench, *shardOps, *shardOut); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -3,6 +3,8 @@ package difs
 import (
 	"sort"
 	"testing"
+
+	"salamander/internal/store"
 )
 
 // Shard-agnostic accessors for the test corpus. The whole difs test suite
@@ -11,8 +13,7 @@ import (
 // resolve internals through the shard that owns them instead of assuming the
 // single-lock layout.
 
-// objOf returns name's object struct from its owning shard (the cluster
-// itself when unsharded).
+// objOf returns name's object struct from its owning shard.
 func objOf(c *Cluster, name string) *object {
 	return c.shardFor(name).objects[name]
 }
@@ -20,7 +21,7 @@ func objOf(c *Cluster, name string) *object {
 // eachObject visits every stored object across all shards, in name order.
 func eachObject(c *Cluster, fn func(*object)) {
 	objs := map[string]*object{}
-	for _, s := range c.allShards() {
+	for _, s := range c.owned {
 		for name, obj := range s.objects {
 			objs[name] = obj
 		}
@@ -39,22 +40,8 @@ func eachObject(c *Cluster, fn func(*object)) {
 // appears once per shard that still tracks it — callers asserting "nothing
 // lives here anymore" want exactly that union view.
 func eachTarget(c *Cluster, fn func(key targetKey, t *target)) {
-	for _, s := range c.allShards() {
-		keys := make([]targetKey, 0, len(s.targets))
-		for k := range s.targets {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			ki, kj := keys[i], keys[j]
-			if ki.node != kj.node {
-				return ki.node < kj.node
-			}
-			if ki.dev != kj.dev {
-				return ki.dev < kj.dev
-			}
-			return ki.md < kj.md
-		})
-		for _, k := range keys {
+	for _, s := range c.owned {
+		for _, k := range sortedKeys(s.targets) {
 			fn(k, s.targets[k])
 		}
 	}
@@ -67,7 +54,7 @@ func eachTarget(c *Cluster, fn func(key targetKey, t *target)) {
 func listMeta(t *testing.T, c *Cluster, prefix string) []string {
 	t.Helper()
 	seen := map[string]bool{}
-	for _, s := range c.allShards() {
+	for _, s := range c.owned {
 		keys, err := s.meta.List(prefix)
 		if err != nil {
 			t.Fatal(err)
@@ -83,3 +70,12 @@ func listMeta(t *testing.T, c *Cluster, prefix string) []string {
 	sort.Strings(out)
 	return out
 }
+
+// manifests returns the store view holding name's manifest: whatever the
+// on-disk layout, the record sits at objKey(name) in it.
+func manifests(c *Cluster, name string) store.Store {
+	return c.shardFor(name).meta
+}
+
+// chunkBytes is the cluster's chunk size in bytes.
+func (c *Cluster) chunkBytes() int { return c.first().chunkBytes() }

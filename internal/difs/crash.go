@@ -13,39 +13,31 @@ import (
 // from surviving copies. Returns the number of targets taken down; crashing
 // an already-crashed or target-less node is a no-op.
 func (c *Cluster) CrashNode(id NodeID) int {
-	if c.shards != nil {
-		// Membership mirrors across shards: every owned shard marks its own
-		// view of the node down; the first is authoritative for the count.
-		n, first := 0, true
-		for _, s := range c.allShards() {
-			v := s.CrashNode(id)
-			if first {
-				n, first = v, false
-			}
-		}
-		return n
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	defer func() { _ = c.flushMeta() }()
+	return c.mirrored(func(sh *shard) int { return sh.crashNode(id) })
+}
+
+func (sh *shard) crashNode(id NodeID) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	defer func() { _ = sh.flushMeta() }()
 	affected := 0
-	for _, t := range c.targetsOfNode(id) {
+	for _, t := range sh.targetsOfNode(id) {
 		if t.down {
 			continue
 		}
 		t.down = true
 		for _, ch := range t.chunksInSlotOrder() {
-			c.enqueueRepair(ch)
+			sh.enqueueRepair(ch)
 		}
 		affected++
 	}
 	if affected > 0 {
-		c.bumpEpoch()
-		if c.countEvents {
-			c.tele.nodeCrashes.Inc()
-			c.tele.faultsInjected.Inc()
-			c.tele.tr.Emit(telemetry.Event{
+		sh.bumpEpoch()
+		if sh.countEvents {
+			sh.tele.nodeCrashes.Inc()
+			sh.tele.faultsInjected.Inc()
+			sh.tele.tr.Emit(telemetry.Event{
 				Kind: telemetry.KindNodeCrash, Layer: "difs",
 				Detail: "crash", N: int64(affected),
 			})
@@ -68,22 +60,16 @@ func (c *Cluster) CrashNode(id NodeID) int {
 // from other copies, so a flapping node stops churning the repair queue.
 // Returns the number of targets that rejoined.
 func (c *Cluster) RestartNode(id NodeID) int {
-	if c.shards != nil {
-		n, first := 0, true
-		for _, s := range c.allShards() {
-			v := s.RestartNode(id)
-			if first {
-				n, first = v, false
-			}
-		}
-		return n
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	defer func() { _ = c.flushMeta() }()
+	return c.mirrored(func(sh *shard) int { return sh.restartNode(id) })
+}
+
+func (sh *shard) restartNode(id NodeID) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	defer func() { _ = sh.flushMeta() }()
 	any := false
-	for _, t := range c.targetsOfNode(id) {
+	for _, t := range sh.targetsOfNode(id) {
 		if t.down {
 			any = true
 			break
@@ -92,46 +78,46 @@ func (c *Cluster) RestartNode(id NodeID) int {
 	if !any {
 		return 0 // not crashed (or nothing survived): nothing to restart
 	}
-	c.flaps[id]++
-	quarantine := c.cfg.FlapLimit > 0 && c.flaps[id] > c.cfg.FlapLimit
+	sh.flaps[id]++
+	quarantine := sh.cfg.FlapLimit > 0 && sh.flaps[id] > sh.cfg.FlapLimit
 	revived := 0
-	for _, t := range c.targetsOfNode(id) {
+	for _, t := range sh.targetsOfNode(id) {
 		if !t.down {
 			continue
 		}
 		t.down = false
 		if quarantine {
-			c.loseTarget(t.key)
+			sh.loseTarget(t.key)
 			continue
 		}
 		if t.state != tDraining && !deviceHasMinidisk(t) {
 			// The device retired this minidisk while the node was dark and
 			// the notification had nobody to reach.
-			c.loseTarget(t.key)
+			sh.loseTarget(t.key)
 			continue
 		}
-		c.reconcileTarget(t)
+		sh.reconcileTarget(t)
 		revived++
 	}
-	c.bumpEpoch()
-	if c.countEvents {
-		c.tele.nodeRestarts.Inc()
+	sh.bumpEpoch()
+	if sh.countEvents {
+		sh.tele.nodeRestarts.Inc()
 	}
 	if quarantine {
-		if c.countEvents {
-			c.tele.quarantines.Inc()
-			c.tele.tr.Emit(telemetry.Event{
+		if sh.countEvents {
+			sh.tele.quarantines.Inc()
+			sh.tele.tr.Emit(telemetry.Event{
 				Kind: telemetry.KindNodeCrash, Layer: "difs",
-				Detail: "quarantine", N: int64(c.flaps[id]),
+				Detail: "quarantine", N: int64(sh.flaps[id]),
 			})
 		}
 		return 0
 	}
-	if revived > 0 && c.countEvents {
-		c.tele.faultsRecovered.Inc()
+	if revived > 0 && sh.countEvents {
+		sh.tele.faultsRecovered.Inc()
 	}
-	if c.countEvents {
-		c.tele.tr.Emit(telemetry.Event{
+	if sh.countEvents {
+		sh.tele.tr.Emit(telemetry.Event{
 			Kind: telemetry.KindNodeCrash, Layer: "difs",
 			Detail: "restart", N: int64(revived),
 		})
@@ -140,14 +126,13 @@ func (c *Cluster) RestartNode(id NodeID) int {
 }
 
 // NodeDown reports whether any of the node's targets is currently crashed.
-func (c *Cluster) NodeDown(id NodeID) bool {
-	if c.shards != nil {
-		return c.firstShard().NodeDown(id)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	for _, t := range c.targetsOfNode(id) {
+func (c *Cluster) NodeDown(id NodeID) bool { return c.first().nodeDown(id) }
+
+func (sh *shard) nodeDown(id NodeID) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	for _, t := range sh.targetsOfNode(id) {
 		if t.down {
 			return true
 		}
@@ -168,7 +153,7 @@ func deviceHasMinidisk(t *target) bool {
 // no longer references this replica — e.g. the object was deleted while the
 // node was down) are trimmed and freed, and every surviving chunk is queued
 // for a repair pass that restores exact replication.
-func (c *Cluster) reconcileTarget(t *target) {
+func (sh *shard) reconcileTarget(t *target) {
 	slots := make([]int, 0, len(t.chunks))
 	for s := range t.chunks {
 		slots = append(slots, s)
@@ -183,16 +168,13 @@ func (c *Cluster) reconcileTarget(t *target) {
 				break
 			}
 		}
-		cur, objAlive := c.objects[ch.obj.name]
+		cur, objAlive := sh.objects[ch.obj.name]
 		if !listed || !objAlive || cur != ch.obj {
 			delete(t.chunks, slot)
-			base := slot * c.cfg.ChunkOPages
-			for p := 0; p < c.cfg.ChunkOPages; p++ {
-				_ = t.dev.Trim(t.key.md, base+p)
-			}
-			c.releaseSlot(t, slot)
+			sh.trimSlot(t, slot)
+			sh.led.release(t.key, slot)
 			continue
 		}
-		c.enqueueRepair(ch)
+		sh.enqueueRepair(ch)
 	}
 }

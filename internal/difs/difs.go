@@ -21,13 +21,11 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"salamander/internal/blockdev"
-	"salamander/internal/ec"
 	"salamander/internal/sim"
-	"salamander/internal/stats"
-	"salamander/internal/store"
 	"salamander/internal/telemetry"
 )
 
@@ -93,11 +91,12 @@ type Config struct {
 	FlapLimit int
 	Seed      uint64
 	// Shards partitions the metadata/control plane into this many
-	// independently locked shards behind a routing facade (consistent hash
-	// over the object name, see ShardOf). 1 keeps the classic single-lock
-	// cluster. 0 means "unset": NewCluster consults the DIFS_SHARDS
-	// environment variable (used by CI to replay the whole test corpus at
-	// several shard counts) and falls back to 1. Negative is rejected.
+	// independently locked shards behind the Cluster (consistent hash over
+	// the object name, see ShardOf). 1 is a cluster of one shard: one lock,
+	// and the unprefixed manifest layout. 0 means "unset": NewCluster
+	// consults the DIFS_SHARDS environment variable (used by CI to replay
+	// the whole test corpus at several shard counts) and falls back to 1.
+	// Negative is rejected.
 	Shards int
 	// OwnShards scopes a sharded cluster to a subset of its metadata
 	// shards — the multi-process scale-out contract: each salsrv process
@@ -117,98 +116,6 @@ func DefaultConfig() Config {
 
 // NodeID identifies a storage node.
 type NodeID int
-
-type targetKey struct {
-	node NodeID
-	dev  int
-	md   blockdev.MinidiskID
-}
-
-func (k targetKey) String() string {
-	return fmt.Sprintf("n%d/d%d/md%d", k.node, k.dev, k.md)
-}
-
-type targetState uint8
-
-const (
-	tLive targetState = iota
-	// tDraining: grace-period decommission in progress — readable, not
-	// placeable; released back to the device once its chunks are
-	// re-replicated.
-	tDraining
-	tDead
-)
-
-// target is one minidisk in service as a placement target.
-type target struct {
-	key       targetKey
-	info      blockdev.MinidiskInfo
-	freeSlots []int
-	chunks    map[int]*chunk // slot -> occupant
-	state     targetState
-	// down marks the target's node as crashed: the minidisk (and its data)
-	// still exists but is unreachable until the node restarts. Down targets
-	// are neither placeable nor readable, yet their replicas are retained —
-	// a rejoining node re-registers them.
-	down bool
-	dev  blockdev.Device
-}
-
-func (t *target) live() bool     { return t.state == tLive && !t.down }
-func (t *target) readable() bool { return t.state != tDead && !t.down }
-
-// chunksInSlotOrder returns the target's chunks sorted by slot. Repair
-// enqueue order feeds every downstream placement decision, so it must be
-// independent of map iteration order for chaos runs to replay byte-identically.
-func (t *target) chunksInSlotOrder() []*chunk {
-	slots := make([]int, 0, len(t.chunks))
-	for s := range t.chunks {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	out := make([]*chunk, len(slots))
-	for i, s := range slots {
-		out[i] = t.chunks[s]
-	}
-	return out
-}
-
-type replica struct {
-	tgt  *target
-	slot int
-}
-
-type chunk struct {
-	obj      *object
-	idx      int
-	replicas []replica
-	// sum is the CRC-32C of the chunk's padded content, fixed at placement.
-	// Recovery verifies every persisted replica against it before trusting
-	// the bytes — a torn or stale slot is quarantined, never served.
-	sum uint32
-	// stripe links erasure-coded shards: chunks of one stripe are the k
-	// data + m parity shards of an RS stripe, each stored once. nil for
-	// replicated chunks.
-	stripe   *stripe
-	shardIdx int
-}
-
-// stripe groups the k+m shard chunks of one erasure-coded stripe.
-type stripe struct {
-	chunks []*chunk // len k+m; [0,k) data, [k,k+m) parity
-}
-
-type object struct {
-	name    string
-	size    int
-	chunks  []*chunk  // data chunks, in order
-	stripes []*stripe // non-nil only for EC objects
-}
-
-type node struct {
-	id      NodeID
-	devices []blockdev.Device
-}
 
 // Stats aggregates cluster activity.
 type Stats struct {
@@ -319,87 +226,71 @@ func bindTele(reg *telemetry.Registry, tr *telemetry.Tracer) cTele {
 	}
 }
 
-// Cluster is a replicated object store over block devices.
+// stats renders the handles' current values as a Stats snapshot.
+func (t cTele) stats() Stats {
+	return Stats{
+		PutBytes:           int64(t.putBytes.Value()),
+		GetBytes:           int64(t.getBytes.Value()),
+		RecoveryBytes:      int64(t.recoveryBytes.Value()),
+		RecoveryReadBytes:  int64(t.recoveryReadBytes.Value()),
+		RecoveryOps:        int64(t.recoveryOps.Value()),
+		DegradedReads:      int64(t.degradedReads.Value()),
+		LostChunks:         int64(t.lostChunks.Value()),
+		DecommissionEvents: int64(t.decommissionEvents.Value()),
+		RegenerateEvents:   int64(t.regenerateEvents.Value()),
+		BrickEvents:        int64(t.brickEvents.Value()),
+		DrainEvents:        int64(t.drainEvents.Value()),
+		Releases:           int64(t.releases.Value()),
+		LocalSourceRepairs: int64(t.localSourceRepairs.Value()),
+		RepairRetries:      int64(t.repairRetries.Value()),
+		FaultsInjected:     int64(t.faultsInjected.Value()),
+		FaultsRecovered:    int64(t.faultsRecovered.Value()),
+		NodeCrashes:        int64(t.nodeCrashes.Value()),
+		NodeRestarts:       int64(t.nodeRestarts.Value()),
+		Quarantines:        int64(t.quarantines.Value()),
+		RecoverObjects:     int64(t.recoverObjects.Value()),
+		RecoverQuarantined: int64(t.recoverQuarantined.Value()),
+		ShardOps:           int64(t.shardOps.Value()),
+		ShardEpochs:        int64(t.shardEpochs.Value()),
+	}
+}
+
+// Cluster is a replicated object store over block devices: a routing facade
+// over Config.Shards metadata shards (shard.go). The Cluster holds only what
+// is cluster-wide — the config, the shard slice, the slot ledger, and the
+// device-event fan-out; every object, target view, repair queue and lock
+// lives in a shard. Each exported method either routes a named operation to
+// the one shard that owns the name (ShardOf) or aggregates over the owned
+// shards in index order. Shards=1 is the same structure with one shard.
 //
-// Concurrency: every exported method serializes on one cluster mutex, so
-// concurrent client goroutines may share a Cluster. The lock order is
-// cluster → device: cluster methods call into devices while holding the
-// cluster lock, never the reverse. Device notifications are applied inline
-// (the emitting device call was made under the cluster lock), which means
-// attached devices must be driven through the cluster — mutating a device
-// directly while cluster operations are in flight on other goroutines is
-// not supported. RepairParallel redirects notifications raised by its
-// worker goroutines into a sink and replays them in deterministic order.
+// Concurrency: concurrent client goroutines may share a Cluster. Operations
+// on names of different shards run in parallel; operations within one shard
+// serialize on that shard's mutex. The Cluster itself holds no lock while
+// calling a shard. The lock order is shard → device: shard methods call into
+// devices while holding the shard lock, never the reverse. Device
+// notifications are therefore never applied from the device's callback —
+// fanEvent queues them on every shard (evMu, the shards' pend locks and the
+// ledger mutex are leaf locks, safe to take under a device lock) and each
+// shard applies its queue the next time it takes its own lock. That also
+// makes out-of-band device mutations safe: failing a minidisk directly while
+// cluster operations are in flight never touches metadata without a lock.
 type Cluster struct {
-	mu      sync.Mutex
-	cfg     Config
-	rng     *stats.RNG
-	nodes   []*node
-	targets map[targetKey]*target
-	objects map[string]*object
-	repairQ []*chunk
-	queued  map[*chunk]bool
-	flaps   map[NodeID]int // crash/restart cycles per node (quarantine input)
-	tele    cTele
-	codec   *ec.Code // non-nil in erasure-coding mode
+	cfg Config // Shards resolved (>= 1), OwnShards normalized
+	// shards is indexed by shard id — the routing invariant — with nil at
+	// the positions Config.OwnShards leaves to other processes; entry points
+	// turn a nil into ErrNotOwner. owned lists the non-nil entries in id
+	// order: the shards every aggregate and membership loop walks.
+	shards []*shard
+	owned  []*shard
+	led    *slotLedger // the one physical slot book, shared by all shards
 
-	// meta is the durable manifest store attached by AttachMeta (nil =
-	// metadata lives only in RAM, the pre-durability behaviour). metaDirty
-	// tracks object names whose manifest must be rewritten; flushMeta
-	// drains it at the end of every exported mutation, which makes the
-	// manifest write the commit point for acked operations.
-	meta      store.Store
-	metaDirty map[string]bool
-
-	// sinkMu/sink buffer device events raised while RepairParallel's
-	// workers drive devices off the cluster goroutine. sinkMu is a leaf
-	// lock: handleEvent takes it with the device lock held, so nothing
-	// holding sinkMu may call a device or take the cluster lock.
-	sinkMu sync.Mutex
-	sinkOn bool
-	sink   []sunkEvent
-
-	// --- sharding (shard.go) ------------------------------------------
-	// A Cluster is one of three things: a classic standalone cluster
-	// (shards == nil, led == nil), the facade of a sharded cluster
-	// (shards != nil), or one shard of a sharded cluster (sub == true).
-	// The facade owns routing, the shared slot ledger, and event fan-out;
-	// shards own disjoint slices of the namespace under their own locks.
-	shards  []*Cluster  // facade only: the N shard children
-	led     *slotLedger // shared physical slot accounting (facade + shards)
-	shardID int
-	sub     bool
-	// epoch is this shard's placement epoch: bumped on every membership
-	// change (target added/drained/lost, node crash/restart) so clients of
-	// ShardInfos can detect placement-relevant churn per shard.
-	epoch uint64
-	// countEvents gates once-per-event counters. Device events and node
-	// crash/restarts fan out to every shard; only the standalone cluster
-	// and shard 0 count them, keeping telemetry identical across shard
-	// counts.
-	countEvents bool
-	// evMu/evSeq (facade) order fanned-out device notifications; pendMu/
-	// pend buffer them — per shard on sharded clusters, and for the
-	// cluster's own subscription standalone — until the next settleLocked
-	// under the cluster lock. pendMu is a leaf lock like sinkMu.
-	evMu   sync.Mutex
-	evSeq  int
-	pendMu sync.Mutex
-	pend   []sunkEvent
+	// evMu orders fanned-out device notifications; evSeq numbers them.
+	evMu  sync.Mutex
+	evSeq int
 }
 
-// sunkEvent is one deferred device notification captured during a parallel
-// repair phase. seq preserves per-device emission order.
-type sunkEvent struct {
-	nid NodeID
-	dev int
-	seq int
-	e   blockdev.Event
-}
-
-// NewCluster creates an empty cluster. With cfg.Shards > 1 the returned
-// Cluster is a routing facade over that many independently locked metadata
-// shards (see shard.go); the API is identical either way.
+// NewCluster creates an empty cluster of cfg.Shards metadata shards (or the
+// cfg.OwnShards subset of them).
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Shards == 0 {
 		if v := os.Getenv("DIFS_SHARDS"); v != "" {
@@ -415,12 +306,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("difs: Shards %d is negative", cfg.Shards)
 	}
-	if cfg.Shards > 1 {
-		return newShardedCluster(cfg)
+	own, err := normalizeOwnShards(cfg.OwnShards, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.OwnShards != nil {
-		return nil, fmt.Errorf("difs: OwnShards requires Shards > 1 (got %d)", cfg.Shards)
-	}
+	cfg.OwnShards = own
 	if cfg.ReplicationFactor < 1 {
 		return nil, errors.New("difs: replication factor must be >= 1")
 	}
@@ -436,25 +326,64 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.FlapLimit < 0 {
 		return nil, fmt.Errorf("difs: FlapLimit %d is negative (0 disables quarantine)", cfg.FlapLimit)
 	}
-	var codec *ec.Code
-	if cfg.ECDataShards > 0 || cfg.ECParityShards > 0 {
-		var err error
-		codec, err = ec.New(cfg.ECDataShards, cfg.ECParityShards)
+	c := &Cluster{cfg: cfg, shards: make([]*shard, cfg.Shards), led: newSlotLedger()}
+	reg := telemetry.NewRegistry()
+	for _, i := range ownedOrAll(own, cfg.Shards) {
+		// Device events and node faults reach every owned shard; only the
+		// first owned one counts them, so fleet counters do not depend on
+		// the shard count or on which subset this process holds.
+		sh, err := newShard(i, cfg, c.led, reg, len(c.owned) == 0)
 		if err != nil {
 			return nil, err
 		}
+		c.shards[i] = sh
+		c.owned = append(c.owned, sh)
 	}
-	return &Cluster{
-		cfg:         cfg,
-		rng:         stats.NewRNG(cfg.Seed),
-		targets:     map[targetKey]*target{},
-		objects:     map[string]*object{},
-		queued:      map[*chunk]bool{},
-		flaps:       map[NodeID]int{},
-		tele:        bindTele(telemetry.NewRegistry(), nil),
-		codec:       codec,
-		countEvents: true,
-	}, nil
+	return c, nil
+}
+
+// OwnedShards lists the metadata shards this cluster instantiates,
+// ascending.
+func (c *Cluster) OwnedShards() []int {
+	out := make([]int, len(c.owned))
+	for i, sh := range c.owned {
+		out[i] = sh.id
+	}
+	return out
+}
+
+// Owns reports whether this cluster serves the given metadata shard.
+func (c *Cluster) Owns(shard int) bool {
+	return shard >= 0 && shard < len(c.shards) && c.shards[shard] != nil
+}
+
+// shardFor routes a name to its shard; nil means the shard belongs to
+// another process (see notOwnerErr).
+func (c *Cluster) shardFor(name string) *shard {
+	return c.shards[ShardOf(name, len(c.shards))]
+}
+
+// notOwnerErr builds the ErrNotOwner error for a name that routed to an
+// unowned shard.
+func (c *Cluster) notOwnerErr(name string) error {
+	return fmt.Errorf("%w: %q routes to shard %d (this process owns %s)",
+		ErrNotOwner, name, ShardOf(name, len(c.shards)), ownShardsCanonical(c.cfg.OwnShards))
+}
+
+// first is the lowest-index owned shard — the authoritative view for state
+// every shard mirrors (membership, capacity, node flaps, telemetry handles).
+func (c *Cluster) first() *shard { return c.owned[0] }
+
+// mirrored applies a membership change to every owned shard — each keeps
+// its own view of the nodes — and returns the first shard's count.
+func (c *Cluster) mirrored(change func(*shard) int) int {
+	n := 0
+	for i, sh := range c.owned {
+		if v := change(sh); i == 0 {
+			n = v
+		}
+	}
+	return n
 }
 
 // Instrument rebinds the cluster's stats to the given shared registry and
@@ -464,275 +393,47 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // here — call their own Instrument with the same pair for a cross-layer
 // view.
 func (c *Cluster) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	if c.shards != nil {
-		// The facade and its shards share one set of counter handles; the
-		// facade rebinds with a carry, the shards rebind without one (the
-		// carry must happen exactly once). Resolve a nil registry here so
-		// facade and shards land on the same private one.
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		c.rebindTele(reg, tr, true)
-		for _, s := range c.allShards() {
-			s.rebindTele(reg, tr, false)
-		}
-		return
-	}
-	c.rebindTele(reg, tr, true)
-}
-
-func (c *Cluster) rebindTele(reg *telemetry.Registry, tr *telemetry.Tracer, carryOver bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	old := c.tele
-	c.tele = bindTele(reg, tr)
-	if !carryOver {
-		return
+	for i, sh := range c.owned {
+		sh.rebindTele(reg, tr, i == 0)
 	}
-	carry := func(dst, src *telemetry.Counter) {
-		if dst != src {
-			dst.Add(src.Value())
-		}
-	}
-	carry(c.tele.putBytes, old.putBytes)
-	carry(c.tele.getBytes, old.getBytes)
-	carry(c.tele.recoveryBytes, old.recoveryBytes)
-	carry(c.tele.recoveryReadBytes, old.recoveryReadBytes)
-	carry(c.tele.recoveryOps, old.recoveryOps)
-	carry(c.tele.degradedReads, old.degradedReads)
-	carry(c.tele.lostChunks, old.lostChunks)
-	carry(c.tele.decommissionEvents, old.decommissionEvents)
-	carry(c.tele.regenerateEvents, old.regenerateEvents)
-	carry(c.tele.brickEvents, old.brickEvents)
-	carry(c.tele.drainEvents, old.drainEvents)
-	carry(c.tele.releases, old.releases)
-	carry(c.tele.localSourceRepairs, old.localSourceRepairs)
-	carry(c.tele.repairRetries, old.repairRetries)
-	carry(c.tele.faultsInjected, old.faultsInjected)
-	carry(c.tele.faultsRecovered, old.faultsRecovered)
-	carry(c.tele.nodeCrashes, old.nodeCrashes)
-	carry(c.tele.nodeRestarts, old.nodeRestarts)
-	carry(c.tele.quarantines, old.quarantines)
-	carry(c.tele.recoverObjects, old.recoverObjects)
-	carry(c.tele.recoverQuarantined, old.recoverQuarantined)
-	carry(c.tele.shardOps, old.shardOps)
-	carry(c.tele.shardEpochs, old.shardEpochs)
 }
 
 // AddNode attaches a node with its devices. The cluster registers itself
-// for every device's events; each live minidisk becomes a placement target.
+// for every device's events; each live minidisk becomes a placement target
+// in every shard's view.
 func (c *Cluster) AddNode(devices ...blockdev.Device) NodeID {
-	if c.shards != nil {
-		return c.addNodeFacade(devices...)
+	id := NodeID(-1)
+	for _, sh := range c.owned {
+		id = sh.addNode(devices...)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := NodeID(len(c.nodes))
-	n := &node{id: id, devices: devices}
-	c.nodes = append(c.nodes, n)
+	// One subscription per device, held by the Cluster and never by a shard:
+	// one physical event must reach every shard view exactly once, in one
+	// global order.
 	for di, dev := range devices {
-		di, dev := di, dev
-		for _, info := range dev.Minidisks() {
-			c.addTarget(id, di, info)
-		}
-		dev.Notify(func(e blockdev.Event) { c.handleEvent(id, di, e) })
+		di := di
+		dev.Notify(func(e blockdev.Event) { c.fanEvent(id, di, e) })
 	}
 	return id
 }
 
-// addNodeQuiet registers a node without subscribing to its device events —
-// on a sharded cluster the facade owns the single Notify subscription per
-// device and fans events out to every shard (fanEvent).
-func (c *Cluster) addNodeQuiet(devices ...blockdev.Device) NodeID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := NodeID(len(c.nodes))
-	n := &node{id: id, devices: devices}
-	c.nodes = append(c.nodes, n)
-	for di, dev := range devices {
-		for _, info := range dev.Minidisks() {
-			c.addTarget(id, di, info)
-		}
-	}
-	return id
-}
-
-func (c *Cluster) addTarget(nid NodeID, dev int, info blockdev.MinidiskInfo) {
-	slots := info.LBAs / c.cfg.ChunkOPages
-	if slots == 0 {
-		return // minidisk smaller than a chunk: unusable
-	}
-	if _, ok := c.targets[targetKey{nid, dev, info.ID}]; ok {
-		// Duplicate registration (devices never reuse minidisk IDs, so this
-		// is a duplicated regenerate event): keep the existing target.
-		return
-	}
-	t := &target{
-		key:    targetKey{nid, dev, info.ID},
-		info:   info,
-		chunks: map[int]*chunk{},
-		state:  tLive,
-		dev:    c.nodes[nid].devices[dev],
-	}
-	if c.led != nil {
-		// Physical slot accounting lives in the shared ledger; the per-shard
-		// freeSlots list stays empty (slot helpers branch on c.led).
-		c.led.register(t.key, slots, t.dev)
-	} else {
-		for s := slots - 1; s >= 0; s-- {
-			t.freeSlots = append(t.freeSlots, s)
-		}
-	}
-	c.targets[t.key] = t
-	c.bumpEpoch()
-}
-
-// bumpEpoch advances this cluster/shard's placement epoch. Callers hold the
-// lock.
-func (c *Cluster) bumpEpoch() {
-	c.epoch++
-	c.tele.shardEpochs.Inc()
-}
-
-// handleEvent processes a device notification. It must not call back into
-// the device (per the blockdev contract), so it only records the event for
-// later application under the cluster lock. During RepairParallel's worker
-// phases events are buffered into the sink and replayed after the workers
-// join; otherwise they join the pend queue that settleLocked drains — the
-// same discipline the sharded facade uses (fanEvent). Queuing instead of
-// applying inline keeps out-of-band device mutations safe: an operator (or
-// test) failing a minidisk from its own goroutine never touches cluster
-// metadata without the lock. In-lock emitters that need the event visible
-// immediately (writeChunk's commit re-check, readAnyReplica's failover)
-// settle right after the device call returns, which is observationally
-// identical to the old inline application.
-func (c *Cluster) handleEvent(nid NodeID, dev int, e blockdev.Event) {
-	c.sinkMu.Lock()
-	if c.sinkOn {
-		c.sink = append(c.sink, sunkEvent{nid: nid, dev: dev, seq: len(c.sink), e: e})
-		c.sinkMu.Unlock()
-		return
-	}
-	c.sinkMu.Unlock()
-	c.pendMu.Lock()
-	c.pend = append(c.pend, sunkEvent{nid: nid, dev: dev, seq: len(c.pend), e: e})
-	c.pendMu.Unlock()
-}
-
-// applyEvent mutates the cluster view for one device event. Callers must
-// hold the cluster lock (or be on the single goroutine that does).
-func (c *Cluster) applyEvent(nid NodeID, dev int, e blockdev.Event) {
-	switch e.Kind {
-	case blockdev.EventDecommission:
-		if c.countEvents {
-			c.tele.decommissionEvents.Inc()
-		}
-		c.loseTarget(targetKey{nid, dev, e.Minidisk})
-	case blockdev.EventDrain:
-		if c.countEvents {
-			c.tele.drainEvents.Inc()
-		}
-		c.drainTarget(targetKey{nid, dev, e.Minidisk})
-	case blockdev.EventRegenerate:
-		if c.countEvents {
-			c.tele.regenerateEvents.Inc()
-		}
-		c.addTarget(nid, dev, e.Info)
-	case blockdev.EventBrick:
-		if c.countEvents {
-			c.tele.brickEvents.Inc()
-		}
-		for _, t := range c.targetsOfDevice(nid, dev) {
-			if t.state != tDead {
-				c.loseTarget(t.key)
-			}
-		}
-	}
-}
-
-// targetsOfDevice lists a device's targets in key order (deterministic).
-func (c *Cluster) targetsOfDevice(nid NodeID, dev int) []*target {
-	var out []*target
-	for key, t := range c.targets {
-		if key.node == nid && key.dev == dev {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key.md < out[j].key.md })
-	return out
-}
-
-// targetsOfNode lists a node's targets in key order (deterministic).
-func (c *Cluster) targetsOfNode(nid NodeID) []*target {
-	var out []*target
-	for key, t := range c.targets {
-		if key.node == nid {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ki, kj := out[i].key, out[j].key
-		if ki.dev != kj.dev {
-			return ki.dev < kj.dev
-		}
-		return ki.md < kj.md
-	})
-	return out
-}
-
-// loseTarget marks a minidisk gone and queues its chunks for repair.
-func (c *Cluster) loseTarget(key targetKey) {
-	t, ok := c.targets[key]
-	if !ok || t.state == tDead {
-		return
-	}
-	t.state = tDead
-	if c.led != nil {
-		// Drop the ledger entry too: the disk is gone physically, so its
-		// slots must never be handed out again. Every shard processes the
-		// same loss (events fan out; error-driven losses replay identically),
-		// so the idempotent drop is consistent across shards.
-		c.led.drop(key)
-	}
-	for _, ch := range t.chunksInSlotOrder() {
-		// Drop the dead replica from the chunk.
-		kept := ch.replicas[:0]
-		for _, r := range ch.replicas {
-			if r.tgt != t {
-				kept = append(kept, r)
-			}
-		}
-		ch.replicas = kept
-		c.markDirty(ch.obj.name)
-		c.enqueueRepair(ch)
-	}
-	t.chunks = map[int]*chunk{}
-	delete(c.targets, key)
-	c.bumpEpoch()
-}
-
-// drainTarget handles a grace-period decommission: the minidisk stops
-// receiving placements, its chunks are queued for re-replication, and its
-// replicas stay readable as repair sources until Release.
-func (c *Cluster) drainTarget(key targetKey) {
-	t, ok := c.targets[key]
-	if !ok || t.state != tLive {
-		return
-	}
-	t.state = tDraining
-	for _, ch := range t.chunksInSlotOrder() {
-		c.enqueueRepair(ch)
-	}
-	c.bumpEpoch()
-}
-
-func (c *Cluster) enqueueRepair(ch *chunk) {
-	if !c.queued[ch] {
-		c.queued[ch] = true
-		c.repairQ = append(c.repairQ, ch)
+// fanEvent appends one device event to every shard's pending queue under a
+// single sequence number. evMu is held across the whole fan-out so every
+// shard receives events in the same global order, and per-shard queue order
+// equals sequence order (settleLocked applies without sorting). The queues
+// are necessary because the event fires while the *emitting* shard holds its
+// lock inside a device call — no shard lock can be taken here (lock order is
+// shard → device, never device → shard), and the blockdev contract forbids
+// calling back into the device.
+func (c *Cluster) fanEvent(nid NodeID, dev int, e blockdev.Event) {
+	c.evMu.Lock()
+	defer c.evMu.Unlock()
+	se := queuedEvent{nid: nid, dev: dev, seq: c.evSeq, e: e}
+	c.evSeq++
+	for _, sh := range c.owned {
+		sh.enqueueEvent(se)
 	}
 }
 
@@ -740,58 +441,21 @@ func (c *Cluster) enqueueRepair(ch *chunk) {
 // the cluster's registry-backed telemetry handles at call time; mutating
 // the returned value has no effect on the live cluster.
 func (c *Cluster) Stats() Stats {
-	// Device events ride pending queues until the owning cluster/shard next
-	// settles; force a settle so event counters read fresh at snapshot time.
-	if c.shards != nil {
-		for _, s := range c.allShards() {
-			s.mu.Lock()
-			s.settleLocked()
-			s.mu.Unlock()
-		}
+	// Device events ride pending queues until the owning shard next settles;
+	// force a settle so event counters read fresh at snapshot time.
+	for _, sh := range c.owned {
+		sh.settle()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	return Stats{
-		PutBytes:           int64(c.tele.putBytes.Value()),
-		GetBytes:           int64(c.tele.getBytes.Value()),
-		RecoveryBytes:      int64(c.tele.recoveryBytes.Value()),
-		RecoveryReadBytes:  int64(c.tele.recoveryReadBytes.Value()),
-		RecoveryOps:        int64(c.tele.recoveryOps.Value()),
-		DegradedReads:      int64(c.tele.degradedReads.Value()),
-		LostChunks:         int64(c.tele.lostChunks.Value()),
-		DecommissionEvents: int64(c.tele.decommissionEvents.Value()),
-		RegenerateEvents:   int64(c.tele.regenerateEvents.Value()),
-		BrickEvents:        int64(c.tele.brickEvents.Value()),
-		DrainEvents:        int64(c.tele.drainEvents.Value()),
-		Releases:           int64(c.tele.releases.Value()),
-		LocalSourceRepairs: int64(c.tele.localSourceRepairs.Value()),
-		RepairRetries:      int64(c.tele.repairRetries.Value()),
-		FaultsInjected:     int64(c.tele.faultsInjected.Value()),
-		FaultsRecovered:    int64(c.tele.faultsRecovered.Value()),
-		NodeCrashes:        int64(c.tele.nodeCrashes.Value()),
-		NodeRestarts:       int64(c.tele.nodeRestarts.Value()),
-		Quarantines:        int64(c.tele.quarantines.Value()),
-		RecoverObjects:     int64(c.tele.recoverObjects.Value()),
-		RecoverQuarantined: int64(c.tele.recoverQuarantined.Value()),
-		ShardOps:           int64(c.tele.shardOps.Value()),
-		ShardEpochs:        int64(c.tele.shardEpochs.Value()),
-	}
+	return c.first().handles().stats()
 }
 
 // PendingRepairs reports queued under-replicated chunks.
 func (c *Cluster) PendingRepairs() int {
-	if c.shards != nil {
-		n := 0
-		for _, s := range c.allShards() {
-			n += s.PendingRepairs()
-		}
-		return n
+	n := 0
+	for _, sh := range c.owned {
+		n += sh.pendingRepairs()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	return len(c.repairQ)
+	return n
 }
 
 // NodeInfo is one node's liveness summary for the ops surface: target
@@ -814,262 +478,22 @@ type NodeInfo struct {
 }
 
 // NodeInfos returns a per-node liveness summary in node-ID order.
-func (c *Cluster) NodeInfos() []NodeInfo {
-	if c.shards != nil {
-		// Membership and flap state mirror across shards; the first owned
-		// shard is authoritative for the summary.
-		return c.firstShard().NodeInfos()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	out := make([]NodeInfo, len(c.nodes))
-	for i, n := range c.nodes {
-		ni := NodeInfo{
-			ID:          n.id,
-			Devices:     len(n.devices),
-			Flaps:       c.flaps[n.id],
-			Quarantined: c.cfg.FlapLimit > 0 && c.flaps[n.id] > c.cfg.FlapLimit,
-		}
-		for _, t := range c.targetsOfNode(n.id) {
-			switch t.state {
-			case tLive:
-				ni.LiveTargets++
-			case tDraining:
-				ni.DrainingTargets++
-			case tDead:
-				ni.DeadTargets++
-			}
-			if t.down {
-				ni.DownTargets++
-			}
-		}
-		ni.Down = ni.DownTargets > 0
-		out[i] = ni
-	}
-	return out
-}
+func (c *Cluster) NodeInfos() []NodeInfo { return c.first().nodeInfos() }
 
-// Capacity returns total and free cluster capacity in chunk slots.
-func (c *Cluster) Capacity() (total, free int) {
-	if c.shards != nil {
-		// Physical capacity is shared: any shard sees the same targets, and
-		// free slots come from the shared ledger.
-		return c.firstShard().Capacity()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	for _, t := range c.targets {
-		if !t.live() {
-			continue
-		}
-		slots := t.info.LBAs / c.cfg.ChunkOPages
-		total += slots
-		free += c.slotCount(t)
-	}
-	return total, free
-}
+// Capacity returns total and free cluster capacity in chunk slots. Physical
+// capacity is shared: every shard sees the same targets, and free slots
+// come from the shared ledger.
+func (c *Cluster) Capacity() (total, free int) { return c.first().capacity() }
 
 // Objects lists stored object names (sorted).
 func (c *Cluster) Objects() []string {
-	if c.shards != nil {
-		var out []string
-		for _, s := range c.allShards() {
-			out = append(out, s.Objects()...)
-		}
-		sort.Strings(out)
-		return out
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	return c.objectNames()
-}
-
-func (c *Cluster) objectNames() []string {
-	out := make([]string, 0, len(c.objects))
-	for name := range c.objects {
-		out = append(out, name)
+	var out []string
+	for _, sh := range c.owned {
+		out = append(out, sh.objectList()...)
 	}
 	sort.Strings(out)
 	return out
 }
-
-// --- placement ---------------------------------------------------------------
-
-// pickTargets chooses up to want targets on distinct nodes, excluding nodes
-// already hosting the chunk. Random choice among the least-loaded halves the
-// variance without a full cost model.
-func (c *Cluster) pickTargets(want int, exclude map[NodeID]bool) []*target {
-	// Group candidate targets by node. Free-slot counts are snapshotted up
-	// front: on a sharded cluster they live in the shared ledger and other
-	// shards allocate concurrently (a stale count just makes writeChunk
-	// return ErrNoSpace and the placement loop try elsewhere).
-	free := map[*target]int{}
-	byNode := map[NodeID][]*target{}
-	for _, t := range c.targets {
-		if !t.live() || exclude[t.key.node] {
-			continue
-		}
-		n := c.slotCount(t)
-		if n == 0 {
-			continue
-		}
-		free[t] = n
-		byNode[t.key.node] = append(byNode[t.key.node], t)
-	}
-	nodes := make([]NodeID, 0, len(byNode))
-	for nid := range byNode {
-		nodes = append(nodes, nid)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	c.rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
-	var out []*target
-	for _, nid := range nodes {
-		if len(out) == want {
-			break
-		}
-		cands := byNode[nid]
-		// Order per the placement policy, breaking ties by ID for
-		// determinism.
-		sort.Slice(cands, func(i, j int) bool {
-			fi, fj := free[cands[i]], free[cands[j]]
-			if fi != fj {
-				if c.cfg.Placement == PlacementPack {
-					return fi < fj // fullest (but non-full) first
-				}
-				return fi > fj // emptiest first
-			}
-			return cands[i].key.md < cands[j].key.md
-		})
-		out = append(out, cands[0])
-	}
-	return out
-}
-
-// slotCount reports a target's free chunk slots (ledger-backed on sharded
-// clusters).
-func (c *Cluster) slotCount(t *target) int {
-	if c.led != nil {
-		return c.led.freeCount(t.key)
-	}
-	return len(t.freeSlots)
-}
-
-func (t *target) device(c *Cluster) blockdev.Device {
-	return c.nodes[t.key.node].devices[t.key.dev]
-}
-
-// writeChunk stores data (exactly ChunkOPages*4KB, already padded) into a
-// free slot on t.
-func (c *Cluster) writeChunk(t *target, ch *chunk, data []byte) error {
-	if c.led != nil {
-		return c.writeChunkSharded(t, ch, data)
-	}
-	if len(t.freeSlots) == 0 {
-		return ErrNoSpace
-	}
-	slot := t.freeSlots[len(t.freeSlots)-1]
-	dev := t.device(c)
-	base := slot * c.cfg.ChunkOPages
-	for p := 0; p < c.cfg.ChunkOPages; p++ {
-		if err := dev.Write(t.key.md, base+p, data[p*blockdev.OPageSize:(p+1)*blockdev.OPageSize]); err != nil {
-			// The write may have triggered this very minidisk's
-			// decommission; apply the queued event before reacting so
-			// noteDeviceError sees the post-event state, then surface the
-			// failure to the placement loop. If the error reveals a stale
-			// view (a dropped notification), retire the target now.
-			c.settleLocked()
-			c.noteDeviceError(t, err, true)
-			return err
-		}
-	}
-	// Commit the slot only after all pages landed. The device may have
-	// decommissioned or drained the minidisk while we wrote; the replica
-	// would be stale or short-lived, so settle queued events and re-check.
-	c.settleLocked()
-	if !t.live() {
-		return blockdev.ErrNoSuchMinidisk
-	}
-	t.freeSlots = t.freeSlots[:len(t.freeSlots)-1]
-	t.chunks[slot] = ch
-	ch.replicas = append(ch.replicas, replica{tgt: t, slot: slot})
-	c.markDirty(ch.obj.name)
-	return nil
-}
-
-// readChunk fetches a chunk from one replica, retrying transiently failed
-// oPages up to ReadRetries times with exponential virtual-time backoff —
-// graceful degradation above the device's own retry budget.
-func (c *Cluster) readChunk(r replica, buf []byte) error {
-	dev := r.tgt.device(c)
-	base := r.slot * c.cfg.ChunkOPages
-	for p := 0; p < c.cfg.ChunkOPages; p++ {
-		lba := base + p
-		err := dev.Read(r.tgt.key.md, lba, buf[p*blockdev.OPageSize:(p+1)*blockdev.OPageSize])
-		for attempt := 1; errors.Is(err, blockdev.ErrUncorrectable) && attempt <= c.cfg.ReadRetries; attempt++ {
-			c.backoff(dev, attempt)
-			c.tele.repairRetries.Inc()
-			c.tele.tr.Emit(telemetry.Event{
-				Kind: telemetry.KindRepairRetry, Layer: "difs",
-				LBA: lba, N: int64(attempt), Detail: r.tgt.key.String(),
-			})
-			err = dev.Read(r.tgt.key.md, lba, buf[p*blockdev.OPageSize:(p+1)*blockdev.OPageSize])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// backoff advances the replica device's virtual clock before a retry
-// (RetryBackoff doubling per attempt) — the cluster-scope analogue of §2's
-// voltage-adjustment delay. Only devices exposing an idle simulation engine
-// are advanced; others retry immediately.
-func (c *Cluster) backoff(dev blockdev.Device, attempt int) {
-	if c.cfg.RetryBackoff <= 0 {
-		return
-	}
-	type enginer interface{ Engine() *sim.Engine }
-	e, ok := dev.(enginer)
-	if !ok {
-		return
-	}
-	eng := e.Engine()
-	if eng == nil || eng.Pending() > 0 {
-		return
-	}
-	eng.Advance(c.cfg.RetryBackoff << uint(attempt-1))
-}
-
-// noteDeviceError reacts to authoritative device errors that reveal a stale
-// cluster view — the decommission, drain, or brick notification never arrived
-// (dropped host event). The affected target (or whole device) is retired the
-// way the event would have done it, so a lost notification degrades into a
-// late repair instead of a permanently wedged target.
-func (c *Cluster) noteDeviceError(t *target, err error, forWrite bool) {
-	switch {
-	case errors.Is(err, blockdev.ErrBricked):
-		for _, dt := range c.targetsOfDevice(t.key.node, t.key.dev) {
-			c.loseTarget(dt.key)
-		}
-	case errors.Is(err, blockdev.ErrNoSuchMinidisk):
-		if forWrite && t.state == tLive {
-			// The minidisk may merely be draining (still readable); treat it
-			// as such — repair migrates its chunks and releases it, and if it
-			// is in fact fully gone the reads fail over to other replicas.
-			c.drainTarget(t.key)
-		} else {
-			c.loseTarget(t.key)
-		}
-	}
-}
-
-func (c *Cluster) chunkBytes() int { return c.cfg.ChunkOPages * blockdev.OPageSize }
-
-// --- object operations ---------------------------------------------------------
 
 // Put stores an object under name with ReplicationFactor copies of every
 // chunk. A chunk placed on fewer nodes than requested (small cluster, tight
@@ -1084,30 +508,11 @@ func (c *Cluster) Put(name string, data []byte) error {
 // no orphan chunks survive (the serving layer's per-op deadlines rely on
 // this). The returned error wraps ctx.Err().
 func (c *Cluster) PutCtx(ctx context.Context, name string, data []byte) error {
-	if c.shards != nil {
-		s := c.shardFor(name)
-		if s == nil {
-			return c.notOwnerErr(name)
-		}
-		return s.PutCtx(ctx, name, data)
+	sh := c.shardFor(name)
+	if sh == nil {
+		return c.notOwnerErr(name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	c.tele.shardOps.Inc()
-	if _, ok := c.objects[name]; ok {
-		return fmt.Errorf("%w: %q", ErrAlreadyExist, name)
-	}
-	obj, err := c.placeObject(ctx, name, data)
-	if err != nil {
-		_ = c.flushMeta() // persist any rollback-side replica drops
-		return err
-	}
-	c.commitObject(obj)
-	// The manifest write is the commit point: only after it lands may the
-	// caller be acked, so a crash before it leaves (at worst) orphan device
-	// pages that recovery reclaims — never a half-acked object.
-	return c.flushMeta()
+	return sh.put(ctx, name, data)
 }
 
 // Replace atomically stores data under name, replacing any existing object.
@@ -1117,7 +522,7 @@ func (c *Cluster) Replace(name string, data []byte) error {
 
 // ReplaceCtx is an atomic upsert: the new object's chunks are fully placed
 // first, and only then is the old object (if any) dropped and the name swapped
-// to the new content — one step under the cluster lock. A failed replace (no
+// to the new content — one step under the shard lock. A failed replace (no
 // space, expired context) rolls back the new chunks and leaves the previous
 // object intact, and concurrent readers never observe the name missing or
 // half-written. The price of atomicity is transient double occupancy: while
@@ -1126,96 +531,11 @@ func (c *Cluster) Replace(name string, data []byte) error {
 // serving layer's OpPut maps here so a retried put converges without
 // destroying data when the second attempt fails.
 func (c *Cluster) ReplaceCtx(ctx context.Context, name string, data []byte) error {
-	if c.shards != nil {
-		s := c.shardFor(name)
-		if s == nil {
-			return c.notOwnerErr(name)
-		}
-		return s.ReplaceCtx(ctx, name, data)
+	sh := c.shardFor(name)
+	if sh == nil {
+		return c.notOwnerErr(name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	c.tele.shardOps.Inc()
-	obj, err := c.placeObject(ctx, name, data)
-	if err != nil {
-		_ = c.flushMeta()
-		return err
-	}
-	old := c.objects[name]
-	c.commitObject(obj)
-	// Flush the new manifest BEFORE dropping the old chunks: the durable
-	// name swap is the commit point, so a crash in this window leaves either
-	// the old object intact (manifest not yet flushed — the new chunks are
-	// orphans) or the new one fully referenced (the old chunks are orphans).
-	// Trimming the old copy first would destroy acked data on a torn flush.
-	if err := c.flushMeta(); err != nil {
-		return err
-	}
-	if old != nil {
-		c.dropObjectChunks(old)
-	}
-	return c.flushMeta()
-}
-
-// commitObject installs a fully placed object into the namespace. Callers
-// hold the cluster lock.
-func (c *Cluster) commitObject(obj *object) {
-	c.objects[obj.name] = obj
-	c.markDirty(obj.name)
-	c.tele.objectSize.Observe(float64(obj.size))
-}
-
-// placeObject places every chunk of a new object without installing it into
-// the namespace — Put and Replace differ only in how they commit the result.
-// On any failure the already-placed replicas are rolled back and the cluster
-// is exactly as before. Callers hold the cluster lock.
-func (c *Cluster) placeObject(ctx context.Context, name string, data []byte) (*object, error) {
-	if c.codec != nil {
-		return c.placeEC(ctx, name, data)
-	}
-	obj := &object{name: name, size: len(data)}
-	cb := c.chunkBytes()
-	nChunks := (len(data) + cb - 1) / cb
-	if nChunks == 0 {
-		nChunks = 1 // empty object still gets a (zero) chunk for uniformity
-	}
-	for i := 0; i < nChunks; i++ {
-		if err := ctx.Err(); err != nil {
-			c.dropObjectChunks(obj)
-			return nil, fmt.Errorf("difs: put %q aborted at chunk %d: %w", name, i, err)
-		}
-		ch := &chunk{obj: obj, idx: i}
-		padded := make([]byte, cb)
-		copy(padded, data[min(i*cb, len(data)):min((i+1)*cb, len(data))])
-		ch.sum = chunkSum(padded)
-		placed := 0
-		exclude := map[NodeID]bool{}
-		for attempt := 0; attempt < 2*c.cfg.ReplicationFactor && placed < c.cfg.ReplicationFactor; attempt++ {
-			tgts := c.pickTargets(c.cfg.ReplicationFactor-placed, exclude)
-			if len(tgts) == 0 {
-				break
-			}
-			for _, t := range tgts {
-				exclude[t.key.node] = true
-				if err := c.writeChunk(t, ch, padded); err == nil {
-					placed++
-				}
-			}
-		}
-		if placed == 0 {
-			// Roll back the chunks already placed so a failed put (or the put
-			// half of a replace) leaves no orphan replicas behind.
-			c.dropObjectChunks(obj)
-			return nil, fmt.Errorf("%w: object %q chunk %d", ErrNoSpace, name, i)
-		}
-		if placed < c.cfg.ReplicationFactor {
-			c.enqueueRepair(ch)
-		}
-		obj.chunks = append(obj.chunks, ch)
-		c.tele.putBytes.Add(uint64(len(padded)) * uint64(placed))
-	}
-	return obj, nil
+	return sh.replace(ctx, name, data)
 }
 
 // Get retrieves an object, reading each chunk from any live replica.
@@ -1227,21 +547,11 @@ func (c *Cluster) Get(name string) ([]byte, error) {
 // are side-effect free apart from repair queueing, so an aborted Get simply
 // stops; the error wraps ctx.Err().
 func (c *Cluster) GetCtx(ctx context.Context, name string) ([]byte, error) {
-	if c.shards != nil {
-		s := c.shardFor(name)
-		if s == nil {
-			return nil, c.notOwnerErr(name)
-		}
-		return s.GetCtx(ctx, name)
+	sh := c.shardFor(name)
+	if sh == nil {
+		return nil, c.notOwnerErr(name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	c.tele.shardOps.Inc()
-	// Reads can drop bad replicas; persist that best-effort (a failed flush
-	// leaves the names dirty for the next mutation to retry).
-	defer func() { _ = c.flushMeta() }()
-	return c.get(ctx, name)
+	return sh.getOne(ctx, name)
 }
 
 // GetBatchCtx reads several objects in one pass, paying the lock
@@ -1252,178 +562,40 @@ func (c *Cluster) GetCtx(ctx context.Context, name string) ([]byte, error) {
 // rest. This is the serving layer's coalescing entry point: a run of
 // pipelined GETs from one connection becomes a single cluster call.
 //
-// On a sharded cluster, names group by their metadata shard and the groups
-// are served in shard index order, so a batch observes each shard's state
-// at a single point, exactly like a sequence of GetCtx calls would.
+// Names group by their metadata shard and the groups are served in shard
+// index order, so a batch observes each shard's state at a single point,
+// exactly like a sequence of GetCtx calls would.
 func (c *Cluster) GetBatchCtx(ctx context.Context, names []string) ([][]byte, []error) {
 	data := make([][]byte, len(names))
 	errs := make([]error, len(names))
-	if c.shards != nil {
-		// Group positionally by shard; each group costs one child batch.
-		groups := map[int][]int{}
-		for i, name := range names {
-			si := ShardOf(name, len(c.shards))
-			groups[si] = append(groups[si], i)
-		}
-		for si, shard := range c.shards {
-			idxs := groups[si]
-			if len(idxs) == 0 {
-				continue
-			}
-			if shard == nil {
-				// Unowned shard: every name routed here fails its own slot.
-				for _, i := range idxs {
-					errs[i] = c.notOwnerErr(names[i])
-				}
-				continue
-			}
-			sub := make([]string, len(idxs))
-			for j, i := range idxs {
-				sub[j] = names[i]
-			}
-			d, e := shard.GetBatchCtx(ctx, sub)
-			for j, i := range idxs {
-				data[i], errs[i] = d[j], e[j]
-			}
-		}
-		return data, errs
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	defer func() { _ = c.flushMeta() }()
+	// Group positionally by shard; each group costs one shard batch.
+	groups := map[int][]int{}
 	for i, name := range names {
-		c.tele.shardOps.Inc()
-		if err := ctx.Err(); err != nil {
-			errs[i] = fmt.Errorf("difs: batch get %q aborted: %w", name, err)
+		si := ShardOf(name, len(c.shards))
+		groups[si] = append(groups[si], i)
+	}
+	for si, sh := range c.shards {
+		idxs := groups[si]
+		if len(idxs) == 0 {
 			continue
 		}
-		data[i], errs[i] = c.get(ctx, name)
+		if sh == nil {
+			// Unowned shard: every name routed here fails its own slot.
+			for _, i := range idxs {
+				errs[i] = c.notOwnerErr(names[i])
+			}
+			continue
+		}
+		sub := make([]string, len(idxs))
+		for j, i := range idxs {
+			sub[j] = names[i]
+		}
+		d, e := sh.getBatch(ctx, sub)
+		for j, i := range idxs {
+			data[i], errs[i] = d[j], e[j]
+		}
 	}
 	return data, errs
-}
-
-func (c *Cluster) get(ctx context.Context, name string) ([]byte, error) {
-	obj, ok := c.objects[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	cb := c.chunkBytes()
-	out := make([]byte, len(obj.chunks)*cb)
-	buf := make([]byte, cb)
-	for i, ch := range obj.chunks {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("difs: get %q aborted at chunk %d: %w", name, i, err)
-		}
-		if err := c.readAnyReplica(ch, buf); err != nil {
-			if ch.stripe == nil {
-				return nil, fmt.Errorf("object %q chunk %d: %w", name, i, err)
-			}
-			// Erasure-coded: rebuild the shard from its stripe.
-			if err := c.reconstructInto(ch, buf); err != nil {
-				return nil, fmt.Errorf("object %q chunk %d: %w", name, i, err)
-			}
-			c.enqueueRepair(ch)
-		}
-		copy(out[i*cb:], buf)
-		c.tele.getBytes.Add(uint64(cb))
-	}
-	return out[:obj.size], nil
-}
-
-// readAnyReplica tries replicas in order, queueing repair on any failure.
-// A read served while the chunk is under-replicated counts as degraded.
-// Draining replicas are readable (the grace-period contract) but do not
-// count toward the replication factor.
-func (c *Cluster) readAnyReplica(ch *chunk, buf []byte) error {
-	liveN := 0
-	for _, r := range ch.replicas {
-		if r.tgt.live() {
-			liveN++
-		}
-	}
-	degraded := liveN < c.wantReplicas(ch)
-	var firstErr error
-	// Iterate a snapshot: dropReplica compacts ch.replicas in place, which
-	// would otherwise skip the replica after a failed one.
-	for i, r := range append([]replica(nil), ch.replicas...) {
-		if !r.tgt.readable() {
-			c.enqueueRepair(ch)
-			continue
-		}
-		err := c.readChunk(r, buf)
-		if err == nil {
-			if degraded || i > 0 || firstErr != nil {
-				c.tele.degradedReads.Inc()
-			}
-			return nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		// Media error on this replica: drop it and repair. Authoritative
-		// device errors (bricked, no-such-minidisk) mean the failure event
-		// was lost; retire the whole target, not just this replica. On a
-		// sharded cluster the failed read may have fanned a real event into
-		// our pend queue — apply it first so we don't double-handle.
-		c.settleLocked()
-		c.noteDeviceError(r.tgt, err, false)
-		c.dropReplica(ch, r)
-		c.enqueueRepair(ch)
-	}
-	if firstErr == nil {
-		firstErr = ErrDataLoss
-	}
-	return firstErr
-}
-
-func (c *Cluster) dropReplica(ch *chunk, bad replica) {
-	kept := ch.replicas[:0]
-	for _, r := range ch.replicas {
-		if r != bad {
-			kept = append(kept, r)
-		}
-	}
-	ch.replicas = kept
-	c.markDirty(ch.obj.name)
-	if bad.tgt.readable() {
-		delete(bad.tgt.chunks, bad.slot)
-		// The slot's content is untrusted; trim it back to the device and
-		// reuse the slot.
-		dev := bad.tgt.device(c)
-		base := bad.slot * c.cfg.ChunkOPages
-		for p := 0; p < c.cfg.ChunkOPages; p++ {
-			_ = dev.Trim(bad.tgt.key.md, base+p)
-		}
-		c.releaseSlot(bad.tgt, bad.slot)
-	}
-}
-
-// allocSlot pops a free slot off a target (the shared ledger on sharded
-// clusters). Returns false when the target has no free slot — possible on
-// sharded clusters even right after pickTargets, because other shards
-// allocate from the same ledger concurrently.
-func (c *Cluster) allocSlot(t *target) (int, bool) {
-	if c.led != nil {
-		return c.led.alloc(t.key)
-	}
-	if len(t.freeSlots) == 0 {
-		return 0, false
-	}
-	s := t.freeSlots[len(t.freeSlots)-1]
-	t.freeSlots = t.freeSlots[:len(t.freeSlots)-1]
-	return s, true
-}
-
-// releaseSlot returns a slot to its target's free pool (the shared ledger
-// on sharded clusters). Dead targets keep legacy behaviour: the slot is
-// still appended to the (now unreachable) per-target list, a no-op.
-func (c *Cluster) releaseSlot(t *target, slot int) {
-	if c.led != nil {
-		c.led.release(t.key, slot)
-		return
-	}
-	t.freeSlots = append(t.freeSlots, slot)
 }
 
 // Delete removes an object and trims its replicas.
@@ -1435,37 +607,11 @@ func (c *Cluster) Delete(name string) error {
 // context is only consulted up front: once started, the delete completes
 // atomically rather than leaving a half-trimmed object.
 func (c *Cluster) DeleteCtx(ctx context.Context, name string) error {
-	if c.shards != nil {
-		s := c.shardFor(name)
-		if s == nil {
-			return c.notOwnerErr(name)
-		}
-		return s.DeleteCtx(ctx, name)
+	sh := c.shardFor(name)
+	if sh == nil {
+		return c.notOwnerErr(name)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	c.tele.shardOps.Inc()
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("difs: delete %q aborted: %w", name, err)
-	}
-	obj, ok := c.objects[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	// Durably delete the manifest BEFORE trimming the replicas: a crash
-	// mid-delete must leave either the object fully present (unacked delete)
-	// or orphan pages that recovery reclaims — never a manifest pointing at
-	// trimmed slots.
-	delete(c.objects, name)
-	c.markDirty(name)
-	if err := c.flushMeta(); err != nil {
-		c.objects[name] = obj // delete not acked; keep the object
-		return err
-	}
-	c.dropObjectChunks(obj)
-	// Purge the repair queue lazily: Repair skips deleted chunks.
-	return c.flushMeta()
+	return sh.del(ctx, name)
 }
 
 // RepairError aggregates the per-chunk failures of one Repair pass. Lost
@@ -1486,19 +632,6 @@ func (e *RepairError) Error() string {
 		len(e.Lost), e.Deferred, e.Lost)
 }
 
-func chunkName(ch *chunk) string { return fmt.Sprintf("%s/%d", ch.obj.name, ch.idx) }
-
-// downReplicas counts a chunk's replicas retained on crashed nodes.
-func (c *Cluster) downReplicas(ch *chunk) int {
-	n := 0
-	for _, r := range ch.replicas {
-		if r.tgt.state != tDead && r.tgt.down {
-			n++
-		}
-	}
-	return n
-}
-
 // Repair drains the re-replication queue: every under-replicated chunk is
 // copied from a surviving replica to new nodes until the replication factor
 // is restored (or no placement exists). Draining replicas serve as local
@@ -1517,242 +650,152 @@ func (c *Cluster) Repair() (copies int, err error) {
 // is forgotten, PendingRepairs still reports it) and returns the copies made
 // so far alongside an error wrapping ctx.Err().
 func (c *Cluster) RepairCtx(ctx context.Context) (copies int, err error) {
-	if c.shards != nil {
-		return c.repairFacade(ctx, 1)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	defer func() { _ = c.flushMeta() }()
-	return c.repair(ctx)
+	return c.repairPass(ctx, 1)
 }
 
-func (c *Cluster) repair(ctx context.Context) (copies int, err error) {
-	queue := c.repairQ
-	c.repairQ = nil
-	c.tele.tr.Emit(telemetry.Event{
-		Kind: telemetry.KindRepairStart, Layer: "difs", N: int64(len(queue)),
-	})
-	bytesBefore := c.tele.recoveryBytes.Value()
-	defer func() {
-		written := c.tele.recoveryBytes.Value() - bytesBefore
-		c.tele.repairBytes.Observe(float64(written))
-		c.tele.tr.Emit(telemetry.Event{
-			Kind: telemetry.KindRepairEnd, Layer: "difs",
-			N: int64(copies), Bytes: int64(written),
-		})
-	}()
-	var repErr RepairError
-	var drainingTouched []*target
-	for qi, ch := range queue {
-		if cerr := ctx.Err(); cerr != nil {
-			// Unprocessed chunks are still in the dedup set but the queue
-			// slice was reset at entry, so re-append them directly —
-			// enqueueRepair would skip them as already queued.
-			c.repairQ = append(c.repairQ, queue[qi:]...)
-			err = fmt.Errorf("difs: repair aborted with %d chunk(s) unprocessed: %w", len(queue)-qi, cerr)
-			break
-		}
-		delete(c.queued, ch)
-		if cur, ok := c.objects[ch.obj.name]; !ok || cur != ch.obj {
-			// Object deleted while queued (possibly re-created under the
-			// same name — identity, not name, decides staleness).
+// repairPass runs a repair pass over every shard with queued work, in shard
+// order. The pass is deliberately sequential across shards: repairs consume
+// shared placement capacity and wear the shared devices, so a
+// scheduling-dependent interleaving would break the determinism contract
+// (chaos reports must be byte-identical per seed). Shard-wise parallelism
+// lives where it cannot reorder placement: Recover() fans out per-shard,
+// and RepairParallel parallelizes chunk I/O within each shard.
+func (c *Cluster) repairPass(ctx context.Context, workers int) (copies int, err error) {
+	var agg RepairError
+	for _, sh := range c.owned {
+		n, rerr := sh.repairPass(ctx, workers)
+		copies += n
+		if rerr == nil {
 			continue
 		}
-		// Drop replicas that died since queueing; keep draining ones as
-		// sources and down ones as retained-but-unreachable data (their node
-		// may restart).
-		kept := ch.replicas[:0]
-		hadDraining := false
-		downN := 0
-		for _, r := range ch.replicas {
-			if r.tgt.state == tDead {
-				continue
-			}
-			kept = append(kept, r)
-			if r.tgt.down {
-				downN++
-				continue
-			}
-			if r.tgt.state == tDraining {
-				hadDraining = true
-				drainingTouched = append(drainingTouched, r.tgt)
-			}
+		var re *RepairError
+		if !errors.As(rerr, &re) {
+			// Context abort (or another non-aggregable failure): surface it
+			// now; later shards keep their queues for the next pass.
+			return copies, fmt.Errorf("difs: repair shard %d: %w", sh.id, rerr)
 		}
-		ch.replicas = kept
-		if len(ch.replicas)-downN == 0 {
-			// No readable copy right now.
-			if ch.stripe != nil && c.repairShard(ch) {
-				// Erasure-coded shard: rebuilt from its stripe siblings.
-				continue
-			}
-			if downN > 0 {
-				// Every surviving copy is on a crashed node: the data still
-				// exists, just unreachable. Defer, don't declare loss.
-				c.enqueueRepair(ch)
-				repErr.Deferred++
-				continue
-			}
-			c.tele.lostChunks.Inc()
-			repErr.Lost = append(repErr.Lost, chunkName(ch))
-			continue
-		}
-		buf := make([]byte, c.chunkBytes())
-		if err := c.readAnyReplica(ch, buf); err != nil {
-			if ch.stripe != nil && c.repairShard(ch) {
-				continue
-			}
-			if c.downReplicas(ch) > 0 {
-				c.enqueueRepair(ch)
-				repErr.Deferred++
-				continue
-			}
-			c.tele.lostChunks.Inc()
-			repErr.Lost = append(repErr.Lost, chunkName(ch))
-			continue
-		}
-		if hadDraining {
-			c.tele.localSourceRepairs.Inc()
-		}
-		c.tele.recoveryReadBytes.Add(uint64(c.chunkBytes()))
-		for c.liveReplicas(ch) < c.wantReplicas(ch) {
-			exclude := map[NodeID]bool{}
-			for _, r := range ch.replicas {
-				exclude[r.tgt.key.node] = true
-			}
-			tgts := c.pickTargets(1, exclude)
-			if len(tgts) == 0 {
-				// No placement now; re-queue for a later Repair (capacity
-				// may regenerate).
-				c.enqueueRepair(ch)
-				break
-			}
-			if err := c.writeChunk(tgts[0], ch, buf); err != nil {
-				// Target failed under us; try again next round.
-				c.enqueueRepair(ch)
-				break
-			}
-			copies++
-			c.tele.recoveryOps.Inc()
-			c.tele.recoveryBytes.Add(uint64(c.chunkBytes()))
-		}
-		// A restarted node may have revived copies that repair already
-		// replaced: trim the excess, last live replica first (slice order,
-		// deterministic).
-		for c.liveReplicas(ch) > c.wantReplicas(ch) {
-			for i := len(ch.replicas) - 1; i >= 0; i-- {
-				if ch.replicas[i].tgt.live() {
-					c.dropReplica(ch, ch.replicas[i])
-					break
-				}
-			}
-		}
-		// Fully replicated again: the draining copies are no longer needed.
-		// Draining copies on crashed nodes stay — their slots can't be
-		// trimmed while the node is dark; restart reconciliation frees them.
-		if c.liveReplicas(ch) >= c.cfg.ReplicationFactor {
-			for _, r := range append([]replica(nil), ch.replicas...) {
-				if r.tgt.state == tDraining && !r.tgt.down {
-					c.dropReplica(ch, r)
-				}
-			}
-		}
+		agg.Lost = append(agg.Lost, re.Lost...)
+		agg.Deferred += re.Deferred
 	}
-	// Release draining minidisks that no longer hold any chunk.
-	c.releaseDrained(drainingTouched)
-	if err != nil {
-		// Aborted by the context; chunk losses observed before the abort are
-		// already in the lost_chunks counter and will resurface on the next
-		// full pass.
-		return copies, err
-	}
-	if len(repErr.Lost) > 0 {
-		return copies, &repErr
+	if len(agg.Lost) > 0 {
+		return copies, &agg
 	}
 	return copies, nil
-}
-
-// releaseDrained hands fully drained minidisks back to their devices. On a
-// sharded cluster the disk is only physically released once EVERY shard has
-// migrated its replicas off it: each shard retires its local view, and the
-// shard that finds the ledger entry fully free (an atomic take) performs
-// the device Release — so the releases counter counts each disk once,
-// exactly like the standalone path.
-func (c *Cluster) releaseDrained(drainingTouched []*target) {
-	for _, t := range drainingTouched {
-		if t.state != tDraining || t.down || len(t.chunks) != 0 {
-			continue
-		}
-		if c.led != nil {
-			if c.led.takeIfFullyFree(t.key) {
-				if dr, ok := t.dev.(blockdev.Drainer); ok {
-					if err := dr.Release(t.key.md); err == nil {
-						c.tele.releases.Inc()
-					}
-				}
-			}
-			// Whether or not this shard won the release (other shards may
-			// still hold replicas, or the disk is already gone), this
-			// shard's view of it is drained: retire the local target.
-			t.state = tDead
-			delete(c.targets, t.key)
-			c.bumpEpoch()
-			continue
-		}
-		if dr, ok := t.dev.(blockdev.Drainer); ok {
-			if err := dr.Release(t.key.md); err == nil {
-				c.tele.releases.Inc()
-			}
-		}
-		t.state = tDead
-		delete(c.targets, t.key)
-		c.bumpEpoch()
-	}
-	if c.led == nil {
-		// A Release may have regenerated the minidisk (a fresh target); make
-		// it placeable before repair's caller observes the cluster. Sharded
-		// shards pick the fanned-out event up at their next entry point.
-		c.settleLocked()
-	}
-}
-
-// liveReplicas counts a chunk's replicas on live (non-draining) targets.
-func (c *Cluster) liveReplicas(ch *chunk) int {
-	n := 0
-	for _, r := range ch.replicas {
-		if r.tgt.live() {
-			n++
-		}
-	}
-	return n
 }
 
 // VerifyAll reads back every object and reports the objects whose content
 // could not be retrieved. It is the cluster's fsck, used by tests and the
 // examples to demonstrate zero data loss under minidisk churn.
 func (c *Cluster) VerifyAll(check func(name string, data []byte) error) (bad []string) {
-	if c.shards != nil {
-		for _, s := range c.allShards() {
-			bad = append(bad, s.VerifyAll(check)...)
-		}
-		sort.Strings(bad)
-		return bad
+	for _, sh := range c.owned {
+		bad = append(bad, sh.verifyAll(check)...)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	defer func() { _ = c.flushMeta() }()
-	for _, name := range c.objectNames() {
-		data, err := c.get(context.Background(), name)
-		if err != nil {
-			bad = append(bad, name)
-			continue
-		}
-		if check != nil {
-			if err := check(name, data); err != nil {
-				bad = append(bad, name)
-			}
-		}
-	}
+	sort.Strings(bad)
 	return bad
+}
+
+// ShardInfo is one shard's control-plane summary for the ops surface.
+type ShardInfo struct {
+	ID             int `json:"id"`
+	Objects        int `json:"objects"`
+	PendingRepairs int `json:"pending_repairs"`
+	// Epoch is the shard's placement epoch: it advances on every membership
+	// change the shard observes (target added, drained, lost, node
+	// crash/restart), so a changed epoch means cached placement knowledge
+	// about this shard is stale.
+	Epoch uint64 `json:"epoch"`
+}
+
+// ShardInfos summarizes every owned shard in shard order, reporting real
+// shard indices (a subset-scoped cluster reports only its subset).
+func (c *Cluster) ShardInfos() []ShardInfo {
+	out := make([]ShardInfo, len(c.owned))
+	for i, sh := range c.owned {
+		out[i] = sh.info()
+	}
+	return out
+}
+
+// ShardOf maps an object name to its metadata shard: 64-bit FNV-1a over the
+// name, spread over [0,shards) with Lamping-Veach jump consistent hashing.
+// The function is pure and pinned — manifests live under the shard's store
+// prefix, so this mapping changing across builds would orphan every stored
+// object (shard_test.go pins a golden table).
+func ShardOf(name string, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	const (
+		fnvOffset64 = 14695981039346656037
+		fnvPrime64  = 1099511628211
+	)
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime64
+	}
+	// Jump consistent hash (Lamping & Veach): O(ln shards), no tables, and
+	// growing the shard count moves only 1/N of the keys.
+	var b, j int64 = -1, 0
+	for j < int64(shards) {
+		b = j
+		h = h*2862933555777941757 + 1
+		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((h>>33)+1)))
+	}
+	return int(b)
+}
+
+// normalizeOwnShards validates, deduplicates, and sorts an ownership
+// subset. A subset covering every shard collapses to nil (full ownership).
+func normalizeOwnShards(own []int, shards int) ([]int, error) {
+	if own == nil {
+		return nil, nil
+	}
+	if shards == 1 {
+		return nil, fmt.Errorf("difs: OwnShards requires Shards > 1 (got %d)", shards)
+	}
+	if len(own) == 0 {
+		return nil, fmt.Errorf("difs: OwnShards is empty (own at least one shard)")
+	}
+	seen := map[int]bool{}
+	for _, s := range own {
+		if s < 0 || s >= shards {
+			return nil, fmt.Errorf("difs: OwnShards entry %d out of [0,%d)", s, shards)
+		}
+		seen[s] = true
+	}
+	if len(seen) == shards {
+		return nil, nil
+	}
+	out := make([]int, 0, len(seen))
+	for s := range seen {
+		out = append(out, s)
+	}
+	sort.Ints(out)
+	return out, nil
+}
+
+// ownedOrAll expands a normalized subset (nil = full) into shard indices.
+func ownedOrAll(own []int, shards int) []int {
+	if own != nil {
+		return own
+	}
+	all := make([]int, shards)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// ownShardsCanonical renders the owned subset as the canonical stamp string
+// ("4,5,6,7"; "all" for full ownership) persisted in the store layout.
+func ownShardsCanonical(own []int) string {
+	if own == nil {
+		return "all"
+	}
+	parts := make([]string, len(own))
+	for i, s := range own {
+		parts[i] = strconv.Itoa(s)
+	}
+	return strings.Join(parts, ",")
 }

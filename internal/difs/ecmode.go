@@ -8,11 +8,11 @@ import (
 // wantReplicas returns the target copy count for a chunk: erasure-coded
 // shards are stored once (the stripe's parity is the redundancy);
 // replicated chunks carry the configured factor.
-func (c *Cluster) wantReplicas(ch *chunk) int {
+func (sh *shard) wantReplicas(ch *chunk) int {
 	if ch.stripe != nil {
 		return 1
 	}
-	return c.cfg.ReplicationFactor
+	return sh.cfg.ReplicationFactor
 }
 
 // placeEC places an object as Reed-Solomon stripes: k chunk-sized data shards
@@ -20,9 +20,9 @@ func (c *Cluster) wantReplicas(ch *chunk) int {
 // context is checked per stripe; an aborted put rolls back every placed
 // shard, mirroring the ErrNoSpace path. Like placeObject's replicated path it
 // does not install the object — the caller commits it.
-func (c *Cluster) placeEC(ctx context.Context, name string, data []byte) (*object, error) {
-	k, m := c.codec.K, c.codec.M
-	cb := c.chunkBytes()
+func (sh *shard) placeEC(ctx context.Context, name string, data []byte) (*object, error) {
+	k, m := sh.codec.K, sh.codec.M
+	cb := sh.chunkBytes()
 	stripeBytes := k * cb
 	obj := &object{name: name, size: len(data)}
 	nStripes := (len(data) + stripeBytes - 1) / stripeBytes
@@ -31,7 +31,7 @@ func (c *Cluster) placeEC(ctx context.Context, name string, data []byte) (*objec
 	}
 	for s := 0; s < nStripes; s++ {
 		if err := ctx.Err(); err != nil {
-			c.dropObjectChunks(obj)
+			sh.dropObjectChunks(obj)
 			return nil, fmt.Errorf("difs: put %q aborted at stripe %d: %w", name, s, err)
 		}
 		shards := make([][]byte, 0, k+m)
@@ -43,9 +43,9 @@ func (c *Cluster) placeEC(ctx context.Context, name string, data []byte) (*objec
 			}
 			shards = append(shards, padded)
 		}
-		parity, err := c.codec.EncodeParity(shards)
+		parity, err := sh.codec.EncodeParity(shards)
 		if err != nil {
-			c.dropObjectChunks(obj)
+			sh.dropObjectChunks(obj)
 			return nil, err
 		}
 		shards = append(shards, parity...)
@@ -57,24 +57,24 @@ func (c *Cluster) placeEC(ctx context.Context, name string, data []byte) (*objec
 			st.chunks = append(st.chunks, ch)
 			placed := false
 			for attempt := 0; attempt < 3 && !placed; attempt++ {
-				tgts := c.pickTargets(1, exclude)
+				tgts := sh.pickTargets(1, exclude)
 				if len(tgts) == 0 {
 					break
 				}
 				exclude[tgts[0].key.node] = true
-				if err := c.writeChunk(tgts[0], ch, content); err == nil {
+				if err := sh.writeChunk(tgts[0], ch, content); err == nil {
 					placed = true
 				}
 			}
 			if !placed {
 				// Roll back everything placed for this object so a failed
 				// Put leaves no orphans.
-				c.dropObjectChunks(obj)
-				c.dropStripeChunks(st)
+				sh.dropObjectChunks(obj)
+				sh.dropStripeChunks(st)
 				return nil, fmt.Errorf("%w: object %q stripe %d shard %d (EC needs %d nodes with space)",
 					ErrNoSpace, name, s, i, k+m)
 			}
-			c.tele.putBytes.Add(uint64(cb))
+			sh.tele.putBytes.Add(uint64(cb))
 		}
 		obj.chunks = append(obj.chunks, st.chunks[:k]...)
 		obj.stripes = append(obj.stripes, st)
@@ -82,25 +82,25 @@ func (c *Cluster) placeEC(ctx context.Context, name string, data []byte) (*objec
 	return obj, nil
 }
 
-func (c *Cluster) dropStripeChunks(st *stripe) {
+func (sh *shard) dropStripeChunks(st *stripe) {
 	for _, ch := range st.chunks {
 		for _, r := range append([]replica(nil), ch.replicas...) {
-			c.dropReplica(ch, r)
+			sh.dropReplica(ch, r)
 		}
-		delete(c.queued, ch)
+		delete(sh.queued, ch)
 	}
 }
 
-func (c *Cluster) dropObjectChunks(obj *object) {
+func (sh *shard) dropObjectChunks(obj *object) {
 	for _, st := range obj.stripes {
-		c.dropStripeChunks(st)
+		sh.dropStripeChunks(st)
 	}
 	if len(obj.stripes) == 0 {
 		for _, ch := range obj.chunks {
 			for _, r := range append([]replica(nil), ch.replicas...) {
-				c.dropReplica(ch, r)
+				sh.dropReplica(ch, r)
 			}
-			delete(c.queued, ch)
+			delete(sh.queued, ch)
 		}
 	}
 }
@@ -109,9 +109,9 @@ func (c *Cluster) dropObjectChunks(obj *object) {
 // reconstruction, charging the reads to recovery accounting when forRepair.
 // Returns the shard slice (nil entries for unavailable shards) and how many
 // were read.
-func (c *Cluster) readStripeShards(st *stripe, skip *chunk, forRepair bool) ([][]byte, int) {
-	k := c.codec.K
-	cb := c.chunkBytes()
+func (sh *shard) readStripeShards(st *stripe, skip *chunk, forRepair bool) ([][]byte, int) {
+	k := sh.codec.K
+	cb := sh.chunkBytes()
 	shards := make([][]byte, len(st.chunks))
 	have := 0
 	for i, sib := range st.chunks {
@@ -122,41 +122,41 @@ func (c *Cluster) readStripeShards(st *stripe, skip *chunk, forRepair bool) ([][
 			continue
 		}
 		buf := make([]byte, cb)
-		if err := c.readAnyReplica(sib, buf); err != nil {
+		if err := sh.readAnyReplica(sib, buf); err != nil {
 			continue
 		}
 		shards[i] = buf
 		have++
 		if forRepair {
-			c.tele.recoveryReadBytes.Add(uint64(cb))
+			sh.tele.recoveryReadBytes.Add(uint64(cb))
 		}
 	}
 	return shards, have
 }
 
 // reconstructInto recovers one shard's content from its stripe into buf.
-func (c *Cluster) reconstructInto(ch *chunk, buf []byte) error {
-	shards, have := c.readStripeShards(ch.stripe, ch, false)
-	if have < c.codec.K {
-		return fmt.Errorf("%w: stripe has %d of %d shards", ErrDataLoss, have, c.codec.K)
+func (sh *shard) reconstructInto(ch *chunk, buf []byte) error {
+	shards, have := sh.readStripeShards(ch.stripe, ch, false)
+	if have < sh.codec.K {
+		return fmt.Errorf("%w: stripe has %d of %d shards", ErrDataLoss, have, sh.codec.K)
 	}
-	if err := c.codec.Reconstruct(shards); err != nil {
+	if err := sh.codec.Reconstruct(shards); err != nil {
 		return err
 	}
 	copy(buf, shards[ch.shardIdx])
-	c.tele.degradedReads.Inc()
+	sh.tele.degradedReads.Inc()
 	return nil
 }
 
 // repairShard rebuilds a fully lost erasure-coded shard from its stripe and
 // places it on a node distinct from the surviving shards. Returns false if
 // the stripe has too few survivors or no placement exists.
-func (c *Cluster) repairShard(ch *chunk) bool {
-	shards, have := c.readStripeShards(ch.stripe, ch, true)
-	if have < c.codec.K {
+func (sh *shard) repairShard(ch *chunk) bool {
+	shards, have := sh.readStripeShards(ch.stripe, ch, true)
+	if have < sh.codec.K {
 		return false
 	}
-	if err := c.codec.Reconstruct(shards); err != nil {
+	if err := sh.codec.Reconstruct(shards); err != nil {
 		return false
 	}
 	content := shards[ch.shardIdx]
@@ -169,14 +169,14 @@ func (c *Cluster) repairShard(ch *chunk) bool {
 		}
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		tgts := c.pickTargets(1, exclude)
+		tgts := sh.pickTargets(1, exclude)
 		if len(tgts) == 0 {
 			return false
 		}
 		exclude[tgts[0].key.node] = true
-		if err := c.writeChunk(tgts[0], ch, content); err == nil {
-			c.tele.recoveryOps.Inc()
-			c.tele.recoveryBytes.Add(uint64(c.chunkBytes()))
+		if err := sh.writeChunk(tgts[0], ch, content); err == nil {
+			sh.tele.recoveryOps.Inc()
+			sh.tele.recoveryBytes.Add(uint64(sh.chunkBytes()))
 			return true
 		}
 	}
@@ -190,33 +190,27 @@ func (c *Cluster) repairShard(ch *chunk) bool {
 // repair sources until Repair moves their chunks; call Repair (repeatedly,
 // if capacity is tight) to complete the migration.
 func (c *Cluster) DecommissionNode(id NodeID) int {
-	if c.shards != nil {
-		n, first := 0, true
-		for _, s := range c.allShards() {
-			v := s.DecommissionNode(id)
-			if first {
-				n, first = v, false
-			}
-		}
-		return n
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	defer func() { _ = c.flushMeta() }()
+	return c.mirrored(func(sh *shard) int { return sh.decommissionNode(id) })
+}
+
+func (sh *shard) decommissionNode(id NodeID) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	defer func() { _ = sh.flushMeta() }()
 	n := 0
-	for _, t := range c.targetsOfNode(id) {
+	for _, t := range sh.targetsOfNode(id) {
 		if !t.live() {
 			continue
 		}
 		t.state = tDraining
 		for _, ch := range t.chunksInSlotOrder() {
-			c.enqueueRepair(ch)
+			sh.enqueueRepair(ch)
 		}
 		n++
 	}
 	if n > 0 {
-		c.bumpEpoch()
+		sh.bumpEpoch()
 	}
 	return n
 }

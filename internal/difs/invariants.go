@@ -15,84 +15,39 @@ import (
 //     belongs to a stored object that lists the replica (crashed targets are
 //     exempt: their metadata is allowed to go stale until restart
 //     reconciliation);
-//  4. slot conservation — free + occupied slots exactly cover each target's
-//     capacity, with no duplicates or out-of-range slots;
+//  4. slot conservation — the ledger's free slots plus the slots occupied
+//     across all shards exactly cover each minidisk's capacity, with no
+//     duplicates, out-of-range slots, or slot claimed by two shards
+//     (checkLedgerInvariants);
 //  5. repair-queue consistency — every chunk in the dedup set is queued
 //     (the queue may hold extra entries for deleted objects; Repair skips
 //     those lazily).
 //
-// It is a pure read. Returns one message per violation (empty when all hold),
-// in deterministic order so chaos reports are byte-stable.
-//
-// On a sharded cluster each shard is checked under its own lock (messages
-// prefixed "s<id>: "), per-target slot checks move to the shared ledger
-// (checkLedgerInvariants), and a cross-shard pass asserts no physical slot
-// is claimed by two shards.
+// It mutates nothing beyond applying pending device events. Returns one
+// message per violation (empty when all hold), in deterministic order so
+// chaos reports are byte-stable: each shard is checked under its own lock
+// (messages prefixed "s<id>: "), then the ledger against all of them.
 func (c *Cluster) CheckInvariants() []string {
-	if c.shards != nil {
-		var bad []string
-		for i, s := range c.shards {
-			if s == nil {
-				continue
-			}
-			s.mu.Lock()
-			s.settleLocked()
-			for _, m := range s.checkInvariantsLocked() {
-				bad = append(bad, fmt.Sprintf("s%d: %s", i, m))
-			}
-			s.mu.Unlock()
+	var bad []string
+	for _, sh := range c.owned {
+		sh.mu.Lock()
+		sh.settleLocked()
+		for _, m := range sh.checkInvariantsLocked() {
+			bad = append(bad, fmt.Sprintf("s%d: %s", sh.id, m))
 		}
-		return append(bad, c.checkLedgerInvariants()...)
+		sh.mu.Unlock()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.checkInvariantsLocked()
+	return append(bad, c.checkLedgerInvariants()...)
 }
 
-func (c *Cluster) checkInvariantsLocked() []string {
+func (sh *shard) checkInvariantsLocked() []string {
 	var bad []string
 
 	// Targets, in key order.
-	keys := make([]targetKey, 0, len(c.targets))
-	for k := range c.targets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ki, kj := keys[i], keys[j]
-		if ki.node != kj.node {
-			return ki.node < kj.node
-		}
-		if ki.dev != kj.dev {
-			return ki.dev < kj.dev
-		}
-		return ki.md < kj.md
-	})
-	for _, k := range keys {
-		t := c.targets[k]
+	for _, k := range sortedKeys(sh.targets) {
+		t := sh.targets[k]
 		if t.state == tDead {
 			bad = append(bad, fmt.Sprintf("target %v is dead but still registered", k))
-		}
-		slots := t.info.LBAs / c.cfg.ChunkOPages
-		if c.led == nil {
-			// Slot books are per-target only on unsharded clusters; on a
-			// sharded one the shared ledger is checked by the facade.
-			if len(t.freeSlots)+len(t.chunks) != slots {
-				bad = append(bad, fmt.Sprintf("target %v slot conservation: %d free + %d occupied != %d capacity",
-					k, len(t.freeSlots), len(t.chunks), slots))
-			}
-			seen := map[int]bool{}
-			for _, s := range t.freeSlots {
-				if s < 0 || s >= slots {
-					bad = append(bad, fmt.Sprintf("target %v free slot %d out of range [0,%d)", k, s, slots))
-				}
-				if seen[s] {
-					bad = append(bad, fmt.Sprintf("target %v free slot %d duplicated", k, s))
-				}
-				seen[s] = true
-				if _, occupied := t.chunks[s]; occupied {
-					bad = append(bad, fmt.Sprintf("target %v slot %d both free and occupied", k, s))
-				}
-			}
 		}
 		if t.down {
 			continue // stale slots tolerated until restart reconciliation
@@ -104,7 +59,7 @@ func (c *Cluster) checkInvariantsLocked() []string {
 		sort.Ints(occ)
 		for _, s := range occ {
 			ch := t.chunks[s]
-			if cur, ok := c.objects[ch.obj.name]; !ok || cur != ch.obj {
+			if cur, ok := sh.objects[ch.obj.name]; !ok || cur != ch.obj {
 				bad = append(bad, fmt.Sprintf("target %v slot %d holds chunk of deleted object %q", k, s, ch.obj.name))
 				continue
 			}
@@ -122,8 +77,8 @@ func (c *Cluster) checkInvariantsLocked() []string {
 	}
 
 	// Objects, in name order.
-	for _, name := range c.objectNames() {
-		obj := c.objects[name]
+	for _, name := range sh.objectNames() {
+		obj := sh.objects[name]
 		chunks := obj.chunks
 		if len(obj.stripes) > 0 {
 			// Erasure-coded: obj.chunks lists only data shards; walk the
@@ -136,7 +91,7 @@ func (c *Cluster) checkInvariantsLocked() []string {
 		for _, ch := range chunks {
 			nodes := map[NodeID]bool{}
 			for _, r := range ch.replicas {
-				reg, ok := c.targets[r.tgt.key]
+				reg, ok := sh.targets[r.tgt.key]
 				if !ok || reg != r.tgt {
 					bad = append(bad, fmt.Sprintf("chunk %s replica on unregistered target %v", chunkName(ch), r.tgt.key))
 					continue
@@ -159,12 +114,69 @@ func (c *Cluster) checkInvariantsLocked() []string {
 	// hold: Delete purges the set but leaves queue entries for Repair to
 	// skip lazily.
 	inQ := map[*chunk]bool{}
-	for _, ch := range c.repairQ {
+	for _, ch := range sh.repairQ {
 		inQ[ch] = true
 	}
-	for ch := range c.queued {
+	for ch := range sh.queued {
 		if !inQ[ch] {
 			bad = append(bad, fmt.Sprintf("chunk %s in dedup set but missing from repair queue", chunkName(ch)))
+		}
+	}
+	return bad
+}
+
+// checkLedgerInvariants verifies the slot books against the union of all
+// shards' occupied slots: free lists in range and duplicate-free, no
+// slot both free and occupied, no slot claimed by two shards, and free +
+// occupied covering each registered disk's capacity. Meaningful on a
+// quiescent cluster (concurrent ops hold allocations mid-write).
+func (c *Cluster) checkLedgerInvariants() []string {
+	var bad []string
+	// Union of occupied slots, noting the claiming shard.
+	occ := map[targetKey]map[int]int{} // disk -> slot -> shard
+	for _, sh := range c.owned {
+		sh.mu.Lock()
+		for _, k := range sortedKeys(sh.targets) {
+			t := sh.targets[k]
+			slots := make([]int, 0, len(t.chunks))
+			for slot := range t.chunks {
+				slots = append(slots, slot)
+			}
+			sort.Ints(slots)
+			for _, slot := range slots {
+				if occ[k] == nil {
+					occ[k] = map[int]int{}
+				}
+				if prev, dup := occ[k][slot]; dup {
+					bad = append(bad, fmt.Sprintf("ledger %v slot %d claimed by shards %d and %d", k, slot, prev, sh.id))
+					continue
+				}
+				occ[k][slot] = sh.id
+			}
+		}
+		sh.mu.Unlock()
+	}
+	for _, key := range c.led.keysSorted() {
+		free, capacity, _, ok := c.led.snapshot(key)
+		if !ok {
+			continue
+		}
+		seen := map[int]bool{}
+		for _, s := range free {
+			if s < 0 || s >= capacity {
+				bad = append(bad, fmt.Sprintf("ledger %v free slot %d out of range [0,%d)", key, s, capacity))
+			}
+			if seen[s] {
+				bad = append(bad, fmt.Sprintf("ledger %v free slot %d duplicated", key, s))
+			}
+			seen[s] = true
+			if _, isOcc := occ[key][s]; isOcc {
+				bad = append(bad, fmt.Sprintf("ledger %v slot %d both free and occupied", key, s))
+			}
+		}
+		if len(free)+len(occ[key]) != capacity {
+			bad = append(bad, fmt.Sprintf("ledger %v slot conservation: %d free + %d occupied != %d capacity",
+				key, len(free), len(occ[key]), capacity))
 		}
 	}
 	return bad

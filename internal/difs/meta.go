@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"strconv"
 
 	"salamander/internal/blockdev"
 	"salamander/internal/store"
@@ -44,16 +45,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func chunkSum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 func objKey(name string) string { return objPrefix + name }
-
-// manifestKey returns the store key holding name's manifest, including the
-// shard prefix on sharded clusters — the one place tests and tools should
-// go through when planting or inspecting manifests directly.
-func (c *Cluster) manifestKey(name string) string {
-	if c.shards != nil {
-		return fmt.Sprintf("s%d/", ShardOf(name, len(c.shards))) + objKey(name)
-	}
-	return objKey(name)
-}
 
 // replicaRec pins one replica to its physical slot.
 type replicaRec struct {
@@ -94,18 +85,136 @@ type objRec struct {
 // layout degrades to a repair problem for the operator, it is never
 // silently reinterpreted as current-format bytes.
 func (c *Cluster) AttachMeta(st store.Store) (quarantined int, err error) {
-	if c.shards != nil {
-		return c.attachMetaFacade(st)
+	view, quarantined, err := c.openLayout(st)
+	if err != nil {
+		return quarantined, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.sub {
-		// A standalone cluster must not reopen a sharded store: the shard
-		// prefixes would be invisible and the namespace would look empty.
-		if raw, gerr := st.Get(metaShardsKey); gerr == nil {
-			return 0, fmt.Errorf("difs: manifest store is sharded (%s shards); set Config.Shards to match", raw)
+	for _, sh := range c.owned {
+		q, aerr := sh.attachMeta(view(sh.id))
+		quarantined += q
+		if aerr != nil {
+			return quarantined, fmt.Errorf("difs: attach shard %d: %w", sh.id, aerr)
 		}
 	}
+	return quarantined, nil
+}
+
+// openLayout is the one function that knows how manifests are laid out in a
+// store, which depends on the shard count alone:
+//
+//	Shards == 1  the pre-sharding v1 layout: the shard's keys sit unprefixed
+//	             at the root (meta/format = difs-meta-v1, obj/<name>).
+//	Shards  > 1  meta/shards = N at the root, shard i's keys under "s<i>/"
+//	             (s<i>/meta/format, s<i>/obj/<name>), plus the meta/own/<i>
+//	             ownership claims of subset-scoped processes.
+//
+// It checks — and on a fresh store stamps — the root, and returns each
+// shard's view of the store. The two layouts refuse each other, and a
+// sharded store refuses a different count: the name→shard hash decides which
+// prefix holds a manifest, so reopening under another count would silently
+// lose objects. Resharding is an explicit operator migration, never an
+// accident. A root in an unknown older format is quarantined (counted in the
+// return) the way a shard quarantines its own (attachMeta).
+func (c *Cluster) openLayout(st store.Store) (view func(shard int) store.Store, quarantined int, err error) {
+	n := len(c.shards)
+	raw, gerr := st.Get(metaShardsKey)
+	if n == 1 {
+		if gerr == nil {
+			return nil, 0, fmt.Errorf("difs: manifest store is sharded (%s shards); set Config.Shards to match", raw)
+		}
+		return func(int) store.Store { return st }, 0, nil
+	}
+	switch {
+	case gerr == nil:
+		if got, aerr := strconv.Atoi(string(raw)); aerr != nil || got != n {
+			return nil, 0, fmt.Errorf("difs: manifest store is sharded %s-ways, cluster wants %d", raw, n)
+		}
+	case errors.Is(gerr, store.ErrNotFound):
+		rawf, ferr := st.Get(metaFormatKey)
+		switch {
+		case errors.Is(ferr, store.ErrNotFound):
+			// Fresh store: stamp and go.
+		case ferr != nil:
+			return nil, 0, fmt.Errorf("difs: read meta format: %w", ferr)
+		case string(rawf) == metaFormatV1:
+			return nil, 0, fmt.Errorf("difs: manifest store holds an unsharded %s namespace; open it with Shards=1 (resharding is an explicit migration)", metaFormatV1)
+		default:
+			quarantined, err = quarantineOldFormat(st, string(rawf))
+			if err != nil {
+				return nil, quarantined, err
+			}
+			if derr := st.Delete(metaFormatKey); derr != nil {
+				return nil, quarantined, fmt.Errorf("difs: clear old meta format: %w", derr)
+			}
+			c.first().handles().recoverQuarantined.Add(uint64(quarantined))
+		}
+		if perr := st.Put(metaShardsKey, []byte(strconv.Itoa(n))); perr != nil {
+			return nil, quarantined, fmt.Errorf("difs: stamp shard count: %w", perr)
+		}
+	default:
+		return nil, 0, fmt.Errorf("difs: read shard stamp: %w", gerr)
+	}
+	if err := c.claimOwnedShards(st); err != nil {
+		return nil, quarantined, err
+	}
+	return func(i int) store.Store { return store.Prefixed(st, fmt.Sprintf("s%d/", i)) }, quarantined, nil
+}
+
+// claimOwnedShards enforces shard-level mutual exclusion across the
+// processes sharing one store layout. A subset-scoped cluster stamps every
+// shard it owns with meta/own/<i> = its canonical subset string:
+//
+//   - absent stamp       → claim it (write, then read back: the store's
+//     atomic last-writer-wins rename arbitrates a concurrent claim, and the
+//     loser sees the winner's subset on read-back and refuses);
+//   - stamp == my subset → a same-shaped reopen (restart/recovery), proceed;
+//   - stamp != my subset → another subset holds the shard, refuse.
+//
+// A full-ownership cluster writes no stamps but refuses a store any subset
+// has claimed — the fleet layout and the single-process layout must never
+// open each other's trees by accident.
+func (c *Cluster) claimOwnedShards(st store.Store) error {
+	if c.cfg.OwnShards == nil {
+		claimed, err := st.List(metaOwnPrefix)
+		if err != nil {
+			return fmt.Errorf("difs: list shard claims: %w", err)
+		}
+		if len(claimed) > 0 {
+			return fmt.Errorf("difs: manifest store is subset-claimed (%d shard stamps under %s); open it with the matching OwnShards subset", len(claimed), metaOwnPrefix)
+		}
+		return nil
+	}
+	mine := []byte(ownShardsCanonical(c.cfg.OwnShards))
+	for _, i := range c.cfg.OwnShards {
+		key := metaOwnPrefix + strconv.Itoa(i)
+		raw, err := st.Get(key)
+		switch {
+		case errors.Is(err, store.ErrNotFound):
+			if perr := st.Put(key, mine); perr != nil {
+				return fmt.Errorf("difs: claim shard %d: %w", i, perr)
+			}
+			back, gerr := st.Get(key)
+			if gerr != nil {
+				return fmt.Errorf("difs: verify shard %d claim: %w", i, gerr)
+			}
+			if string(back) != string(mine) {
+				return fmt.Errorf("difs: lost shard %d claim race to subset %q", i, back)
+			}
+		case err != nil:
+			return fmt.Errorf("difs: read shard %d claim: %w", i, err)
+		case string(raw) != string(mine):
+			return fmt.Errorf("difs: shard %d already claimed by subset %q (this process owns %s)", i, raw, mine)
+		}
+	}
+	return nil
+}
+
+// attachMeta attaches the shard's view of the manifest store, stamping a
+// fresh namespace with the manifest format and quarantining one in an
+// unknown older format.
+func (sh *shard) attachMeta(st store.Store) (quarantined int, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	raw, err := st.Get(metaFormatKey)
 	switch {
 	case errors.Is(err, store.ErrNotFound):
@@ -122,10 +231,10 @@ func (c *Cluster) AttachMeta(st store.Store) (quarantined int, err error) {
 		if err := st.Put(metaFormatKey, []byte(metaFormatV1)); err != nil {
 			return quarantined, fmt.Errorf("difs: stamp meta format: %w", err)
 		}
-		c.tele.recoverQuarantined.Add(uint64(quarantined))
+		sh.tele.recoverQuarantined.Add(uint64(quarantined))
 	}
-	c.meta = st
-	c.metaDirty = map[string]bool{}
+	sh.meta = st
+	sh.metaDirty = map[string]bool{}
 	return quarantined, nil
 }
 
@@ -153,9 +262,20 @@ func quarantineOldFormat(st store.Store, old string) (quarantined int, err error
 
 // markDirty notes that an object's manifest no longer matches the store.
 // No-op until AttachMeta.
-func (c *Cluster) markDirty(name string) {
-	if c.metaDirty != nil {
-		c.metaDirty[name] = true
+func (sh *shard) markDirty(name string) {
+	if sh.metaDirty != nil {
+		sh.metaDirty[name] = true
+	}
+}
+
+// markChunkDirty notes a change to ch's replica list — once ch's object has
+// entered the namespace. Chunks of an object still being placed appear in no
+// manifest: dirtying their name would make a failed placement's rollback
+// rewrite the manifest of the object already stored under that name, or
+// delete one that never existed.
+func (sh *shard) markChunkDirty(ch *chunk) {
+	if ch.obj.installed {
+		sh.markDirty(ch.obj.name)
 	}
 }
 
@@ -163,27 +283,27 @@ func (c *Cluster) markDirty(name string) {
 // traffic). Names whose object is gone have their record deleted. A failed
 // write keeps its name dirty so the next flush retries; the first error is
 // returned so ack paths can refuse to ack.
-func (c *Cluster) flushMeta() error {
-	if c.meta == nil || len(c.metaDirty) == 0 {
+func (sh *shard) flushMeta() error {
+	if sh.meta == nil || len(sh.metaDirty) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(c.metaDirty))
-	for name := range c.metaDirty {
+	names := make([]string, 0, len(sh.metaDirty))
+	for name := range sh.metaDirty {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var firstErr error
 	for _, name := range names {
 		var err error
-		if obj, ok := c.objects[name]; ok {
-			raw, merr := json.Marshal(c.objRecord(obj))
+		if obj, ok := sh.objects[name]; ok {
+			raw, merr := json.Marshal(sh.objRecord(obj))
 			if merr != nil {
 				err = merr
 			} else {
-				err = c.meta.Put(objKey(name), raw)
+				err = sh.meta.Put(objKey(name), raw)
 			}
 		} else {
-			err = c.meta.Delete(objKey(name))
+			err = sh.meta.Delete(objKey(name))
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -191,16 +311,16 @@ func (c *Cluster) flushMeta() error {
 			}
 			continue
 		}
-		delete(c.metaDirty, name)
+		delete(sh.metaDirty, name)
 	}
 	return firstErr
 }
 
 // objRecord serializes an object's current placement.
-func (c *Cluster) objRecord(obj *object) objRec {
+func (sh *shard) objRecord(obj *object) objRec {
 	rec := objRec{Name: obj.name, Size: obj.size}
 	if len(obj.stripes) > 0 {
-		rec.K, rec.M = c.codec.K, c.codec.M
+		rec.K, rec.M = sh.codec.K, sh.codec.M
 		for _, st := range obj.stripes {
 			var sr stripeRec
 			for _, ch := range st.chunks {

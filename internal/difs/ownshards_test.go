@@ -237,7 +237,7 @@ func TestOwnShardsScopedRecover(t *testing.T) {
 // clusterDevices extracts the MemDevices a test cluster was built over, in
 // node order, via the first owned shard's node table.
 func clusterDevices(c *Cluster) []blockdev.Device {
-	s := c.firstShard()
+	s := c.first()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []blockdev.Device

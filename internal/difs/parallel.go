@@ -2,16 +2,14 @@ package difs
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"salamander/internal/blockdev"
-	"salamander/internal/telemetry"
 )
 
 // plannedDst is one replica placement reserved during the planning phase:
-// the slot is already popped from the target's free list so later planning
-// decisions see the reservation.
+// the slot is already allocated from the ledger so later planning decisions
+// see the reservation.
 type plannedDst struct {
 	tgt  *target
 	slot int
@@ -19,7 +17,7 @@ type plannedDst struct {
 }
 
 // repairPlan is the per-chunk unit of work for a parallel repair pass. The
-// source read and destination writes are executed off the cluster goroutine;
+// source read and destination writes are executed off the locking goroutine;
 // everything else (placement, commit, failure handling) stays serial.
 type repairPlan struct {
 	ch          *chunk
@@ -38,9 +36,9 @@ type repairPlan struct {
 // chunk I/O out across per-device worker goroutines: sources are read in
 // parallel, then new copies are written in parallel, with at most workers
 // devices in flight at once. All metadata decisions — placement, replica
-// commits, failure handling — are made serially under the cluster lock, and
-// device notifications raised by the workers are buffered and replayed in a
-// deterministic (node, device, sequence) order, so a given cluster state
+// commits, failure handling — are made serially under the shard lock, and
+// device notifications raised by the workers queue up as usual and are
+// applied in a deterministic (node, device, sequence) order, so a given state
 // yields the same outcome on every run regardless of goroutine scheduling.
 //
 // workers <= 1 falls back to the serial Repair (byte-identical behaviour).
@@ -50,31 +48,13 @@ type repairPlan struct {
 // PendingRepairs that the serial path would have finished; callers loop
 // until PendingRepairs is stable, exactly as with Repair.
 func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
-	if c.shards != nil {
-		return c.repairFacade(context.Background(), workers)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settleLocked()
-	defer func() { _ = c.flushMeta() }()
-	if workers <= 1 {
-		return c.repair(context.Background())
-	}
+	return c.repairPass(context.Background(), workers)
+}
 
-	queue := c.repairQ
-	c.repairQ = nil
-	c.tele.tr.Emit(telemetry.Event{
-		Kind: telemetry.KindRepairStart, Layer: "difs", N: int64(len(queue)),
-	})
-	bytesBefore := c.tele.recoveryBytes.Value()
-	defer func() {
-		written := c.tele.recoveryBytes.Value() - bytesBefore
-		c.tele.repairBytes.Observe(float64(written))
-		c.tele.tr.Emit(telemetry.Event{
-			Kind: telemetry.KindRepairEnd, Layer: "difs",
-			N: int64(copies), Bytes: int64(written),
-		})
-	}()
+// repairParallel is one shard's parallel pass. Callers hold the shard lock.
+func (sh *shard) repairParallel(workers int) (copies int, err error) {
+	queue, end := sh.beginRepair()
+	defer func() { end(copies) }()
 
 	var repErr RepairError
 	var drainingTouched []*target
@@ -82,49 +62,24 @@ func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
 
 	// --- planning (serial): filter the queue and reserve placements -------
 	for _, ch := range queue {
-		delete(c.queued, ch)
-		if cur, ok := c.objects[ch.obj.name]; !ok || cur != ch.obj {
+		delete(sh.queued, ch)
+		if sh.objects[ch.obj.name] != ch.obj {
 			continue // object deleted (or name reused) while queued
 		}
-		kept := ch.replicas[:0]
-		hadDraining := false
-		downN := 0
-		for _, r := range ch.replicas {
-			if r.tgt.state == tDead {
-				continue
-			}
-			kept = append(kept, r)
-			if r.tgt.down {
-				downN++
-				continue
-			}
-			if r.tgt.state == tDraining {
-				hadDraining = true
-				drainingTouched = append(drainingTouched, r.tgt)
-			}
-		}
-		ch.replicas = kept
+		downN, draining := sh.pruneDeadReplicas(ch)
+		drainingTouched = append(drainingTouched, draining...)
 		if len(ch.replicas)-downN == 0 {
-			if ch.stripe != nil && c.repairShard(ch) {
-				continue // EC rebuild runs serially inside the plan phase
-			}
-			if downN > 0 {
-				c.enqueueRepair(ch)
-				repErr.Deferred++
-				continue
-			}
-			c.tele.lostChunks.Inc()
-			repErr.Lost = append(repErr.Lost, chunkName(ch))
+			sh.unreadable(ch, &repErr) // an EC rebuild runs serially, here
 			continue
 		}
 		// Source: the first readable replica, the same preference order the
 		// serial path tries first. Non-readable replicas skipped on the way
 		// re-queue the chunk, exactly as readAnyReplica does.
-		plan := &repairPlan{ch: ch, hadDraining: hadDraining}
-		plan.degraded = c.liveReplicas(ch) < c.wantReplicas(ch)
+		plan := &repairPlan{ch: ch, hadDraining: len(draining) > 0}
+		plan.degraded = sh.liveReplicas(ch) < sh.wantReplicas(ch)
 		for i, r := range ch.replicas {
 			if !r.tgt.readable() {
-				c.enqueueRepair(ch)
+				sh.enqueueRepair(ch)
 				continue
 			}
 			plan.src = r
@@ -134,7 +89,7 @@ func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
 			break
 		}
 		if plan.src.tgt == nil {
-			c.enqueueRepair(ch)
+			sh.enqueueRepair(ch)
 			repErr.Deferred++
 			continue
 		}
@@ -143,35 +98,28 @@ func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
 		for _, r := range ch.replicas {
 			exclude[r.tgt.key.node] = true
 		}
-		need := c.wantReplicas(ch) - c.liveReplicas(ch)
+		need := sh.wantReplicas(ch) - sh.liveReplicas(ch)
 		for i := 0; i < need; i++ {
-			tgts := c.pickTargets(1, exclude)
+			tgts := sh.pickTargets(1, exclude)
 			if len(tgts) == 0 {
-				c.enqueueRepair(ch) // no placement now; retry next pass
+				sh.enqueueRepair(ch) // no placement now; retry next pass
 				break
 			}
 			t := tgts[0]
 			exclude[t.key.node] = true
-			slot, ok := c.allocSlot(t)
+			slot, ok := sh.led.alloc(t.key)
 			if !ok {
 				// Lost a ledger race with another shard; retry next pass.
-				c.enqueueRepair(ch)
+				sh.enqueueRepair(ch)
 				break
 			}
 			plan.dsts = append(plan.dsts, &plannedDst{tgt: t, slot: slot})
 		}
-		plan.buf = make([]byte, c.chunkBytes())
+		plan.buf = make([]byte, sh.chunkBytes())
 		plans = append(plans, plan)
 	}
 
 	// --- read phase (parallel per source device) --------------------------
-	// On a sharded cluster events already route through the facade's pend
-	// queues; the sink is only needed standalone.
-	if c.led == nil {
-		c.sinkMu.Lock()
-		c.sinkOn = true
-		c.sinkMu.Unlock()
-	}
 	byDev := map[targetKey][]*repairPlan{}
 	for _, p := range plans {
 		k := targetKey{node: p.src.tgt.key.node, dev: p.src.tgt.key.dev}
@@ -179,7 +127,7 @@ func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
 	}
 	runDeviceGroups(byDev, workers, func(group []*repairPlan) {
 		for _, p := range group {
-			p.readErr = c.readChunk(p.src, p.buf)
+			p.readErr = sh.readChunk(p.src, p.buf)
 		}
 	})
 
@@ -200,10 +148,9 @@ func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
 	}
 	runDeviceGroups(wTasks, workers, func(tasks []writeTask) {
 		for _, wt := range tasks {
-			dev := wt.d.tgt.device(c)
-			base := wt.d.slot * c.cfg.ChunkOPages
-			for pg := 0; pg < c.cfg.ChunkOPages; pg++ {
-				if err := dev.Write(wt.d.tgt.key.md, base+pg,
+			base := wt.d.slot * sh.cfg.ChunkOPages
+			for pg := 0; pg < sh.cfg.ChunkOPages; pg++ {
+				if err := wt.d.tgt.dev.Write(wt.d.tgt.key.md, base+pg,
 					wt.p.buf[pg*blockdev.OPageSize:(pg+1)*blockdev.OPageSize]); err != nil {
 					wt.d.err = err
 					break
@@ -212,30 +159,10 @@ func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
 		}
 	})
 
-	// --- replay buffered device events in deterministic order -------------
-	if c.led == nil {
-		c.sinkMu.Lock()
-		events := c.sink
-		c.sink = nil
-		c.sinkOn = false
-		c.sinkMu.Unlock()
-		sort.SliceStable(events, func(i, j int) bool {
-			if events[i].nid != events[j].nid {
-				return events[i].nid < events[j].nid
-			}
-			if events[i].dev != events[j].dev {
-				return events[i].dev < events[j].dev
-			}
-			return events[i].seq < events[j].seq
-		})
-		for _, se := range events {
-			c.applyEvent(se.nid, se.dev, se.e)
-		}
-	} else {
-		// Sharded: the workers' device calls fanned events into our pend
-		// queue; apply them in the same (node, device, sequence) order.
-		c.settleSortedLocked()
-	}
+	// The workers' device calls fanned events into our pend queue in
+	// scheduling-dependent order; apply them in (node, device, sequence)
+	// order.
+	sh.settleSortedLocked()
 
 	// --- commit (serial, plan order) --------------------------------------
 	for _, p := range plans {
@@ -243,78 +170,47 @@ func (c *Cluster) RepairParallel(workers int) (copies int, err error) {
 		if p.readErr != nil {
 			// Same handling as a readAnyReplica failure on this replica, but
 			// deferred to the next pass instead of failing over inline.
-			c.noteDeviceError(p.src.tgt, p.readErr, false)
-			c.dropReplica(ch, p.src)
-			c.enqueueRepair(ch)
+			sh.noteDeviceError(p.src.tgt, p.readErr, false)
+			sh.dropReplica(ch, p.src)
+			sh.enqueueRepair(ch)
 			for _, d := range p.dsts {
-				c.unreserve(d)
+				sh.led.release(d.tgt.key, d.slot)
 			}
 			continue
 		}
 		if p.degraded {
-			c.tele.degradedReads.Inc()
+			sh.tele.degradedReads.Inc()
 		}
 		if p.hadDraining {
-			c.tele.localSourceRepairs.Inc()
+			sh.tele.localSourceRepairs.Inc()
 		}
-		c.tele.recoveryReadBytes.Add(uint64(c.chunkBytes()))
-		committed := 0
+		sh.tele.recoveryReadBytes.Add(uint64(sh.chunkBytes()))
 		for _, d := range p.dsts {
 			if d.err != nil {
-				c.noteDeviceError(d.tgt, d.err, true)
-				c.unreserve(d)
-				c.enqueueRepair(ch)
-				continue
+				sh.noteDeviceError(d.tgt, d.err, true)
 			}
-			if !d.tgt.live() {
-				// Drained or died under the write (event replay above).
-				c.unreserve(d)
-				c.enqueueRepair(ch)
+			if d.err != nil || !d.tgt.live() {
+				// Failed, or drained or died under the write (event replay
+				// above). The ledger has dropped a dead target's book, so the
+				// release is a no-op then.
+				sh.led.release(d.tgt.key, d.slot)
+				sh.enqueueRepair(ch)
 				continue
 			}
 			d.tgt.chunks[d.slot] = ch
 			ch.replicas = append(ch.replicas, replica{tgt: d.tgt, slot: d.slot})
-			committed++
 			copies++
-			c.tele.recoveryOps.Inc()
-			c.tele.recoveryBytes.Add(uint64(c.chunkBytes()))
+			sh.tele.recoveryOps.Inc()
+			sh.tele.recoveryBytes.Add(uint64(sh.chunkBytes()))
 		}
-		// Tail maintenance, identical to the serial pass.
-		for c.liveReplicas(ch) > c.wantReplicas(ch) {
-			for i := len(ch.replicas) - 1; i >= 0; i-- {
-				if ch.replicas[i].tgt.live() {
-					c.dropReplica(ch, ch.replicas[i])
-					break
-				}
-			}
-		}
-		if c.liveReplicas(ch) >= c.cfg.ReplicationFactor {
-			for _, r := range append([]replica(nil), ch.replicas...) {
-				if r.tgt.state == tDraining && !r.tgt.down {
-					c.dropReplica(ch, r)
-				}
-			}
-		}
+		sh.trimExcess(ch)
 	}
 	// Release draining minidisks that no longer hold any chunk.
-	c.releaseDrained(drainingTouched)
+	sh.releaseDrained(drainingTouched)
 	if len(repErr.Lost) > 0 {
 		return copies, &repErr
 	}
 	return copies, nil
-}
-
-// unreserve returns a planned slot to its target's free list if the target
-// is still part of the cluster (dead targets' slot books are gone anyway).
-func (c *Cluster) unreserve(d *plannedDst) {
-	if c.led != nil {
-		// The ledger drops a dead target's entry, so release is a no-op then.
-		c.led.release(d.tgt.key, d.slot)
-		return
-	}
-	if d.tgt.state != tDead {
-		d.tgt.freeSlots = append(d.tgt.freeSlots, d.slot)
-	}
 }
 
 // runDeviceGroups runs fn over each device's task group with at most

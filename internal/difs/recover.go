@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"salamander/internal/telemetry"
@@ -40,10 +41,19 @@ type RecoveryReport struct {
 	// Duration is wall-clock recovery time (also observed into the
 	// difs.recover_ns histogram).
 	Duration time.Duration `json:"duration_ns"`
-	// Shards breaks the recovery down per metadata shard on sharded
-	// clusters (empty on standalone ones). Shard recoveries run in
-	// parallel; the breakdown is always reported in shard order.
+	// Shards breaks the recovery down per metadata shard: one row per owned
+	// shard at every shard count, in shard order (the shard recoveries
+	// themselves run in parallel).
 	Shards []ShardRecoverStats `json:"shards,omitempty"`
+}
+
+// ShardRecoverStats is one shard's slice of a RecoveryReport.
+type ShardRecoverStats struct {
+	Shard         int `json:"shard"`
+	Objects       int `json:"objects"`
+	Quarantined   int `json:"quarantined"`
+	BadManifests  int `json:"bad_manifests"`
+	RepairsQueued int `json:"repairs_queued"`
 }
 
 // Recover rebuilds the cluster's object namespace from the manifest store
@@ -60,26 +70,108 @@ type RecoveryReport struct {
 // manifests are moved aside, never guessed at. After reconciliation every
 // free slot is trimmed so orphan pages from un-acked operations are
 // reclaimed.
+//
+// Shards recover concurrently — they touch disjoint manifests and claim (not
+// allocate) ledger slots, so parallel execution cannot reorder any decision:
+// each shard's outcome depends only on its own manifests, and claim
+// preserves free-list order. Two manifests claiming one physical slot cannot
+// both win; the loser quarantines its replica.
 func (c *Cluster) Recover() (*RecoveryReport, error) {
-	if c.shards != nil {
-		return c.recoverFacade()
+	start := time.Now()
+	reps := make([]*RecoveryReport, len(c.owned))
+	errs := make([]error, len(c.owned))
+	var wg sync.WaitGroup
+	for i, sh := range c.owned {
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			reps[i], errs[i] = sh.recover()
+		}(i, sh)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.meta == nil {
+	wg.Wait()
+	agg := &RecoveryReport{}
+	var firstErr error
+	for i, sh := range c.owned {
+		if errs[i] != nil && firstErr == nil {
+			firstErr = fmt.Errorf("difs: recover shard %d: %w", sh.id, errs[i])
+		}
+		rep := reps[i]
+		if rep == nil {
+			continue
+		}
+		agg.Objects += rep.Objects
+		agg.Chunks += rep.Chunks
+		agg.VerifiedReplicas += rep.VerifiedReplicas
+		agg.QuarantinedReplicas += rep.QuarantinedReplicas
+		agg.TornChunks += rep.TornChunks
+		agg.RepairsQueued += rep.RepairsQueued
+		agg.BadManifests += rep.BadManifests
+		agg.LostObjects = append(agg.LostObjects, rep.LostObjects...)
+		agg.Shards = append(agg.Shards, ShardRecoverStats{
+			Shard:         sh.id,
+			Objects:       rep.Objects,
+			Quarantined:   rep.QuarantinedReplicas,
+			BadManifests:  rep.BadManifests,
+			RepairsQueued: rep.RepairsQueued,
+		})
+	}
+	sort.Strings(agg.LostObjects)
+	if firstErr != nil {
+		return agg, firstErr
+	}
+	// Reclaim orphan pages exactly once, after every shard has claimed its
+	// verified slots: whatever is still free belongs to no manifest.
+	c.trimLedgerFree()
+	agg.Duration = time.Since(start)
+	tele := c.first().handles()
+	tele.recoverNs.Observe(float64(agg.Duration.Nanoseconds()))
+	tele.tr.Emit(telemetry.Event{
+		Kind: telemetry.KindRecover, Layer: "difs", N: int64(agg.Objects),
+		Detail: fmt.Sprintf("chunks=%d verified=%d quarantined=%d torn=%d lost=%d bad_manifests=%d shards=%d",
+			agg.Chunks, agg.VerifiedReplicas, agg.QuarantinedReplicas,
+			agg.TornChunks, len(agg.LostObjects), agg.BadManifests, len(c.shards)),
+	})
+	return agg, nil
+}
+
+// trimLedgerFree trims every free slot of every registered disk
+// (deterministic order), so chunk data from un-acked puts (placed but never
+// committed to a manifest) and from quarantined replicas does not survive as
+// unaccounted device pages.
+func (c *Cluster) trimLedgerFree() {
+	for _, key := range c.led.keysSorted() {
+		free, _, dev, ok := c.led.snapshot(key)
+		if !ok || dev == nil {
+			continue
+		}
+		for _, slot := range free {
+			base := slot * c.cfg.ChunkOPages
+			for p := 0; p < c.cfg.ChunkOPages; p++ {
+				_ = dev.Trim(key.md, base+p)
+			}
+		}
+	}
+}
+
+// recover rebuilds this shard's slice of the namespace from its manifests.
+// The shard's counters feed the Cluster's aggregate report; duration and the
+// trace event are the Cluster's.
+func (sh *shard) recover() (*RecoveryReport, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.meta == nil {
 		return nil, errors.New("difs: Recover requires AttachMeta first")
 	}
-	if len(c.objects) != 0 {
-		return nil, fmt.Errorf("difs: Recover on a non-empty namespace (%d objects)", len(c.objects))
+	if len(sh.objects) != 0 {
+		return nil, fmt.Errorf("difs: Recover on a non-empty namespace (%d objects)", len(sh.objects))
 	}
-	start := time.Now()
 	rep := &RecoveryReport{}
-	keys, err := c.meta.List(objPrefix)
+	keys, err := sh.meta.List(objPrefix)
 	if err != nil {
 		return nil, fmt.Errorf("difs: recover: %w", err)
 	}
 	for _, key := range keys {
-		raw, err := c.meta.Get(key)
+		raw, err := sh.meta.Get(key)
 		if err != nil {
 			rep.BadManifests++
 			continue
@@ -87,51 +179,31 @@ func (c *Cluster) Recover() (*RecoveryReport, error) {
 		var rec objRec
 		name := key[len(objPrefix):]
 		if jerr := json.Unmarshal(raw, &rec); jerr != nil || rec.Name != name || rec.Size < 0 {
-			c.quarantineManifest(key, raw, rep)
+			sh.quarantineManifest(key, raw, rep)
 			continue
 		}
-		obj, ok := c.rebuildObject(&rec, rep)
+		obj, ok := sh.rebuildObject(&rec, rep)
 		if !ok {
-			c.quarantineManifest(key, raw, rep)
+			sh.quarantineManifest(key, raw, rep)
 			continue
 		}
-		c.objects[name] = obj
+		sh.install(obj)
 		rep.Objects++
 	}
-	// Reclaim orphan pages: every free slot is trimmed, so chunk data from
-	// un-acked puts (placed but never committed to a manifest) and from
-	// quarantined replicas does not survive as unaccounted device pages.
-	// Shard children skip this: the free list is the shared ledger's, and
-	// the facade trims it once after every shard has claimed its slots.
-	if c.led == nil {
-		c.trimFreeSlots()
-	}
-	rep.RepairsQueued = len(c.repairQ)
-	if err := c.flushMeta(); err != nil {
+	rep.RepairsQueued = len(sh.repairQ)
+	if err := sh.flushMeta(); err != nil {
 		return rep, err
 	}
-	rep.Duration = time.Since(start)
-	c.tele.recoverObjects.Add(uint64(rep.Objects))
-	c.tele.recoverQuarantined.Add(uint64(rep.QuarantinedReplicas + rep.BadManifests))
-	if !c.sub {
-		// Shard children feed the facade's aggregate report instead of
-		// observing per-shard durations or emitting per-shard trace events.
-		c.tele.recoverNs.Observe(float64(rep.Duration.Nanoseconds()))
-		c.tele.tr.Emit(telemetry.Event{
-			Kind: telemetry.KindRecover, Layer: "difs", N: int64(rep.Objects),
-			Detail: fmt.Sprintf("chunks=%d verified=%d quarantined=%d torn=%d lost=%d bad_manifests=%d",
-				rep.Chunks, rep.VerifiedReplicas, rep.QuarantinedReplicas,
-				rep.TornChunks, len(rep.LostObjects), rep.BadManifests),
-		})
-	}
+	sh.tele.recoverObjects.Add(uint64(rep.Objects))
+	sh.tele.recoverQuarantined.Add(uint64(rep.QuarantinedReplicas + rep.BadManifests))
 	return rep, nil
 }
 
 // quarantineManifest moves an untrusted record aside so it is preserved
 // for debugging but never re-read as live metadata.
-func (c *Cluster) quarantineManifest(key string, raw []byte, rep *RecoveryReport) {
-	_ = c.meta.Put(quarPrefix+key, raw)
-	_ = c.meta.Delete(key)
+func (sh *shard) quarantineManifest(key string, raw []byte, rep *RecoveryReport) {
+	_ = sh.meta.Put(quarPrefix+key, raw)
+	_ = sh.meta.Delete(key)
 	rep.BadManifests++
 }
 
@@ -139,11 +211,11 @@ func (c *Cluster) quarantineManifest(key string, raw []byte, rep *RecoveryReport
 // replica. Returns ok=false for structurally impossible records (the
 // caller quarantines them); per-replica damage is handled by degrading to
 // repair, not by rejecting the object.
-func (c *Cluster) rebuildObject(rec *objRec, rep *RecoveryReport) (*object, bool) {
+func (sh *shard) rebuildObject(rec *objRec, rep *RecoveryReport) (*object, bool) {
 	obj := &object{name: rec.Name, size: rec.Size}
 	switch {
 	case len(rec.Stripes) > 0:
-		if c.codec == nil || rec.K != c.codec.K || rec.M != c.codec.M {
+		if sh.codec == nil || rec.K != sh.codec.K || rec.M != sh.codec.M {
 			return nil, false // written under a different EC shape
 		}
 		if len(rec.Chunks) != 0 {
@@ -162,12 +234,12 @@ func (c *Cluster) rebuildObject(rec *objRec, rep *RecoveryReport) (*object, bool
 				}
 				ch := &chunk{obj: obj, idx: cr.Idx, sum: cr.Sum, stripe: st, shardIdx: shard}
 				st.chunks = append(st.chunks, ch)
-				c.recoverReplicas(ch, cr, rep)
+				sh.recoverReplicas(ch, cr, rep)
 				if len(ch.replicas) > 0 {
 					valid++
 				} else {
 					rep.TornChunks++
-					c.enqueueRepair(ch)
+					sh.enqueueRepair(ch)
 				}
 				rep.Chunks++
 			}
@@ -189,13 +261,13 @@ func (c *Cluster) rebuildObject(rec *objRec, rep *RecoveryReport) (*object, bool
 				return nil, false
 			}
 			ch := &chunk{obj: obj, idx: i, sum: cr.Sum}
-			c.recoverReplicas(ch, cr, rep)
+			sh.recoverReplicas(ch, cr, rep)
 			if len(ch.replicas) == 0 {
 				rep.TornChunks++
 				lost = true
 			}
-			if len(ch.replicas) < c.cfg.ReplicationFactor {
-				c.enqueueRepair(ch)
+			if len(ch.replicas) < sh.cfg.ReplicationFactor {
+				sh.enqueueRepair(ch)
 			}
 			obj.chunks = append(obj.chunks, ch)
 			rep.Chunks++
@@ -213,80 +285,40 @@ func (c *Cluster) rebuildObject(rec *objRec, rep *RecoveryReport) (*object, bool
 // recoverReplicas verifies each manifest-listed replica against its device
 // and installs the ones whose bytes check out. Any discrepancy between the
 // manifest and what survived is flushed back at the end of Recover.
-func (c *Cluster) recoverReplicas(ch *chunk, cr chunkRec, rep *RecoveryReport) {
-	buf := make([]byte, c.chunkBytes())
+func (sh *shard) recoverReplicas(ch *chunk, cr chunkRec, rep *RecoveryReport) {
+	buf := make([]byte, sh.chunkBytes())
 	for _, rr := range cr.Replicas {
-		t, ok := c.targets[targetKey{node: rr.Node, dev: rr.Dev, md: rr.MD}]
+		t, ok := sh.targets[targetKey{node: rr.Node, dev: rr.Dev, md: rr.MD}]
 		if !ok || t.state != tLive {
 			rep.QuarantinedReplicas++
-			c.markDirty(ch.obj.name)
+			sh.markDirty(ch.obj.name)
 			continue
 		}
-		slots := t.info.LBAs / c.cfg.ChunkOPages
+		slots := t.info.LBAs / sh.cfg.ChunkOPages
 		if rr.Slot < 0 || rr.Slot >= slots || t.chunks[rr.Slot] != nil {
 			rep.QuarantinedReplicas++
-			c.markDirty(ch.obj.name)
+			sh.markDirty(ch.obj.name)
 			continue
 		}
 		r := replica{tgt: t, slot: rr.Slot}
-		err := c.readChunk(r, buf)
+		err := sh.readChunk(r, buf)
 		// The read may have decommissioned the minidisk; catch up before the
 		// next manifest entry judges target states.
-		c.settleLocked()
+		sh.settleLocked()
 		if err != nil || chunkSum(buf) != ch.sum {
-			// Torn or rotted: the slot stays free and trimFreeSlots reclaims
+			// Torn or rotted: the slot stays free and trimLedgerFree reclaims
 			// the pages. The chunk heals from its other replicas.
 			rep.QuarantinedReplicas++
-			c.markDirty(ch.obj.name)
+			sh.markDirty(ch.obj.name)
 			continue
 		}
-		if !c.claimSlot(t, rr.Slot) {
+		if !sh.led.claim(t.key, rr.Slot) {
 			rep.QuarantinedReplicas++
-			c.markDirty(ch.obj.name)
+			sh.markDirty(ch.obj.name)
 			continue
 		}
 		t.chunks[rr.Slot] = ch
 		ch.replicas = append(ch.replicas, r)
 		rep.VerifiedReplicas++
-	}
-}
-
-// takeSlot removes a specific slot from the target's free list, returning
-// whether it was free.
-func (t *target) takeSlot(slot int) bool {
-	for i, s := range t.freeSlots {
-		if s == slot {
-			t.freeSlots = append(t.freeSlots[:i], t.freeSlots[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// trimFreeSlots trims every free slot on every target (deterministic
-// order), reclaiming orphan device pages left by un-acked operations.
-func (c *Cluster) trimFreeSlots() {
-	keys := make([]targetKey, 0, len(c.targets))
-	for k := range c.targets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ki, kj := keys[i], keys[j]
-		if ki.node != kj.node {
-			return ki.node < kj.node
-		}
-		if ki.dev != kj.dev {
-			return ki.dev < kj.dev
-		}
-		return ki.md < kj.md
-	})
-	for _, k := range keys {
-		t := c.targets[k]
-		for _, slot := range t.freeSlots {
-			base := slot * c.cfg.ChunkOPages
-			for p := 0; p < c.cfg.ChunkOPages; p++ {
-				_ = t.dev.Trim(t.key.md, base+p)
-			}
-		}
 	}
 }

@@ -188,14 +188,14 @@ func TestRecoverBadManifestQuarantined(t *testing.T) {
 	}
 	// A truncated manifest (torn metadata write on a store without atomic
 	// rename) and outright junk must both quarantine, never panic.
-	raw, err := st.Get(c1.manifestKey("torn"))
+	raw, err := manifests(c1, "torn").Get(objKey("torn"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(c1.manifestKey("torn"), raw[:len(raw)/2]); err != nil {
+	if err := manifests(c1, "torn").Put(objKey("torn"), raw[:len(raw)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(c1.manifestKey("junk"), []byte("not json at all")); err != nil {
+	if err := manifests(c1, "junk").Put(objKey("junk"), []byte("not json at all")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,7 +255,7 @@ func TestRecoverOldLayoutQuarantined(t *testing.T) {
 	if err != nil || len(quar) != 1 {
 		t.Fatalf("old-layout records not preserved: %v %v", quar, err)
 	}
-	if c.shards == nil {
+	if len(c.shards) == 1 {
 		if raw, err := st.Get(metaFormatKey); err != nil || string(raw) != metaFormatV1 {
 			t.Fatalf("format not restamped: %q %v", raw, err)
 		}
@@ -469,6 +469,63 @@ func TestRecoverOnFileStoreEndToEnd(t *testing.T) {
 		t.Fatalf("ghost manifest materialized: %v", err)
 	}
 	if bad := c2.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("invariants: %v", bad)
+	}
+}
+
+// mutationCounter counts the Put and Delete calls that reach a store.
+type mutationCounter struct {
+	store.Store
+	puts, deletes int
+}
+
+func (m *mutationCounter) Put(key string, data []byte) error {
+	m.puts++
+	return m.Store.Put(key, data)
+}
+
+func (m *mutationCounter) Delete(key string) error {
+	m.deletes++
+	return m.Store.Delete(key)
+}
+
+// TestFailedPlacementLeavesStoreUntouched: a Put or Replace that runs out of
+// space after placing some chunks rolls them back — and since those chunks
+// never appeared in a manifest, the rollback must not touch the manifest
+// store: no rewrite of the object still stored under the name, no delete of
+// a manifest that never existed.
+func TestFailedPlacementLeavesStoreUntouched(t *testing.T) {
+	cfg := DefaultConfig() // 16-oPage chunks: 4 slots per 64-LBA disk, R=3
+	c, _ := memCluster(t, cfg, 3, 1, 64)
+	st := &mutationCounter{Store: store.NewMem()}
+	if _, err := c.AttachMeta(st); err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(71)
+	old := objData(rng, 2*c.chunkBytes())
+	if err := c.Put("a", old); err != nil {
+		t.Fatal(err)
+	}
+	// Two free slots per disk remain: a three-chunk object places two chunks
+	// and fails on the third.
+	big := objData(rng, 3*c.chunkBytes())
+	st.puts, st.deletes = 0, 0
+	if err := c.Replace("a", big); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("oversized replace: %v, want ErrNoSpace", err)
+	}
+	if err := c.Put("b", big); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("oversized put: %v, want ErrNoSpace", err)
+	}
+	if st.puts != 0 || st.deletes != 0 {
+		t.Errorf("failed placements made %d store puts and %d deletes, want none", st.puts, st.deletes)
+	}
+	if got, err := c.Get("a"); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("object damaged by a failed replace: %v", err)
+	}
+	if _, free := c.Capacity(); free != 6 {
+		t.Errorf("%d free slots after rollback, want 6", free)
+	}
+	if bad := c.CheckInvariants(); len(bad) > 0 {
 		t.Fatalf("invariants: %v", bad)
 	}
 }

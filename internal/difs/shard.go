@@ -5,26 +5,24 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"salamander/internal/blockdev"
+	"salamander/internal/ec"
+	"salamander/internal/sim"
+	"salamander/internal/stats"
 	"salamander/internal/store"
 	"salamander/internal/telemetry"
 )
 
-// Sharded metadata/control plane. A Config with Shards > 1 builds a routing
-// facade over N child Clusters, each owning a disjoint, consistently hashed
-// slice of the object namespace under its own lock:
-//
-//	facade  — routing (ShardOf), the shared physical slot ledger, the single
-//	          device-event subscription (fanned out to every shard), and
-//	          aggregate views (Objects, Stats, CheckInvariants, Recover).
-//	shard   — a full classic Cluster (placement, repair queue, RNG stream,
-//	          manifest store prefix "s<i>/", placement epoch), never handed
-//	          to callers directly.
+// The shard type: one metadata shard of a Cluster. A shard owns a disjoint,
+// consistently hashed slice of the object namespace (ShardOf) under its own
+// lock — its objects, its view of the nodes and targets, its repair queue,
+// RNG stream, placement epoch, pending device events, and manifest store
+// view with its dirty set. Every locked body of the package is a shard
+// method; the exported Cluster (difs.go) only routes to shards and
+// aggregates over them, and a shard is never handed to callers. A cluster
+// of one shard is the same code with one entry in the slice.
 //
 // What stays deterministic: each shard's RNG stream is derived from the
 // cluster seed and its shard index alone, named operations route by pure
@@ -33,194 +31,163 @@ import (
 // seed therefore produces byte-identical chaos reports at a fixed shard
 // count, regardless of goroutine scheduling.
 //
-// What is physically shared: devices and their slots. The slot ledger is the
-// single source of truth for free slots so two shards can never place into
-// the same physical slot; per-shard placement decisions race only on slot
-// *counts*, which at worst costs a placement retry (writeChunkSharded
-// returns ErrNoSpace when it loses an allocation race).
+// What is physically shared: devices and their slots. The slot ledger
+// (ledger.go) is the single source of truth for free slots so two shards can
+// never place into the same physical slot; per-shard placement decisions
+// race only on slot *counts*, which at worst costs a placement retry
+// (writeChunk returns ErrNoSpace when it loses an allocation race).
 
-// ShardOf maps an object name to its metadata shard: 64-bit FNV-1a over the
-// name, spread over [0,shards) with Lamping-Veach jump consistent hashing.
-// The function is pure and pinned — manifests live under the shard's store
-// prefix, so this mapping changing across builds would orphan every stored
-// object (shard_test.go pins a golden table).
-func ShardOf(name string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	const (
-		fnvOffset64 = 14695981039346656037
-		fnvPrime64  = 1099511628211
-	)
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime64
-	}
-	// Jump consistent hash (Lamping & Veach): O(ln shards), no tables, and
-	// growing the shard count moves only 1/N of the keys.
-	var b, j int64 = -1, 0
-	for j < int64(shards) {
-		b = j
-		h = h*2862933555777941757 + 1
-		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((h>>33)+1)))
-	}
-	return int(b)
-}
+type targetState uint8
 
-// --- shared slot ledger ------------------------------------------------------
+const (
+	tLive targetState = iota
+	// tDraining: grace-period decommission in progress — readable, not
+	// placeable; released back to the device once its chunks are
+	// re-replicated.
+	tDraining
+	tDead
+)
 
-// ledgerDisk is one minidisk's physical slot book.
-type ledgerDisk struct {
-	cap  int
-	free []int
+// target is one shard's view of a minidisk in service as a placement
+// target. Which of its slots are free is the ledger's business; chunks
+// holds only the slots this shard occupies.
+type target struct {
+	key    targetKey
+	info   blockdev.MinidiskInfo
+	chunks map[int]*chunk // slot -> occupant
+	state  targetState
+	// down marks the target's node as crashed: the minidisk (and its data)
+	// still exists but is unreachable until the node restarts. Down targets
+	// are neither placeable nor readable, yet their replicas are retained —
+	// a rejoining node re-registers them.
+	down bool
 	dev  blockdev.Device
 }
 
-// slotLedger is the shared free-slot accounting of a sharded cluster. Every
-// shard sees the same physical minidisks; the ledger guarantees a slot is
-// handed to at most one shard. Its mutex is a leaf lock: holders never call
-// devices or take a cluster/shard lock.
-type slotLedger struct {
-	mu    sync.Mutex
-	disks map[targetKey]*ledgerDisk
-}
+func (t *target) live() bool     { return t.state == tLive && !t.down }
+func (t *target) readable() bool { return t.state != tDead && !t.down }
 
-func newSlotLedger() *slotLedger {
-	return &slotLedger{disks: map[targetKey]*ledgerDisk{}}
-}
-
-// register opens a disk's slot book (idempotent — every shard registers the
-// same disk on AddNode/regenerate; the first wins).
-func (l *slotLedger) register(key targetKey, slots int, dev blockdev.Device) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.disks[key]; ok {
-		return
+// chunksInSlotOrder returns the target's chunks sorted by slot. Repair
+// enqueue order feeds every downstream placement decision, so it must be
+// independent of map iteration order for chaos runs to replay byte-identically.
+func (t *target) chunksInSlotOrder() []*chunk {
+	slots := make([]int, 0, len(t.chunks))
+	for s := range t.chunks {
+		slots = append(slots, s)
 	}
-	d := &ledgerDisk{cap: slots, dev: dev}
-	// Descending free list: alloc pops the tail, so slots are handed out
-	// 0,1,2,… exactly like the per-target freeSlots list on unsharded
-	// clusters.
-	for s := slots - 1; s >= 0; s-- {
-		d.free = append(d.free, s)
+	sort.Ints(slots)
+	out := make([]*chunk, len(slots))
+	for i, s := range slots {
+		out[i] = t.chunks[s]
 	}
-	l.disks[key] = d
+	return out
 }
 
-// drop closes a disk's slot book (idempotent — every shard processes the
-// same decommission/brick event).
-func (l *slotLedger) drop(key targetKey) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.disks, key)
+type replica struct {
+	tgt  *target
+	slot int
 }
 
-// alloc pops a free slot. ok=false when the disk is gone or full — on a
-// sharded cluster this can happen right after a free-count snapshot, because
-// other shards allocate concurrently.
-func (l *slotLedger) alloc(key targetKey) (int, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.disks[key]
-	if d == nil || len(d.free) == 0 {
-		return 0, false
-	}
-	s := d.free[len(d.free)-1]
-	d.free = d.free[:len(d.free)-1]
-	return s, true
+type chunk struct {
+	obj      *object
+	idx      int
+	replicas []replica
+	// sum is the CRC-32C of the chunk's padded content, fixed at placement.
+	// Recovery verifies every persisted replica against it before trusting
+	// the bytes — a torn or stale slot is quarantined, never served.
+	sum uint32
+	// stripe links erasure-coded shards: chunks of one stripe are the k
+	// data + m parity shards of an RS stripe, each stored once. nil for
+	// replicated chunks.
+	stripe   *stripe
+	shardIdx int
 }
 
-// claim removes a specific slot from the free list (recovery re-seating a
-// manifest-listed replica). Removal preserves list order so parallel
-// per-shard recovery leaves a deterministic free list. Returns whether the
-// slot was free — a second shard claiming the same slot (a corrupt or
-// cross-linked manifest) fails and quarantines its replica.
-func (l *slotLedger) claim(key targetKey, slot int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.disks[key]
-	if d == nil {
-		return false
-	}
-	for i, s := range d.free {
-		if s == slot {
-			d.free = append(d.free[:i], d.free[i+1:]...)
-			return true
-		}
-	}
-	return false
+// stripe groups the k+m shard chunks of one erasure-coded stripe.
+type stripe struct {
+	chunks []*chunk // len k+m; [0,k) data, [k,k+m) parity
 }
 
-// release returns a slot to the free list (no-op once the disk is dropped).
-func (l *slotLedger) release(key targetKey, slot int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.disks[key]
-	if d == nil {
-		return
-	}
-	d.free = append(d.free, slot)
+type object struct {
+	name    string
+	size    int
+	chunks  []*chunk  // data chunks, in order
+	stripes []*stripe // non-nil only for EC objects
+	// installed is set once the object enters the namespace (install). Until
+	// then its chunks appear in no manifest.
+	installed bool
 }
 
-func (l *slotLedger) freeCount(key targetKey) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.disks[key]
-	if d == nil {
-		return 0
-	}
-	return len(d.free)
+type node struct {
+	id      NodeID
+	devices []blockdev.Device
 }
 
-// snapshot copies a disk's slot book for lock-free inspection.
-func (l *slotLedger) snapshot(key targetKey) (free []int, capacity int, dev blockdev.Device, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.disks[key]
-	if d == nil {
-		return nil, 0, nil, false
-	}
-	return append([]int(nil), d.free...), d.cap, d.dev, true
+// shard is one namespace slice of a Cluster. mu guards every field below it
+// except pend, which has its own leaf lock. The lock order is shard →
+// device: shard methods call into devices while holding mu, never the
+// reverse — which is why device events are queued on pend, not applied from
+// the device's callback.
+type shard struct {
+	id  int
+	cfg Config      // the cluster's config (Seed already folded into rng)
+	led *slotLedger // the cluster's slot book, shared by every shard
+
+	mu      sync.Mutex
+	rng     *stats.RNG
+	nodes   []*node
+	targets map[targetKey]*target
+	objects map[string]*object
+	repairQ []*chunk
+	queued  map[*chunk]bool
+	flaps   map[NodeID]int // crash/restart cycles per node (quarantine input)
+	tele    cTele
+	codec   *ec.Code // non-nil in erasure-coding mode
+
+	// meta is this shard's view of the durable manifest store attached by
+	// AttachMeta (nil = metadata lives only in RAM). metaDirty tracks object
+	// names whose manifest must be rewritten; flushMeta drains it at the end
+	// of every mutation, which makes the manifest write the commit point for
+	// acked operations.
+	meta      store.Store
+	metaDirty map[string]bool
+
+	// epoch is the placement epoch: bumped on every membership change
+	// (target added/drained/lost, node crash/restart) so clients of
+	// ShardInfos can detect placement-relevant churn per shard.
+	epoch uint64
+	// countEvents gates once-per-event counters. Device events and node
+	// crash/restarts reach every shard; only the first owned one counts
+	// them, keeping telemetry identical across shard counts and subsets.
+	countEvents bool
+
+	// pend buffers device events fanned out by the Cluster until the next
+	// settleLocked under mu. pendMu is a leaf lock: it is taken with a
+	// device lock held, so nothing holding it may call a device or take mu.
+	pendMu sync.Mutex
+	pend   []queuedEvent
 }
 
-// takeIfFullyFree atomically closes a disk's slot book iff every slot is
-// free. The one shard this succeeds for performs the physical release of a
-// drained minidisk — the others have (or will) merely retire their local
-// view of it.
-func (l *slotLedger) takeIfFullyFree(key targetKey) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.disks[key]
-	if d == nil || len(d.free) != d.cap {
-		return false
-	}
-	delete(l.disks, key)
-	return true
+// queuedEvent is one queued device notification. seq is the cluster-wide
+// fan-out sequence number, so it also preserves per-device emission order.
+type queuedEvent struct {
+	nid NodeID
+	dev int
+	seq int
+	e   blockdev.Event
 }
 
-// keysSorted lists registered disks in deterministic key order.
-func (l *slotLedger) keysSorted() []targetKey {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	keys := make([]targetKey, 0, len(l.disks))
-	for k := range l.disks {
-		keys = append(keys, k)
+// before is the (node, device, sequence) replay order of events raised while
+// several devices were driven concurrently.
+func (a queuedEvent) before(b queuedEvent) bool {
+	if a.nid != b.nid {
+		return a.nid < b.nid
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ki, kj := keys[i], keys[j]
-		if ki.node != kj.node {
-			return ki.node < kj.node
-		}
-		if ki.dev != kj.dev {
-			return ki.dev < kj.dev
-		}
-		return ki.md < kj.md
-	})
-	return keys
+	if a.dev != b.dev {
+		return a.dev < b.dev
+	}
+	return a.seq < b.seq
 }
-
-// --- construction ------------------------------------------------------------
 
 // shardSeedStride separates the shards' RNG streams: shard i seeds its
 // xoshiro stream with Seed + i*stride (the 64-bit golden ratio, so nearby
@@ -228,661 +195,1020 @@ func (l *slotLedger) keysSorted() []targetKey {
 // the determinism contract's first leg.
 const shardSeedStride = 0x9E3779B97F4A7C15
 
-// newShardedCluster builds the facade plus its shard children. All of them
-// share one telemetry registry (so counters are cluster-global), one slot
-// ledger, and — once AddNode runs — the same physical devices.
-//
-// With cfg.OwnShards set, only the owned subset is instantiated: the shards
-// slice keeps its full length (shard index == slice index, the routing
-// invariant) with nil holes at unowned positions. Every facade loop skips
-// the holes; shardFor surfaces one as a nil child, which the entry points
-// turn into ErrNotOwner.
-func newShardedCluster(cfg Config) (*Cluster, error) {
-	own, err := normalizeOwnShards(cfg.OwnShards, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	cfg.OwnShards = own
-	reg := telemetry.NewRegistry()
-	led := newSlotLedger()
-	facade := &Cluster{
-		cfg:  cfg,
-		led:  led,
-		tele: bindTele(reg, nil),
-	}
-	facade.shards = make([]*Cluster, cfg.Shards)
-	first := true
-	for _, i := range ownedOrAll(own, cfg.Shards) {
-		ccfg := cfg
-		ccfg.Shards = 1
-		ccfg.OwnShards = nil
-		ccfg.Seed = cfg.Seed + uint64(i)*shardSeedStride
-		child, err := NewCluster(ccfg)
+// newShard builds shard id of a cluster. All shards of a cluster share one
+// telemetry registry (so counters are cluster-global) and one slot ledger.
+func newShard(id int, cfg Config, led *slotLedger, reg *telemetry.Registry, countEvents bool) (*shard, error) {
+	var codec *ec.Code
+	if cfg.ECDataShards > 0 || cfg.ECParityShards > 0 {
+		var err error
+		codec, err = ec.New(cfg.ECDataShards, cfg.ECParityShards)
 		if err != nil {
 			return nil, err
 		}
-		child.led = led
-		child.shardID = i
-		child.sub = true
-		// Device events and node faults fan out to every owned shard; only
-		// the first owned one counts them so fleet counters match the
-		// unsharded cluster regardless of which subset this process holds.
-		child.countEvents = first
-		first = false
-		child.tele = bindTele(reg, nil)
-		facade.shards[i] = child
 	}
-	return facade, nil
+	return &shard{
+		id:          id,
+		cfg:         cfg,
+		led:         led,
+		rng:         stats.NewRNG(cfg.Seed + uint64(id)*shardSeedStride),
+		targets:     map[targetKey]*target{},
+		objects:     map[string]*object{},
+		queued:      map[*chunk]bool{},
+		flaps:       map[NodeID]int{},
+		tele:        bindTele(reg, nil),
+		codec:       codec,
+		countEvents: countEvents,
+	}, nil
 }
 
-// normalizeOwnShards validates, deduplicates, and sorts an ownership
-// subset. A subset covering every shard collapses to nil (full ownership).
-func normalizeOwnShards(own []int, shards int) ([]int, error) {
-	if own == nil {
-		return nil, nil
+// rebindTele points the shard's handles at reg. Every shard of a cluster
+// shares one set of counters, so exactly one of them carries the
+// accumulated values over.
+func (sh *shard) rebindTele(reg *telemetry.Registry, tr *telemetry.Tracer, carryOver bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	old := sh.tele
+	sh.tele = bindTele(reg, tr)
+	if !carryOver {
+		return
 	}
-	if len(own) == 0 {
-		return nil, fmt.Errorf("difs: OwnShards is empty (own at least one shard)")
-	}
-	seen := map[int]bool{}
-	for _, s := range own {
-		if s < 0 || s >= shards {
-			return nil, fmt.Errorf("difs: OwnShards entry %d out of [0,%d)", s, shards)
-		}
-		seen[s] = true
-	}
-	if len(seen) == shards {
-		return nil, nil
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// ownedOrAll expands a normalized subset (nil = full) into shard indices.
-func ownedOrAll(own []int, shards int) []int {
-	if own != nil {
-		return own
-	}
-	all := make([]int, shards)
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// ownShardsCanonical renders the owned subset as the canonical stamp string
-// ("4,5,6,7"; "all" for full ownership) persisted in the store layout.
-func ownShardsCanonical(own []int) string {
-	if own == nil {
-		return "all"
-	}
-	parts := make([]string, len(own))
-	for i, s := range own {
-		parts[i] = strconv.Itoa(s)
-	}
-	return strings.Join(parts, ",")
-}
-
-// OwnedShards lists the metadata shards this cluster instantiates,
-// ascending. A full-ownership (or standalone) cluster lists all of them.
-func (c *Cluster) OwnedShards() []int {
-	if c.shards == nil {
-		return []int{0}
-	}
-	return append([]int(nil), ownedOrAll(c.cfg.OwnShards, len(c.shards))...)
-}
-
-// Owns reports whether this cluster serves the given metadata shard.
-func (c *Cluster) Owns(shard int) bool {
-	if c.shards == nil {
-		return shard == 0
-	}
-	return shard >= 0 && shard < len(c.shards) && c.shards[shard] != nil
-}
-
-// shardFor routes a name to its shard (standalone clusters route to
-// themselves, so internal helpers and tests can stay shard-agnostic). On a
-// subset-scoped facade the result is nil for unowned shards — entry points
-// turn that into ErrNotOwner.
-func (c *Cluster) shardFor(name string) *Cluster {
-	if c.shards == nil {
-		return c
-	}
-	return c.shards[ShardOf(name, len(c.shards))]
-}
-
-// notOwnerErr builds the ErrNotOwner error for a name that routed to an
-// unowned shard.
-func (c *Cluster) notOwnerErr(name string) error {
-	return fmt.Errorf("%w: %q routes to shard %d (this process owns %s)",
-		ErrNotOwner, name, ShardOf(name, len(c.shards)), ownShardsCanonical(c.cfg.OwnShards))
-}
-
-// allShards lists the clusters that actually hold state: the (owned) shard
-// children of a facade, or the standalone cluster itself.
-func (c *Cluster) allShards() []*Cluster {
-	if c.shards == nil {
-		return []*Cluster{c}
-	}
-	out := make([]*Cluster, 0, len(c.shards))
-	for _, s := range c.shards {
-		if s != nil {
-			out = append(out, s)
+	carry := func(dst, src *telemetry.Counter) {
+		if dst != src {
+			dst.Add(src.Value())
 		}
 	}
-	return out
+	carry(sh.tele.putBytes, old.putBytes)
+	carry(sh.tele.getBytes, old.getBytes)
+	carry(sh.tele.recoveryBytes, old.recoveryBytes)
+	carry(sh.tele.recoveryReadBytes, old.recoveryReadBytes)
+	carry(sh.tele.recoveryOps, old.recoveryOps)
+	carry(sh.tele.degradedReads, old.degradedReads)
+	carry(sh.tele.lostChunks, old.lostChunks)
+	carry(sh.tele.decommissionEvents, old.decommissionEvents)
+	carry(sh.tele.regenerateEvents, old.regenerateEvents)
+	carry(sh.tele.brickEvents, old.brickEvents)
+	carry(sh.tele.drainEvents, old.drainEvents)
+	carry(sh.tele.releases, old.releases)
+	carry(sh.tele.localSourceRepairs, old.localSourceRepairs)
+	carry(sh.tele.repairRetries, old.repairRetries)
+	carry(sh.tele.faultsInjected, old.faultsInjected)
+	carry(sh.tele.faultsRecovered, old.faultsRecovered)
+	carry(sh.tele.nodeCrashes, old.nodeCrashes)
+	carry(sh.tele.nodeRestarts, old.nodeRestarts)
+	carry(sh.tele.quarantines, old.quarantines)
+	carry(sh.tele.recoverObjects, old.recoverObjects)
+	carry(sh.tele.recoverQuarantined, old.recoverQuarantined)
+	carry(sh.tele.shardOps, old.shardOps)
+	carry(sh.tele.shardEpochs, old.shardEpochs)
 }
 
-// firstShard returns the lowest-index owned shard — the authoritative view
-// for state that mirrors across shards (membership, capacity, node flaps).
-func (c *Cluster) firstShard() *Cluster {
-	if c.shards == nil {
-		return c
-	}
-	for _, s := range c.shards {
-		if s != nil {
-			return s
-		}
-	}
-	return c // unreachable: a facade always owns at least one shard
+// handles returns the shard's current telemetry handles.
+func (sh *shard) handles() cTele {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.tele
 }
 
-// --- membership & event fan-out ----------------------------------------------
+// --- membership & events -----------------------------------------------------
 
-// addNodeFacade registers a node with every shard and installs the facade's
-// single event subscription per device. Shards never subscribe themselves:
-// one physical event must reach N shard views exactly once each, in one
-// global order.
-func (c *Cluster) addNodeFacade(devices ...blockdev.Device) NodeID {
-	id := NodeID(-1)
-	for _, s := range c.allShards() {
-		id = s.addNodeQuiet(devices...)
-	}
+// addNode registers a node in this shard's view. It does not subscribe to
+// the devices' events: the Cluster owns the single Notify subscription per
+// device and fans events out to every shard (fanEvent).
+func (sh *shard) addNode(devices ...blockdev.Device) NodeID {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	id := NodeID(len(sh.nodes))
+	n := &node{id: id, devices: devices}
+	sh.nodes = append(sh.nodes, n)
 	for di, dev := range devices {
-		di, dev := di, dev
-		nid := id
-		dev.Notify(func(e blockdev.Event) { c.fanEvent(nid, di, e) })
+		for _, info := range dev.Minidisks() {
+			sh.addTarget(id, di, info)
+		}
 	}
 	return id
 }
 
-// fanEvent appends one device event to every shard's pending queue under a
-// single sequence number. evMu is held across the whole fan-out so every
-// shard receives events in the same global order, and per-shard queue order
-// equals sequence order (settleLocked applies without sorting). The queues
-// are necessary because the event fires while the *emitting* shard holds its
-// lock inside a device call — the other shards' locks cannot be taken here
-// (lock order is cluster→device, never device→cluster).
-func (c *Cluster) fanEvent(nid NodeID, dev int, e blockdev.Event) {
-	c.evMu.Lock()
-	defer c.evMu.Unlock()
-	seq := c.evSeq
-	c.evSeq++
-	for _, s := range c.allShards() {
-		s.pendMu.Lock()
-		s.pend = append(s.pend, sunkEvent{nid: nid, dev: dev, seq: seq, e: e})
-		s.pendMu.Unlock()
+func (sh *shard) addTarget(nid NodeID, dev int, info blockdev.MinidiskInfo) {
+	slots := info.LBAs / sh.cfg.ChunkOPages
+	if slots == 0 {
+		return // minidisk smaller than a chunk: unusable
 	}
+	if _, ok := sh.targets[targetKey{nid, dev, info.ID}]; ok {
+		// Duplicate registration (devices never reuse minidisk IDs, so this
+		// is a duplicated regenerate event): keep the existing target.
+		return
+	}
+	t := &target{
+		key:    targetKey{nid, dev, info.ID},
+		info:   info,
+		chunks: map[int]*chunk{},
+		state:  tLive,
+		dev:    sh.nodes[nid].devices[dev],
+	}
+	sh.led.register(t.key, slots, t.dev)
+	sh.targets[t.key] = t
+	sh.bumpEpoch()
 }
 
-// settleLocked applies this cluster's pending device events. Every exported
-// method calls it right after taking the lock, so the view catches up with
-// physical reality before it acts. Standalone clusters queue their own
-// events (handleEvent); shards receive them from the facade's fan-out
-// (fanEvent). Callers hold the cluster/shard lock; applyEvent never calls a
+// bumpEpoch advances the shard's placement epoch. Callers hold the lock.
+func (sh *shard) bumpEpoch() {
+	sh.epoch++
+	sh.tele.shardEpochs.Inc()
+}
+
+// enqueueEvent queues one fanned-out device event for the next settle. It
+// runs on the emitting device's goroutine with the device lock held, so it
+// must not call back into a device or take the shard lock.
+func (sh *shard) enqueueEvent(se queuedEvent) {
+	sh.pendMu.Lock()
+	sh.pend = append(sh.pend, se)
+	sh.pendMu.Unlock()
+}
+
+// takePending empties the event queue.
+func (sh *shard) takePending() []queuedEvent {
+	sh.pendMu.Lock()
+	defer sh.pendMu.Unlock()
+	pending := sh.pend
+	sh.pend = nil
+	return pending
+}
+
+// settleLocked applies the shard's pending device events, in fan-out order.
+// Every entry point calls it right after taking the lock, so the view
+// catches up with physical reality before it acts; in-lock emitters that
+// need an event visible immediately (writeChunk's commit re-check,
+// readAnyReplica's failover) settle right after the device call returns.
+// Queuing instead of applying inline keeps out-of-band device mutations
+// safe: an operator (or test) failing a minidisk from its own goroutine
+// never touches shard metadata without the lock. applyEvent never calls a
 // device, so no new events can arrive from this goroutine while draining.
-func (c *Cluster) settleLocked() {
-	c.pendMu.Lock()
-	pending := c.pend
-	c.pend = nil
-	c.pendMu.Unlock()
-	for _, se := range pending {
-		c.applyEvent(se.nid, se.dev, se.e)
+func (sh *shard) settleLocked() {
+	for _, se := range sh.takePending() {
+		sh.applyEvent(se.nid, se.dev, se.e)
 	}
 }
 
-// settleSortedLocked is settleLocked with the (node, device, sequence)
-// ordering RepairParallel's standalone sink replay uses: during a parallel
-// write phase multiple devices emit concurrently, so arrival order is
+// settleSortedLocked is settleLocked for the end of a parallel repair phase:
+// several devices emitted concurrently, so arrival order is
 // scheduling-dependent — sorting restores a deterministic replay.
-func (c *Cluster) settleSortedLocked() {
-	c.pendMu.Lock()
-	pending := c.pend
-	c.pend = nil
-	c.pendMu.Unlock()
-	sort.SliceStable(pending, func(i, j int) bool {
-		if pending[i].nid != pending[j].nid {
-			return pending[i].nid < pending[j].nid
-		}
-		if pending[i].dev != pending[j].dev {
-			return pending[i].dev < pending[j].dev
-		}
-		return pending[i].seq < pending[j].seq
-	})
+func (sh *shard) settleSortedLocked() {
+	pending := sh.takePending()
+	sort.SliceStable(pending, func(i, j int) bool { return pending[i].before(pending[j]) })
 	for _, se := range pending {
-		c.applyEvent(se.nid, se.dev, se.e)
+		sh.applyEvent(se.nid, se.dev, se.e)
 	}
 }
 
-// --- data path ---------------------------------------------------------------
+// settle catches the shard up with its pending events.
+func (sh *shard) settle() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+}
 
-// writeChunkSharded is writeChunk against the shared slot ledger: the slot
-// is allocated atomically (losing a race with another shard degrades to
-// ErrNoSpace and the placement loop tries elsewhere), and events the write
-// itself fanned back to this shard are settled before the liveness re-check
-// so a decommission triggered by our own write is never committed over.
-func (c *Cluster) writeChunkSharded(t *target, ch *chunk, data []byte) error {
-	slot, ok := c.led.alloc(t.key)
+// applyEvent mutates the shard's view for one device event. Callers hold
+// the shard lock.
+func (sh *shard) applyEvent(nid NodeID, dev int, e blockdev.Event) {
+	switch e.Kind {
+	case blockdev.EventDecommission:
+		if sh.countEvents {
+			sh.tele.decommissionEvents.Inc()
+		}
+		sh.loseTarget(targetKey{nid, dev, e.Minidisk})
+	case blockdev.EventDrain:
+		if sh.countEvents {
+			sh.tele.drainEvents.Inc()
+		}
+		sh.drainTarget(targetKey{nid, dev, e.Minidisk})
+	case blockdev.EventRegenerate:
+		if sh.countEvents {
+			sh.tele.regenerateEvents.Inc()
+		}
+		sh.addTarget(nid, dev, e.Info)
+	case blockdev.EventBrick:
+		if sh.countEvents {
+			sh.tele.brickEvents.Inc()
+		}
+		for _, t := range sh.targetsOfDevice(nid, dev) {
+			if t.state != tDead {
+				sh.loseTarget(t.key)
+			}
+		}
+	}
+}
+
+// targetsWhere lists the targets whose key satisfies keep, in key order
+// (deterministic).
+func (sh *shard) targetsWhere(keep func(targetKey) bool) []*target {
+	var out []*target
+	for key, t := range sh.targets {
+		if keep(key) {
+			out = append(out, t)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key.less(out[j].key) })
+	return out
+}
+
+func (sh *shard) targetsOfDevice(nid NodeID, dev int) []*target {
+	return sh.targetsWhere(func(k targetKey) bool { return k.node == nid && k.dev == dev })
+}
+
+func (sh *shard) targetsOfNode(nid NodeID) []*target {
+	return sh.targetsWhere(func(k targetKey) bool { return k.node == nid })
+}
+
+// loseTarget marks a minidisk gone and queues its chunks for repair.
+func (sh *shard) loseTarget(key targetKey) {
+	t, ok := sh.targets[key]
+	if !ok || t.state == tDead {
+		return
+	}
+	t.state = tDead
+	// Drop the ledger entry too: the disk is gone physically, so its slots
+	// must never be handed out again. Every shard processes the same loss
+	// (events fan out; error-driven losses replay identically), so the
+	// idempotent drop is consistent across shards.
+	sh.led.drop(key)
+	for _, ch := range t.chunksInSlotOrder() {
+		// Drop the dead replica from the chunk.
+		kept := ch.replicas[:0]
+		for _, r := range ch.replicas {
+			if r.tgt != t {
+				kept = append(kept, r)
+			}
+		}
+		ch.replicas = kept
+		sh.markDirty(ch.obj.name)
+		sh.enqueueRepair(ch)
+	}
+	t.chunks = map[int]*chunk{}
+	delete(sh.targets, key)
+	sh.bumpEpoch()
+}
+
+// drainTarget handles a grace-period decommission: the minidisk stops
+// receiving placements, its chunks are queued for re-replication, and its
+// replicas stay readable as repair sources until Release.
+func (sh *shard) drainTarget(key targetKey) {
+	t, ok := sh.targets[key]
+	if !ok || t.state != tLive {
+		return
+	}
+	t.state = tDraining
+	for _, ch := range t.chunksInSlotOrder() {
+		sh.enqueueRepair(ch)
+	}
+	sh.bumpEpoch()
+}
+
+func (sh *shard) enqueueRepair(ch *chunk) {
+	if !sh.queued[ch] {
+		sh.queued[ch] = true
+		sh.repairQ = append(sh.repairQ, ch)
+	}
+}
+
+// --- views -------------------------------------------------------------------
+
+func (sh *shard) pendingRepairs() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	return len(sh.repairQ)
+}
+
+func (sh *shard) info() ShardInfo {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	return ShardInfo{ID: sh.id, Objects: len(sh.objects), PendingRepairs: len(sh.repairQ), Epoch: sh.epoch}
+}
+
+func (sh *shard) nodeInfos() []NodeInfo {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	out := make([]NodeInfo, len(sh.nodes))
+	for i, n := range sh.nodes {
+		ni := NodeInfo{
+			ID:          n.id,
+			Devices:     len(n.devices),
+			Flaps:       sh.flaps[n.id],
+			Quarantined: sh.cfg.FlapLimit > 0 && sh.flaps[n.id] > sh.cfg.FlapLimit,
+		}
+		for _, t := range sh.targetsOfNode(n.id) {
+			switch t.state {
+			case tLive:
+				ni.LiveTargets++
+			case tDraining:
+				ni.DrainingTargets++
+			case tDead:
+				ni.DeadTargets++
+			}
+			if t.down {
+				ni.DownTargets++
+			}
+		}
+		ni.Down = ni.DownTargets > 0
+		out[i] = ni
+	}
+	return out
+}
+
+func (sh *shard) capacity() (total, free int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	for _, t := range sh.targets {
+		if !t.live() {
+			continue
+		}
+		total += t.info.LBAs / sh.cfg.ChunkOPages
+		free += sh.led.freeCount(t.key)
+	}
+	return total, free
+}
+
+func (sh *shard) objectList() []string {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	return sh.objectNames()
+}
+
+func (sh *shard) objectNames() []string {
+	out := make([]string, 0, len(sh.objects))
+	for name := range sh.objects {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// --- placement ---------------------------------------------------------------
+
+// pickTargets chooses up to want targets on distinct nodes, excluding nodes
+// already hosting the chunk. Random choice among the least-loaded halves the
+// variance without a full cost model.
+func (sh *shard) pickTargets(want int, exclude map[NodeID]bool) []*target {
+	// Group candidate targets by node. Free-slot counts are snapshotted up
+	// front: they live in the shared ledger and other shards allocate
+	// concurrently (a stale count just makes writeChunk return ErrNoSpace
+	// and the placement loop try elsewhere).
+	free := map[*target]int{}
+	byNode := map[NodeID][]*target{}
+	for _, t := range sh.targets {
+		if !t.live() || exclude[t.key.node] {
+			continue
+		}
+		n := sh.led.freeCount(t.key)
+		if n == 0 {
+			continue
+		}
+		free[t] = n
+		byNode[t.key.node] = append(byNode[t.key.node], t)
+	}
+	nodes := make([]NodeID, 0, len(byNode))
+	for nid := range byNode {
+		nodes = append(nodes, nid)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	sh.rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+	var out []*target
+	for _, nid := range nodes {
+		if len(out) == want {
+			break
+		}
+		cands := byNode[nid]
+		// Order per the placement policy, breaking ties by ID for
+		// determinism.
+		sort.Slice(cands, func(i, j int) bool {
+			fi, fj := free[cands[i]], free[cands[j]]
+			if fi != fj {
+				if sh.cfg.Placement == PlacementPack {
+					return fi < fj // fullest (but non-full) first
+				}
+				return fi > fj // emptiest first
+			}
+			return cands[i].key.md < cands[j].key.md
+		})
+		out = append(out, cands[0])
+	}
+	return out
+}
+
+// writeChunk stores data (exactly ChunkOPages*4KB, already padded) into a
+// free slot on t. The slot is allocated atomically from the ledger (losing a
+// race with another shard degrades to ErrNoSpace and the placement loop
+// tries elsewhere) and committed only after all pages landed.
+func (sh *shard) writeChunk(t *target, ch *chunk, data []byte) error {
+	slot, ok := sh.led.alloc(t.key)
 	if !ok {
 		return ErrNoSpace
 	}
-	dev := t.device(c)
-	base := slot * c.cfg.ChunkOPages
-	for p := 0; p < c.cfg.ChunkOPages; p++ {
-		if err := dev.Write(t.key.md, base+p, data[p*blockdev.OPageSize:(p+1)*blockdev.OPageSize]); err != nil {
-			c.led.release(t.key, slot)
-			// The failed write may have fanned this minidisk's decommission
-			// into our own pend queue; apply it before reacting so the error
-			// handler sees the true target state.
-			c.settleLocked()
-			c.noteDeviceError(t, err, true)
+	base := slot * sh.cfg.ChunkOPages
+	for p := 0; p < sh.cfg.ChunkOPages; p++ {
+		if err := t.dev.Write(t.key.md, base+p, data[p*blockdev.OPageSize:(p+1)*blockdev.OPageSize]); err != nil {
+			sh.led.release(t.key, slot)
+			// The write may have triggered this very minidisk's
+			// decommission; apply the queued event before reacting so
+			// noteDeviceError sees the post-event state, then surface the
+			// failure to the placement loop. If the error reveals a stale
+			// view (a dropped notification), retire the target now.
+			sh.settleLocked()
+			sh.noteDeviceError(t, err, true)
 			return err
 		}
 	}
-	c.settleLocked()
+	// The device may have decommissioned or drained the minidisk while we
+	// wrote; the replica would be stale or short-lived, so settle queued
+	// events and re-check before committing.
+	sh.settleLocked()
 	if !t.live() {
-		c.led.release(t.key, slot)
+		sh.led.release(t.key, slot)
 		return blockdev.ErrNoSuchMinidisk
 	}
 	t.chunks[slot] = ch
 	ch.replicas = append(ch.replicas, replica{tgt: t, slot: slot})
-	c.markDirty(ch.obj.name)
+	sh.markChunkDirty(ch)
 	return nil
 }
 
-// claimSlot reserves a specific slot during recovery (the shared ledger on
-// sharded clusters, the per-target free list otherwise). A false return
-// quarantines the manifest-listed replica — on sharded clusters that also
-// catches two shards' manifests claiming one physical slot.
-func (c *Cluster) claimSlot(t *target, slot int) bool {
-	if c.led != nil {
-		return c.led.claim(t.key, slot)
+// readChunk fetches a chunk from one replica, retrying transiently failed
+// oPages up to ReadRetries times with exponential virtual-time backoff —
+// graceful degradation above the device's own retry budget.
+func (sh *shard) readChunk(r replica, buf []byte) error {
+	dev := r.tgt.dev
+	base := r.slot * sh.cfg.ChunkOPages
+	for p := 0; p < sh.cfg.ChunkOPages; p++ {
+		lba := base + p
+		err := dev.Read(r.tgt.key.md, lba, buf[p*blockdev.OPageSize:(p+1)*blockdev.OPageSize])
+		for attempt := 1; errors.Is(err, blockdev.ErrUncorrectable) && attempt <= sh.cfg.ReadRetries; attempt++ {
+			sh.backoff(dev, attempt)
+			sh.tele.repairRetries.Inc()
+			sh.tele.tr.Emit(telemetry.Event{
+				Kind: telemetry.KindRepairRetry, Layer: "difs",
+				LBA: lba, N: int64(attempt), Detail: r.tgt.key.String(),
+			})
+			err = dev.Read(r.tgt.key.md, lba, buf[p*blockdev.OPageSize:(p+1)*blockdev.OPageSize])
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return t.takeSlot(slot)
+	return nil
 }
 
-// --- repair ------------------------------------------------------------------
-
-// repairFacade runs a repair pass over every shard, in shard order. The
-// pass is deliberately sequential across shards: repairs consume shared
-// placement capacity and wear the shared devices, so a scheduling-dependent
-// interleaving would break the determinism contract (chaos reports must be
-// byte-identical per seed). Shard-wise parallelism lives where it cannot
-// reorder placement: Recover() fans out per-shard, and each shard's own
-// RepairParallel still parallelizes chunk I/O within the shard.
-func (c *Cluster) repairFacade(ctx context.Context, workers int) (copies int, err error) {
-	var agg RepairError
-	for i, s := range c.shards {
-		if s == nil || s.PendingRepairs() == 0 {
-			continue
-		}
-		var n int
-		var rerr error
-		if workers <= 1 {
-			n, rerr = s.RepairCtx(ctx)
-		} else {
-			n, rerr = s.RepairParallel(workers)
-		}
-		copies += n
-		if rerr == nil {
-			continue
-		}
-		var re *RepairError
-		if !errors.As(rerr, &re) {
-			// Context abort (or another non-aggregable failure): surface it
-			// now; later shards keep their queues for the next pass.
-			return copies, fmt.Errorf("difs: repair shard %d: %w", i, rerr)
-		}
-		agg.Lost = append(agg.Lost, re.Lost...)
-		agg.Deferred += re.Deferred
+// backoff advances the replica device's virtual clock before a retry
+// (RetryBackoff doubling per attempt) — the cluster-scope analogue of §2's
+// voltage-adjustment delay. Only devices exposing an idle simulation engine
+// are advanced; others retry immediately.
+func (sh *shard) backoff(dev blockdev.Device, attempt int) {
+	if sh.cfg.RetryBackoff <= 0 {
+		return
 	}
-	if len(agg.Lost) > 0 {
-		return copies, &agg
+	type enginer interface{ Engine() *sim.Engine }
+	e, ok := dev.(enginer)
+	if !ok {
+		return
+	}
+	eng := e.Engine()
+	if eng == nil || eng.Pending() > 0 {
+		return
+	}
+	eng.Advance(sh.cfg.RetryBackoff << uint(attempt-1))
+}
+
+// noteDeviceError reacts to authoritative device errors that reveal a stale
+// view — the decommission, drain, or brick notification never arrived
+// (dropped host event). The affected target (or whole device) is retired the
+// way the event would have done it, so a lost notification degrades into a
+// late repair instead of a permanently wedged target.
+func (sh *shard) noteDeviceError(t *target, err error, forWrite bool) {
+	switch {
+	case errors.Is(err, blockdev.ErrBricked):
+		for _, dt := range sh.targetsOfDevice(t.key.node, t.key.dev) {
+			sh.loseTarget(dt.key)
+		}
+	case errors.Is(err, blockdev.ErrNoSuchMinidisk):
+		if forWrite && t.state == tLive {
+			// The minidisk may merely be draining (still readable); treat it
+			// as such — repair migrates its chunks and releases it, and if it
+			// is in fact fully gone the reads fail over to other replicas.
+			sh.drainTarget(t.key)
+		} else {
+			sh.loseTarget(t.key)
+		}
+	}
+}
+
+func (sh *shard) chunkBytes() int { return sh.cfg.ChunkOPages * blockdev.OPageSize }
+
+// trimSlot hands a slot's pages back to the device.
+func (sh *shard) trimSlot(t *target, slot int) {
+	base := slot * sh.cfg.ChunkOPages
+	for p := 0; p < sh.cfg.ChunkOPages; p++ {
+		_ = t.dev.Trim(t.key.md, base+p)
+	}
+}
+
+// --- object operations ---------------------------------------------------------
+
+func (sh *shard) put(ctx context.Context, name string, data []byte) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	sh.tele.shardOps.Inc()
+	if _, ok := sh.objects[name]; ok {
+		return fmt.Errorf("%w: %q", ErrAlreadyExist, name)
+	}
+	obj, err := sh.placeObject(ctx, name, data)
+	if err != nil {
+		_ = sh.flushMeta() // persist any rollback-side replica drops
+		return err
+	}
+	sh.commitObject(obj)
+	// The manifest write is the commit point: only after it lands may the
+	// caller be acked, so a crash before it leaves (at worst) orphan device
+	// pages that recovery reclaims — never a half-acked object.
+	return sh.flushMeta()
+}
+
+func (sh *shard) replace(ctx context.Context, name string, data []byte) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	sh.tele.shardOps.Inc()
+	obj, err := sh.placeObject(ctx, name, data)
+	if err != nil {
+		_ = sh.flushMeta()
+		return err
+	}
+	old := sh.objects[name]
+	sh.commitObject(obj)
+	// Flush the new manifest BEFORE dropping the old chunks: the durable
+	// name swap is the commit point, so a crash in this window leaves either
+	// the old object intact (manifest not yet flushed — the new chunks are
+	// orphans) or the new one fully referenced (the old chunks are orphans).
+	// Trimming the old copy first would destroy acked data on a torn flush.
+	if err := sh.flushMeta(); err != nil {
+		return err
+	}
+	if old != nil {
+		sh.dropObjectChunks(old)
+	}
+	return sh.flushMeta()
+}
+
+// commitObject installs a fully placed object into the namespace. Callers
+// hold the shard lock.
+func (sh *shard) commitObject(obj *object) {
+	sh.install(obj)
+	sh.markDirty(obj.name)
+	sh.tele.objectSize.Observe(float64(obj.size))
+}
+
+// install enters obj into the namespace under its name.
+func (sh *shard) install(obj *object) {
+	sh.objects[obj.name] = obj
+	obj.installed = true
+}
+
+// placeObject places every chunk of a new object without installing it into
+// the namespace — put and replace differ only in how they commit the result.
+// On any failure the already-placed replicas are rolled back and the shard
+// is exactly as before. Callers hold the shard lock.
+func (sh *shard) placeObject(ctx context.Context, name string, data []byte) (*object, error) {
+	if sh.codec != nil {
+		return sh.placeEC(ctx, name, data)
+	}
+	obj := &object{name: name, size: len(data)}
+	cb := sh.chunkBytes()
+	nChunks := (len(data) + cb - 1) / cb
+	if nChunks == 0 {
+		nChunks = 1 // empty object still gets a (zero) chunk for uniformity
+	}
+	for i := 0; i < nChunks; i++ {
+		if err := ctx.Err(); err != nil {
+			sh.dropObjectChunks(obj)
+			return nil, fmt.Errorf("difs: put %q aborted at chunk %d: %w", name, i, err)
+		}
+		ch := &chunk{obj: obj, idx: i}
+		padded := make([]byte, cb)
+		copy(padded, data[min(i*cb, len(data)):min((i+1)*cb, len(data))])
+		ch.sum = chunkSum(padded)
+		placed := 0
+		exclude := map[NodeID]bool{}
+		for attempt := 0; attempt < 2*sh.cfg.ReplicationFactor && placed < sh.cfg.ReplicationFactor; attempt++ {
+			tgts := sh.pickTargets(sh.cfg.ReplicationFactor-placed, exclude)
+			if len(tgts) == 0 {
+				break
+			}
+			for _, t := range tgts {
+				exclude[t.key.node] = true
+				if err := sh.writeChunk(t, ch, padded); err == nil {
+					placed++
+				}
+			}
+		}
+		if placed == 0 {
+			// Roll back the chunks already placed so a failed put (or the put
+			// half of a replace) leaves no orphan replicas behind.
+			sh.dropObjectChunks(obj)
+			return nil, fmt.Errorf("%w: object %q chunk %d", ErrNoSpace, name, i)
+		}
+		if placed < sh.cfg.ReplicationFactor {
+			sh.enqueueRepair(ch)
+		}
+		obj.chunks = append(obj.chunks, ch)
+		sh.tele.putBytes.Add(uint64(len(padded)) * uint64(placed))
+	}
+	return obj, nil
+}
+
+// getBatch serves a run of names under one lock acquisition, settle and
+// metadata flush; each slot succeeds or fails on its own.
+func (sh *shard) getBatch(ctx context.Context, names []string) (data [][]byte, errs []error) {
+	data = make([][]byte, len(names))
+	errs = make([]error, len(names))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	// Reads can drop bad replicas; persist that best-effort (a failed flush
+	// leaves the names dirty for the next mutation to retry).
+	defer func() { _ = sh.flushMeta() }()
+	for i, name := range names {
+		sh.tele.shardOps.Inc()
+		if err := ctx.Err(); err != nil {
+			errs[i] = fmt.Errorf("difs: batch get %q aborted: %w", name, err)
+			continue
+		}
+		data[i], errs[i] = sh.get(ctx, name)
+	}
+	return data, errs
+}
+
+func (sh *shard) getOne(ctx context.Context, name string) ([]byte, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	sh.tele.shardOps.Inc()
+	defer func() { _ = sh.flushMeta() }()
+	return sh.get(ctx, name)
+}
+
+func (sh *shard) get(ctx context.Context, name string) ([]byte, error) {
+	obj, ok := sh.objects[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	cb := sh.chunkBytes()
+	out := make([]byte, len(obj.chunks)*cb)
+	buf := make([]byte, cb)
+	for i, ch := range obj.chunks {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("difs: get %q aborted at chunk %d: %w", name, i, err)
+		}
+		if err := sh.readAnyReplica(ch, buf); err != nil {
+			if ch.stripe == nil {
+				return nil, fmt.Errorf("object %q chunk %d: %w", name, i, err)
+			}
+			// Erasure-coded: rebuild the shard from its stripe.
+			if err := sh.reconstructInto(ch, buf); err != nil {
+				return nil, fmt.Errorf("object %q chunk %d: %w", name, i, err)
+			}
+			sh.enqueueRepair(ch)
+		}
+		copy(out[i*cb:], buf)
+		sh.tele.getBytes.Add(uint64(cb))
+	}
+	return out[:obj.size], nil
+}
+
+// readAnyReplica tries replicas in order, queueing repair on any failure.
+// A read served while the chunk is under-replicated counts as degraded.
+// Draining replicas are readable (the grace-period contract) but do not
+// count toward the replication factor.
+func (sh *shard) readAnyReplica(ch *chunk, buf []byte) error {
+	degraded := sh.liveReplicas(ch) < sh.wantReplicas(ch)
+	var firstErr error
+	// Iterate a snapshot: dropReplica compacts ch.replicas in place, which
+	// would otherwise skip the replica after a failed one.
+	for i, r := range append([]replica(nil), ch.replicas...) {
+		if !r.tgt.readable() {
+			sh.enqueueRepair(ch)
+			continue
+		}
+		err := sh.readChunk(r, buf)
+		if err == nil {
+			if degraded || i > 0 || firstErr != nil {
+				sh.tele.degradedReads.Inc()
+			}
+			return nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+		// Media error on this replica: drop it and repair. Authoritative
+		// device errors (bricked, no-such-minidisk) mean the failure event
+		// was lost; retire the whole target, not just this replica. The
+		// failed read may also have fanned a real event into our pend queue
+		// — apply it first so we don't double-handle.
+		sh.settleLocked()
+		sh.noteDeviceError(r.tgt, err, false)
+		sh.dropReplica(ch, r)
+		sh.enqueueRepair(ch)
+	}
+	if firstErr == nil {
+		firstErr = ErrDataLoss
+	}
+	return firstErr
+}
+
+func (sh *shard) dropReplica(ch *chunk, bad replica) {
+	kept := ch.replicas[:0]
+	for _, r := range ch.replicas {
+		if r != bad {
+			kept = append(kept, r)
+		}
+	}
+	ch.replicas = kept
+	sh.markChunkDirty(ch)
+	if bad.tgt.readable() {
+		delete(bad.tgt.chunks, bad.slot)
+		// The slot's content is untrusted; trim it back to the device and
+		// reuse the slot.
+		sh.trimSlot(bad.tgt, bad.slot)
+		sh.led.release(bad.tgt.key, bad.slot)
+	}
+}
+
+func (sh *shard) del(ctx context.Context, name string) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	sh.tele.shardOps.Inc()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("difs: delete %q aborted: %w", name, err)
+	}
+	obj, ok := sh.objects[name]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	// Durably delete the manifest BEFORE trimming the replicas: a crash
+	// mid-delete must leave either the object fully present (unacked delete)
+	// or orphan pages that recovery reclaims — never a manifest pointing at
+	// trimmed slots.
+	delete(sh.objects, name)
+	sh.markDirty(name)
+	if err := sh.flushMeta(); err != nil {
+		sh.objects[name] = obj // delete not acked; keep the object
+		return err
+	}
+	sh.dropObjectChunks(obj)
+	// Purge the repair queue lazily: repair skips deleted chunks.
+	return sh.flushMeta()
+}
+
+// --- repair --------------------------------------------------------------------
+
+func chunkName(ch *chunk) string { return fmt.Sprintf("%s/%d", ch.obj.name, ch.idx) }
+
+// downReplicas counts a chunk's replicas retained on crashed nodes.
+func (sh *shard) downReplicas(ch *chunk) int {
+	n := 0
+	for _, r := range ch.replicas {
+		if r.tgt.state != tDead && r.tgt.down {
+			n++
+		}
+	}
+	return n
+}
+
+// repairPass drains this shard's repair queue, serially or with workers
+// device goroutines (parallel.go). A shard with nothing queued is not a
+// pass: it emits no repair_start/repair_end pair.
+func (sh *shard) repairPass(ctx context.Context, workers int) (copies int, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	defer func() { _ = sh.flushMeta() }()
+	if len(sh.repairQ) == 0 {
+		return 0, nil
+	}
+	if workers <= 1 {
+		return sh.repair(ctx)
+	}
+	return sh.repairParallel(workers)
+}
+
+// beginRepair takes the queue for one pass and brackets the pass with its
+// repair_start/repair_end trace pair and repair-bytes histogram sample; the
+// returned func closes the bracket with the pass's copy count.
+func (sh *shard) beginRepair() (queue []*chunk, end func(copies int)) {
+	queue = sh.repairQ
+	sh.repairQ = nil
+	sh.tele.tr.Emit(telemetry.Event{
+		Kind: telemetry.KindRepairStart, Layer: "difs", N: int64(len(queue)),
+	})
+	bytesBefore := sh.tele.recoveryBytes.Value()
+	return queue, func(copies int) {
+		written := sh.tele.recoveryBytes.Value() - bytesBefore
+		sh.tele.repairBytes.Observe(float64(written))
+		sh.tele.tr.Emit(telemetry.Event{
+			Kind: telemetry.KindRepairEnd, Layer: "difs",
+			N: int64(copies), Bytes: int64(written),
+		})
+	}
+}
+
+// pruneDeadReplicas drops a queued chunk's replicas on targets that died
+// since queueing; draining ones stay as sources and down ones as
+// retained-but-unreachable data (their node may restart). It reports how
+// many kept replicas are down and which draining targets the chunk touches.
+func (sh *shard) pruneDeadReplicas(ch *chunk) (downN int, draining []*target) {
+	kept := ch.replicas[:0]
+	for _, r := range ch.replicas {
+		if r.tgt.state == tDead {
+			continue
+		}
+		kept = append(kept, r)
+		if r.tgt.down {
+			downN++
+		} else if r.tgt.state == tDraining {
+			draining = append(draining, r.tgt)
+		}
+	}
+	ch.replicas = kept
+	return downN, draining
+}
+
+// unreadable settles a chunk no replica of which can be read right now: an
+// erasure-coded shard is rebuilt from its stripe siblings; a chunk whose
+// surviving copies are all on crashed nodes still exists, so it is deferred,
+// not declared lost; anything else is lost.
+func (sh *shard) unreadable(ch *chunk, repErr *RepairError) {
+	switch {
+	case ch.stripe != nil && sh.repairShard(ch):
+	case sh.downReplicas(ch) > 0:
+		sh.enqueueRepair(ch)
+		repErr.Deferred++
+	default:
+		sh.tele.lostChunks.Inc()
+		repErr.Lost = append(repErr.Lost, chunkName(ch))
+	}
+}
+
+// trimExcess finishes a repaired chunk. A restarted node may have revived
+// copies that repair already replaced: the excess goes, last live replica
+// first (slice order, deterministic). Once fully replicated, the draining
+// copies are no longer needed either — except on crashed nodes, whose slots
+// can't be trimmed while the node is dark; restart reconciliation frees
+// them.
+func (sh *shard) trimExcess(ch *chunk) {
+	for sh.liveReplicas(ch) > sh.wantReplicas(ch) {
+		for i := len(ch.replicas) - 1; i >= 0; i-- {
+			if ch.replicas[i].tgt.live() {
+				sh.dropReplica(ch, ch.replicas[i])
+				break
+			}
+		}
+	}
+	if sh.liveReplicas(ch) >= sh.cfg.ReplicationFactor {
+		for _, r := range append([]replica(nil), ch.replicas...) {
+			if r.tgt.state == tDraining && !r.tgt.down {
+				sh.dropReplica(ch, r)
+			}
+		}
+	}
+}
+
+func (sh *shard) repair(ctx context.Context) (copies int, err error) {
+	queue, end := sh.beginRepair()
+	defer func() { end(copies) }()
+	var repErr RepairError
+	var drainingTouched []*target
+	for qi, ch := range queue {
+		if cerr := ctx.Err(); cerr != nil {
+			// Unprocessed chunks are still in the dedup set but the queue
+			// slice was reset at entry, so re-append them directly —
+			// enqueueRepair would skip them as already queued.
+			sh.repairQ = append(sh.repairQ, queue[qi:]...)
+			err = fmt.Errorf("difs: repair aborted with %d chunk(s) unprocessed: %w", len(queue)-qi, cerr)
+			break
+		}
+		delete(sh.queued, ch)
+		if sh.objects[ch.obj.name] != ch.obj {
+			// Object deleted while queued (possibly re-created under the
+			// same name — identity, not name, decides staleness).
+			continue
+		}
+		downN, draining := sh.pruneDeadReplicas(ch)
+		drainingTouched = append(drainingTouched, draining...)
+		if len(ch.replicas)-downN == 0 {
+			sh.unreadable(ch, &repErr)
+			continue
+		}
+		buf := make([]byte, sh.chunkBytes())
+		if err := sh.readAnyReplica(ch, buf); err != nil {
+			sh.unreadable(ch, &repErr)
+			continue
+		}
+		if len(draining) > 0 {
+			sh.tele.localSourceRepairs.Inc()
+		}
+		sh.tele.recoveryReadBytes.Add(uint64(sh.chunkBytes()))
+		for sh.liveReplicas(ch) < sh.wantReplicas(ch) {
+			exclude := map[NodeID]bool{}
+			for _, r := range ch.replicas {
+				exclude[r.tgt.key.node] = true
+			}
+			tgts := sh.pickTargets(1, exclude)
+			if len(tgts) == 0 {
+				// No placement now; re-queue for a later Repair (capacity
+				// may regenerate).
+				sh.enqueueRepair(ch)
+				break
+			}
+			if err := sh.writeChunk(tgts[0], ch, buf); err != nil {
+				// Target failed under us; try again next round.
+				sh.enqueueRepair(ch)
+				break
+			}
+			copies++
+			sh.tele.recoveryOps.Inc()
+			sh.tele.recoveryBytes.Add(uint64(sh.chunkBytes()))
+		}
+		sh.trimExcess(ch)
+	}
+	// Release draining minidisks that no longer hold any chunk.
+	sh.releaseDrained(drainingTouched)
+	if err != nil {
+		// Aborted by the context; chunk losses observed before the abort are
+		// already in the lost_chunks counter and will resurface on the next
+		// full pass.
+		return copies, err
+	}
+	if len(repErr.Lost) > 0 {
+		return copies, &repErr
 	}
 	return copies, nil
 }
 
-// --- manifests & recovery ----------------------------------------------------
-
-// attachMetaFacade attaches one durable store to the owned shards, each
-// under its own "s<i>/" key prefix. The root carries a meta/shards stamp;
-// reopening under a different shard count is refused (the name→shard hash
-// decides which prefix holds a manifest, so a different count would
-// silently lose objects). A pre-sharding v1 store is likewise refused —
-// resharding is an explicit operator migration, not an accident — while an
-// unknown old format quarantines exactly as on standalone clusters.
-//
-// On a subset-scoped cluster the facade additionally claims each owned
-// shard with a meta/own/<i> stamp before attaching it, so two processes of
-// a fleet sharing one store layout can never open the same shard (see
-// claimOwnedShards).
-func (c *Cluster) attachMetaFacade(st store.Store) (quarantined int, err error) {
-	n := len(c.shards)
-	raw, gerr := st.Get(metaShardsKey)
-	switch {
-	case gerr == nil:
-		if got, aerr := strconv.Atoi(string(raw)); aerr != nil || got != n {
-			return 0, fmt.Errorf("difs: manifest store is sharded %s-ways, cluster wants %d", raw, n)
-		}
-	case errors.Is(gerr, store.ErrNotFound):
-		rawf, ferr := st.Get(metaFormatKey)
-		switch {
-		case errors.Is(ferr, store.ErrNotFound):
-			// Fresh store: stamp and go.
-		case ferr != nil:
-			return 0, fmt.Errorf("difs: read meta format: %w", ferr)
-		case string(rawf) == metaFormatV1:
-			return 0, fmt.Errorf("difs: manifest store holds an unsharded %s namespace; open it with Shards=1 (resharding is an explicit migration)", metaFormatV1)
-		default:
-			q, qerr := quarantineOldFormat(st, string(rawf))
-			quarantined += q
-			if qerr != nil {
-				return quarantined, qerr
-			}
-			if derr := st.Delete(metaFormatKey); derr != nil {
-				return quarantined, fmt.Errorf("difs: clear old meta format: %w", derr)
-			}
-			c.tele.recoverQuarantined.Add(uint64(q))
-		}
-		if perr := st.Put(metaShardsKey, []byte(strconv.Itoa(n))); perr != nil {
-			return quarantined, fmt.Errorf("difs: stamp shard count: %w", perr)
-		}
-	default:
-		return 0, fmt.Errorf("difs: read shard stamp: %w", gerr)
-	}
-	if err := c.claimOwnedShards(st); err != nil {
-		return quarantined, err
-	}
-	for i, s := range c.shards {
-		if s == nil {
+// releaseDrained hands fully drained minidisks back to their devices. The
+// disk is only physically released once EVERY shard has migrated its
+// replicas off it: each shard retires its local view, and the shard that
+// finds the ledger entry fully free (an atomic take) performs the device
+// Release — so the releases counter counts each disk once. A Release may
+// regenerate the minidisk; the fanned-out event is picked up at the next
+// entry point.
+func (sh *shard) releaseDrained(drainingTouched []*target) {
+	for _, t := range drainingTouched {
+		if t.state != tDraining || t.down || len(t.chunks) != 0 {
 			continue
 		}
-		q, aerr := s.AttachMeta(store.Prefixed(st, fmt.Sprintf("s%d/", i)))
-		quarantined += q
-		if aerr != nil {
-			return quarantined, fmt.Errorf("difs: attach shard %d: %w", i, aerr)
+		if sh.led.takeIfFullyFree(t.key) {
+			if dr, ok := t.dev.(blockdev.Drainer); ok {
+				if err := dr.Release(t.key.md); err == nil {
+					sh.tele.releases.Inc()
+				}
+			}
 		}
+		// Whether or not this shard won the release (other shards may still
+		// hold replicas, or the disk is already gone), this shard's view of
+		// it is drained: retire the local target.
+		t.state = tDead
+		delete(sh.targets, t.key)
+		sh.bumpEpoch()
 	}
-	c.mu.Lock()
-	c.meta = st
-	c.mu.Unlock()
-	return quarantined, nil
 }
 
-// claimOwnedShards enforces shard-level mutual exclusion across the
-// processes sharing one store layout. A subset-scoped cluster stamps every
-// shard it owns with meta/own/<i> = its canonical subset string:
-//
-//   - absent stamp       → claim it (write, then read back: the store's
-//     atomic last-writer-wins rename arbitrates a concurrent claim, and the
-//     loser sees the winner's subset on read-back and refuses);
-//   - stamp == my subset → a same-shaped reopen (restart/recovery), proceed;
-//   - stamp != my subset → another subset holds the shard, refuse.
-//
-// A full-ownership cluster writes no stamps but refuses a store any subset
-// has claimed — the fleet layout and the single-process layout must never
-// open each other's trees by accident.
-func (c *Cluster) claimOwnedShards(st store.Store) error {
-	if c.cfg.OwnShards == nil {
-		claimed, err := st.List(metaOwnPrefix)
+// liveReplicas counts a chunk's replicas on live (non-draining) targets.
+func (sh *shard) liveReplicas(ch *chunk) int {
+	n := 0
+	for _, r := range ch.replicas {
+		if r.tgt.live() {
+			n++
+		}
+	}
+	return n
+}
+
+func (sh *shard) verifyAll(check func(name string, data []byte) error) (bad []string) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	defer func() { _ = sh.flushMeta() }()
+	for _, name := range sh.objectNames() {
+		data, err := sh.get(context.Background(), name)
+		if err == nil && check != nil {
+			err = check(name, data)
+		}
 		if err != nil {
-			return fmt.Errorf("difs: list shard claims: %w", err)
-		}
-		if len(claimed) > 0 {
-			return fmt.Errorf("difs: manifest store is subset-claimed (%d shard stamps under %s); open it with the matching OwnShards subset", len(claimed), metaOwnPrefix)
-		}
-		return nil
-	}
-	mine := []byte(ownShardsCanonical(c.cfg.OwnShards))
-	for _, i := range c.cfg.OwnShards {
-		key := metaOwnPrefix + strconv.Itoa(i)
-		raw, err := st.Get(key)
-		switch {
-		case errors.Is(err, store.ErrNotFound):
-			if perr := st.Put(key, mine); perr != nil {
-				return fmt.Errorf("difs: claim shard %d: %w", i, perr)
-			}
-			back, gerr := st.Get(key)
-			if gerr != nil {
-				return fmt.Errorf("difs: verify shard %d claim: %w", i, gerr)
-			}
-			if string(back) != string(mine) {
-				return fmt.Errorf("difs: lost shard %d claim race to subset %q", i, back)
-			}
-		case err != nil:
-			return fmt.Errorf("difs: read shard %d claim: %w", i, err)
-		case string(raw) != string(mine):
-			return fmt.Errorf("difs: shard %d already claimed by subset %q (this process owns %s)", i, raw, mine)
-		}
-	}
-	return nil
-}
-
-// ShardRecoverStats is one shard's slice of a RecoveryReport.
-type ShardRecoverStats struct {
-	Shard         int `json:"shard"`
-	Objects       int `json:"objects"`
-	Quarantined   int `json:"quarantined"`
-	BadManifests  int `json:"bad_manifests"`
-	RepairsQueued int `json:"repairs_queued"`
-}
-
-// recoverFacade recovers every shard concurrently — shard recoveries touch
-// disjoint manifests and claim (not allocate) ledger slots, so parallel
-// execution cannot reorder any decision: each shard's outcome depends only
-// on its own manifests, and claim preserves free-list order. Two shards'
-// manifests claiming one physical slot cannot both win; the loser
-// quarantines its replica. Free-slot trimming runs once, at the end, over
-// the whole ledger.
-func (c *Cluster) recoverFacade() (*RecoveryReport, error) {
-	for i, s := range c.shards {
-		if s != nil && s.meta == nil {
-			return nil, fmt.Errorf("difs: Recover requires AttachMeta first (shard %d has no store)", i)
-		}
-	}
-	start := time.Now()
-	reps := make([]*RecoveryReport, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, s := range c.shards {
-		if s == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, s *Cluster) {
-			defer wg.Done()
-			reps[i], errs[i] = s.Recover()
-		}(i, s)
-	}
-	wg.Wait()
-	agg := &RecoveryReport{}
-	var firstErr error
-	for i := range c.shards {
-		if errs[i] != nil && firstErr == nil {
-			firstErr = fmt.Errorf("difs: recover shard %d: %w", i, errs[i])
-		}
-		rep := reps[i]
-		if rep == nil {
-			continue
-		}
-		agg.Objects += rep.Objects
-		agg.Chunks += rep.Chunks
-		agg.VerifiedReplicas += rep.VerifiedReplicas
-		agg.QuarantinedReplicas += rep.QuarantinedReplicas
-		agg.TornChunks += rep.TornChunks
-		agg.RepairsQueued += rep.RepairsQueued
-		agg.BadManifests += rep.BadManifests
-		agg.LostObjects = append(agg.LostObjects, rep.LostObjects...)
-		agg.Shards = append(agg.Shards, ShardRecoverStats{
-			Shard:         i,
-			Objects:       rep.Objects,
-			Quarantined:   rep.QuarantinedReplicas,
-			BadManifests:  rep.BadManifests,
-			RepairsQueued: rep.RepairsQueued,
-		})
-	}
-	sort.Strings(agg.LostObjects)
-	if firstErr != nil {
-		return agg, firstErr
-	}
-	// Reclaim orphan pages exactly once, after every shard has claimed its
-	// verified slots: whatever is still free belongs to no manifest.
-	c.trimLedgerFree()
-	agg.Duration = time.Since(start)
-	c.tele.recoverNs.Observe(float64(agg.Duration.Nanoseconds()))
-	c.tele.tr.Emit(telemetry.Event{
-		Kind: telemetry.KindRecover, Layer: "difs", N: int64(agg.Objects),
-		Detail: fmt.Sprintf("chunks=%d verified=%d quarantined=%d torn=%d lost=%d bad_manifests=%d shards=%d",
-			agg.Chunks, agg.VerifiedReplicas, agg.QuarantinedReplicas,
-			agg.TornChunks, len(agg.LostObjects), agg.BadManifests, len(c.shards)),
-	})
-	return agg, nil
-}
-
-// trimLedgerFree trims every free slot of every registered disk
-// (deterministic order) — the sharded analogue of trimFreeSlots.
-func (c *Cluster) trimLedgerFree() {
-	for _, key := range c.led.keysSorted() {
-		free, _, dev, ok := c.led.snapshot(key)
-		if !ok || dev == nil {
-			continue
-		}
-		for _, slot := range free {
-			base := slot * c.cfg.ChunkOPages
-			for p := 0; p < c.cfg.ChunkOPages; p++ {
-				_ = dev.Trim(key.md, base+p)
-			}
-		}
-	}
-}
-
-// --- invariants & introspection ----------------------------------------------
-
-// checkLedgerInvariants verifies the shared slot books against the union of
-// all shards' occupied slots: free lists in range and duplicate-free, no
-// slot both free and occupied, no slot claimed by two shards, and free +
-// occupied covering each registered disk's capacity. Meaningful on a
-// quiescent cluster (concurrent ops hold allocations mid-write).
-func (c *Cluster) checkLedgerInvariants() []string {
-	var bad []string
-	// Union of occupied slots, noting the claiming shard.
-	occ := map[targetKey]map[int]int{} // disk -> slot -> shard
-	for i, s := range c.shards {
-		if s == nil {
-			continue
-		}
-		s.mu.Lock()
-		keys := make([]targetKey, 0, len(s.targets))
-		for k := range s.targets {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			ka, kb := keys[a], keys[b]
-			if ka.node != kb.node {
-				return ka.node < kb.node
-			}
-			if ka.dev != kb.dev {
-				return ka.dev < kb.dev
-			}
-			return ka.md < kb.md
-		})
-		for _, k := range keys {
-			t := s.targets[k]
-			slots := make([]int, 0, len(t.chunks))
-			for slot := range t.chunks {
-				slots = append(slots, slot)
-			}
-			sort.Ints(slots)
-			for _, slot := range slots {
-				if occ[k] == nil {
-					occ[k] = map[int]int{}
-				}
-				if prev, dup := occ[k][slot]; dup {
-					bad = append(bad, fmt.Sprintf("ledger %v slot %d claimed by shards %d and %d", k, slot, prev, i))
-					continue
-				}
-				occ[k][slot] = i
-			}
-		}
-		s.mu.Unlock()
-	}
-	for _, key := range c.led.keysSorted() {
-		free, capacity, _, ok := c.led.snapshot(key)
-		if !ok {
-			continue
-		}
-		seen := map[int]bool{}
-		for _, s := range free {
-			if s < 0 || s >= capacity {
-				bad = append(bad, fmt.Sprintf("ledger %v free slot %d out of range [0,%d)", key, s, capacity))
-			}
-			if seen[s] {
-				bad = append(bad, fmt.Sprintf("ledger %v free slot %d duplicated", key, s))
-			}
-			seen[s] = true
-			if _, isOcc := occ[key][s]; isOcc {
-				bad = append(bad, fmt.Sprintf("ledger %v slot %d both free and occupied", key, s))
-			}
-		}
-		if len(free)+len(occ[key]) != capacity {
-			bad = append(bad, fmt.Sprintf("ledger %v slot conservation: %d free + %d occupied != %d capacity",
-				key, len(free), len(occ[key]), capacity))
+			bad = append(bad, name)
 		}
 	}
 	return bad
-}
-
-// ShardInfo is one shard's control-plane summary for the ops surface.
-type ShardInfo struct {
-	ID             int `json:"id"`
-	Objects        int `json:"objects"`
-	PendingRepairs int `json:"pending_repairs"`
-	// Epoch is the shard's placement epoch: it advances on every membership
-	// change the shard observes (target added, drained, lost, node
-	// crash/restart), so a changed epoch means cached placement knowledge
-	// about this shard is stale.
-	Epoch uint64 `json:"epoch"`
-}
-
-// ShardInfos summarizes every owned shard in shard order, reporting real
-// shard indices (a subset-scoped facade reports only its subset). A
-// standalone cluster reports itself as the single shard 0.
-func (c *Cluster) ShardInfos() []ShardInfo {
-	if c.shards == nil {
-		c.mu.Lock()
-		c.settleLocked()
-		info := ShardInfo{Objects: len(c.objects), PendingRepairs: len(c.repairQ), Epoch: c.epoch}
-		c.mu.Unlock()
-		return []ShardInfo{info}
-	}
-	out := make([]ShardInfo, 0, len(c.shards))
-	for i, s := range c.shards {
-		if s == nil {
-			continue
-		}
-		s.mu.Lock()
-		s.settleLocked()
-		out = append(out, ShardInfo{
-			ID:             i,
-			Objects:        len(s.objects),
-			PendingRepairs: len(s.repairQ),
-			Epoch:          s.epoch,
-		})
-		s.mu.Unlock()
-	}
-	return out
 }

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
 	"salamander/internal/stats"
-	"salamander/internal/store"
 )
 
 // TestShardOfGolden pins the name→shard hash ring. These values are part of
@@ -329,13 +327,10 @@ func TestShardBoundaryTornManifests(t *testing.T) {
 		t.Fatalf("test needs distinct shards, got %d == %d", sa, sb)
 	}
 	for _, name := range []string{"o0", "o1"} {
-		key := c1.manifestKey(name)
-		if !strings.HasPrefix(key, fmt.Sprintf("s%d/", ShardOf(name, 16))) {
-			t.Fatalf("manifest key %q not under its shard prefix", key)
-		}
+		key := fmt.Sprintf("s%d/", ShardOf(name, 16)) + objKey(name)
 		raw, err := st.Get(key)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("manifest of %q not under its shard prefix: %v", name, err)
 		}
 		if err := st.Put(key, raw[:len(raw)/2]); err != nil {
 			t.Fatal(err)
@@ -386,43 +381,107 @@ func TestShardBoundaryTornManifests(t *testing.T) {
 	}
 }
 
-// TestAttachMetaShardStamp: the shard count is part of the store's identity.
-// No cluster may silently reinterpret a namespace laid out for a different
-// ring — resharding is an explicit migration, never an accident.
-func TestAttachMetaShardStamp(t *testing.T) {
-	build := func(shards int) (*Cluster, *store.Mem) {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		c, _ := memCluster(t, cfg, 3, 2, 64)
-		st := store.NewMem()
-		if _, err := c.AttachMeta(st); err != nil {
-			t.Fatal(err)
-		}
-		return c, st
-	}
-	open := func(shards int, st *store.Mem) error {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		c, _ := memCluster(t, cfg, 3, 2, 64)
-		_, err := c.AttachMeta(st.Reopen())
-		return err
-	}
-	_, st16 := build(16)
-	if err := open(4, st16); err == nil {
-		t.Error("16-shard store attached by a 4-shard cluster")
-	}
-	if err := open(1, st16); err == nil {
-		t.Error("16-shard store attached by a standalone cluster")
-	}
-	if err := open(16, st16); err != nil {
-		t.Errorf("matching shard count rejected: %v", err)
-	}
-	_, st1 := build(1)
-	if err := open(16, st1); err == nil {
-		t.Error("v1 standalone store attached by a sharded cluster without migration")
-	}
-	if err := open(1, st1); err != nil {
-		t.Errorf("standalone reopen rejected: %v", err)
+// TestManifestLayouts pins the two on-disk manifest layouts by key name —
+// Shards=1 is the unprefixed pre-sharding v1 layout, Shards>1 stamps the
+// count and prefixes every shard — and that the shard count is part of a
+// store's identity: each store reopens and recovers under its own count and
+// is refused under every other. No cluster may silently reinterpret a
+// namespace laid out for a different ring; resharding is an explicit
+// migration, never an accident.
+func TestManifestLayouts(t *testing.T) {
+	counts := []int{1, 4, 16}
+	for _, n := range counts {
+		n := n
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Shards = n
+			c, devs, st := metaCluster(t, cfg, 4, 2, 64)
+			rng := stats.NewRNG(uint64(60 + n))
+			content := map[string][]byte{}
+			for i := 0; i < 6; i++ {
+				name := fmt.Sprintf("o%d", i)
+				content[name] = objData(rng, 9000)
+				if err := c.Put(name, content[name]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			content["o1"] = objData(rng, 5000)
+			if err := c.Replace("o1", content["o1"]); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Delete("o2"); err != nil {
+				t.Fatal(err)
+			}
+			delete(content, "o2")
+
+			want := map[string]string{} // key -> required value ("" = any)
+			if n == 1 {
+				want[metaFormatKey] = metaFormatV1
+				for name := range content {
+					want[objKey(name)] = ""
+				}
+			} else {
+				want[metaShardsKey] = fmt.Sprint(n)
+				for i := 0; i < n; i++ {
+					want[fmt.Sprintf("s%d/%s", i, metaFormatKey)] = metaFormatV1
+				}
+				for name := range content {
+					want[fmt.Sprintf("s%d/%s", ShardOf(name, n), objKey(name))] = ""
+				}
+			}
+			keys, err := st.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				val, ok := want[k]
+				if !ok {
+					t.Errorf("unexpected key %q in a Shards=%d store", k, n)
+					continue
+				}
+				if raw, _ := st.Get(k); val != "" && string(raw) != val {
+					t.Errorf("key %q = %q, want %q", k, raw, val)
+				}
+				delete(want, k)
+			}
+			for k := range want {
+				t.Errorf("key %q missing from a Shards=%d store", k, n)
+			}
+
+			for _, other := range counts {
+				ocfg := cfg
+				ocfg.Shards = other
+				oc, err := NewCluster(ocfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range devs {
+					oc.AddNode(d)
+				}
+				_, err = oc.AttachMeta(st.Reopen())
+				if other != n {
+					if err == nil {
+						t.Errorf("Shards=%d store attached by a Shards=%d cluster", n, other)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("reopen under the same count rejected: %v", err)
+				}
+				rep, err := oc.Recover()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Objects != len(content) || len(rep.Shards) != n {
+					t.Errorf("recovered %d objects in %d shard rows, want %d in %d", rep.Objects, len(rep.Shards), len(content), n)
+				}
+				for name, w := range content {
+					if got, err := oc.Get(name); err != nil || !bytes.Equal(got, w) {
+						t.Errorf("object %q after reopen: err=%v", name, err)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -501,7 +560,7 @@ func TestShardConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.shards != nil {
+	if len(c.shards) != 1 {
 		t.Error("explicit Shards=1 overridden by DIFS_SHARDS env")
 	}
 	cfg.Shards = 0
