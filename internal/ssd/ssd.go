@@ -496,8 +496,25 @@ func (d *Device) Write(md blockdev.MinidiskID, lba int, buf []byte) error {
 	if d.disp != nil {
 		return d.drainParallel(false)
 	}
-	for d.wbuf.Len() >= d.slotsPP && !d.bricked {
-		if err := d.flushOne(); err != nil {
+	return d.drainBuffer(false)
+}
+
+// drainBuffer programs buffered oPages while full fPages can be formed (or
+// unconditionally when force is set, padding the final page). Like the
+// Salamander device it makes sure a write block is open — running GC when
+// the free pool is low — before it looks at how much is buffered.
+func (d *Device) drainBuffer(force bool) error {
+	for d.wbuf.Len() > 0 {
+		if d.bricked {
+			return blockdev.ErrBricked
+		}
+		if err := d.ensureActive(); err != nil {
+			return err
+		}
+		if d.wbuf.Len() < d.slotsPP && !force {
+			return nil
+		}
+		if err := d.programPage(d.wbuf.PopN(d.slotsPP)); err != nil {
 			return err
 		}
 	}
@@ -513,15 +530,7 @@ func (d *Device) Flush() error {
 			return err
 		}
 	}
-	for d.wbuf.Len() > 0 && !d.bricked {
-		if err := d.flushOne(); err != nil {
-			return err
-		}
-	}
-	if d.bricked {
-		return blockdev.ErrBricked
-	}
-	return nil
+	return d.drainBuffer(true)
 }
 
 // Trim implements blockdev.Device.
@@ -1003,27 +1012,27 @@ func (d *Device) collect() error {
 		Block: victim, N: int64(len(moved)),
 	})
 
-	// Pack full fPages into the GC block; the remainder rides in the NV
+	// Pack full fPages into the GC stream page by page, opening a new GC
+	// block only when the current one is full; the remainder rides in the NV
 	// buffer until host traffic (or a later GC) fills a page.
-	fullPages := len(moved) / d.slotsPP
-	if d.gcBlk >= 0 && g.PagesPerBlock-d.gcPg < fullPages {
-		d.state[d.gcBlk] = stSealed
-		d.gcBlk = -1
-	}
-	if d.gcBlk < 0 && fullPages > 0 {
-		id, ok := d.allocBlock(true)
-		if !ok {
-			if d.bricked {
-				return blockdev.ErrBricked
-			}
-			return errNoVictim
+	for len(moved) > 0 {
+		if d.gcBlk >= 0 && d.gcPg == g.PagesPerBlock {
+			d.state[d.gcBlk] = stSealed
+			d.gcBlk = -1
 		}
-		d.state[id] = stActive
-		d.gcBlk = id
-		d.gcPg = 0
-	}
-	for p := 0; p < fullPages; p++ {
-		entries := moved[p*d.slotsPP : (p+1)*d.slotsPP]
+		if d.gcBlk < 0 {
+			id, ok := d.allocBlock(true)
+			if !ok {
+				break
+			}
+			d.state[id] = stActive
+			d.gcBlk = id
+			d.gcPg = 0
+		}
+		if len(moved) < d.slotsPP {
+			break
+		}
+		entries := moved[:d.slotsPP]
 		ppa := flash.PPA{Block: d.gcBlk, Page: d.gcPg}
 		var raw []byte
 		if d.cfg.Flash.StoreData {
@@ -1043,7 +1052,6 @@ func (d *Device) collect() error {
 			d.suspect[d.gcBlk] = true
 			d.state[d.gcBlk] = stSealed
 			d.gcBlk = -1
-			fullPages = p
 			d.fr.Recovered("ssd")
 			break
 		}
@@ -1057,12 +1065,9 @@ func (d *Device) collect() error {
 			d.valid.Set(a, e.Key)
 		}
 		d.gcPg++
+		moved = moved[d.slotsPP:]
 	}
-	if d.gcPg == g.PagesPerBlock && d.gcBlk >= 0 {
-		d.state[d.gcBlk] = stSealed
-		d.gcBlk = -1
-	}
-	for _, e := range moved[fullPages*d.slotsPP:] {
+	for _, e := range moved {
 		// The data now lives only in the NV buffer; drop the stale mapping
 		// so nothing points into the block we are about to erase.
 		if prev, had := d.table.Delete(e.Key); had {
