@@ -4,8 +4,13 @@
 #   ./ci.sh            full gate: format, vet, build, tests, race detector,
 #                      chaos smoke, write-scaling regression guard
 #
+# A structure gate first holds the one-FTL-engine shape: each data-path
+# function (readOPageOnce ... collect) is defined exactly once across
+# non-test internal/, the deleted ParallelFlush fork is gone, and the
+# policy-parameterised device suite in internal/ftl (both devices over one
+# table) passes under -race.
 # The race-detector pass runs the whole module: the stress battery in
-# blockdev/ssd/core/difs hammers each layer from many goroutines, so a
+# blockdev/ftl/core/difs hammers each layer from many goroutines, so a
 # data race anywhere in the concurrent data path (channel workers, sharded
 # FTL locks, device mutexes, per-shard cluster locks, event sink) fails the
 # gate. The difs corpus is replayed at DIFS_SHARDS=4 and 16 (sharded-cluster
@@ -19,7 +24,8 @@
 # end to end, and the salperf -parallel benchmark is compared against the
 # checked-in BENCH_parallel.json: >15% write-throughput regression at any
 # channel count fails the build. The salperf -ecc -degraded benchmark guards
-# the table-driven BCH fast path the same way against BENCH_ecc.json —
+# the table-driven BCH fast path against BENCH_ecc.json — each rate relative
+# to the same run's bit-serial reference, so host speed cancels —
 # including the degraded decode mix and erasure-hinted figures — plus a
 # machine-independent >= 4x syndrome-speedup floor at the level-0 geometry
 # and per-level kernel floors on the baseline file's decode figures.
@@ -72,6 +78,29 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== structure gate (one FTL engine, no ParallelFlush fork) =="
+# ssd.Device and core.Device run on internal/ftl's engine; a second copy of
+# any data-path function is the fork growing back.
+nontest=$(find internal -name '*.go' ! -name '*_test.go')
+for fn in readOPageOnce readOPageInto sectorErasures composePageInto \
+    programPage ensureActive pickVictim collect; do
+    # shellcheck disable=SC2086
+    n=$(cat $nontest | grep -c "^func (.*) $fn(" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "structure gate: $fn is defined $n times in non-test internal/ (want 1)" >&2
+        exit 1
+    fi
+done
+if grep -rn 'ParallelFlush\|drainParallel\|flushStripe\|inGC' --include='*.go' .; then
+    echo "structure gate: the deleted parallel-flush fork is back" >&2
+    exit 1
+fi
+if [ -e internal/ssd/parallel.go ]; then
+    echo "structure gate: internal/ssd/parallel.go exists" >&2
+    exit 1
+fi
+go test -race -count=1 ./internal/ftl/
 
 echo "== go test =="
 go test ./...

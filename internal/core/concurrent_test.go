@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,131 +26,6 @@ func stressPattern(buf []byte, md blockdev.MinidiskID, lba int, version byte) {
 	b := byte(md)*7 ^ byte(lba)*13 ^ version
 	for i := range buf {
 		buf[i] = b ^ byte(i*131)
-	}
-}
-
-// TestConcurrentHostIO hammers one device from several goroutines, each
-// owning a disjoint set of minidisks, while a background observer polls the
-// read-only surface. Host writes, reads, trims, and flushes race with the
-// GC and ShrinkS transitions they trigger; the device's single big lock must
-// serialize them without losing read-your-writes per LBA.
-func TestConcurrentHostIO(t *testing.T) {
-	d, _ := mustDevice(t, stressConfig())
-	mds := d.Minidisks()
-	const workers = 4
-	if len(mds) < workers {
-		t.Fatalf("need at least %d minidisks, have %d", workers, len(mds))
-	}
-	perWorker := len(mds) / workers
-
-	stop := make(chan struct{})
-	var obs sync.WaitGroup
-	obs.Add(1)
-	go func() {
-		// Observer: exercises every read-only entry point concurrently
-		// with the mutating workers.
-		defer obs.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			d.Counters()
-			d.Health()
-			d.LiveLBAs()
-			d.ServingSlots()
-			d.LimboPages()
-			d.Minidisks()
-			d.Retired()
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := stats.NewRNG(uint64(9000 + w))
-			mine := mds[w*perWorker : (w+1)*perWorker]
-			buf := make([]byte, blockdev.OPageSize)
-			got := make([]byte, blockdev.OPageSize)
-			// version[i][lba] tracks the last pattern written (0 = trimmed).
-			version := make([]map[int]byte, len(mine))
-			for i := range version {
-				version[i] = make(map[int]byte)
-			}
-			for op := 0; op < 600; op++ {
-				i := int(rng.Uint64() % uint64(len(mine)))
-				m := mine[i]
-				lba := int(rng.Uint64() % uint64(m.LBAs))
-				switch rng.Uint64() % 8 {
-				case 0:
-					err := d.Trim(m.ID, lba)
-					if err != nil && !errors.Is(err, blockdev.ErrBricked) && !errors.Is(err, blockdev.ErrNoSuchMinidisk) {
-						errCh <- fmt.Errorf("worker %d: trim: %w", w, err)
-						return
-					}
-					delete(version[i], lba)
-				case 1:
-					err := d.Flush()
-					if err != nil && !errors.Is(err, blockdev.ErrBricked) && !errors.Is(err, blockdev.ErrDeviceFull) {
-						errCh <- fmt.Errorf("worker %d: flush: %w", w, err)
-						return
-					}
-				case 2, 3:
-					v, ok := version[i][lba]
-					if !ok {
-						continue
-					}
-					err := d.Read(m.ID, lba, got)
-					if errors.Is(err, blockdev.ErrBricked) || errors.Is(err, blockdev.ErrUncorrectable) ||
-						errors.Is(err, blockdev.ErrNoSuchMinidisk) {
-						continue // device wore out, page declared lost, or disk decommissioned
-					}
-					if err != nil {
-						errCh <- fmt.Errorf("worker %d: read md%d lba%d: %w", w, m.ID, lba, err)
-						return
-					}
-					stressPattern(buf, m.ID, lba, v)
-					if !bytes.Equal(got, buf) {
-						errCh <- fmt.Errorf("worker %d: md%d lba%d: stale or torn data", w, m.ID, lba)
-						return
-					}
-				default:
-					v := byte(op%250) + 1
-					stressPattern(buf, m.ID, lba, v)
-					err := d.Write(m.ID, lba, buf)
-					if errors.Is(err, blockdev.ErrBricked) || errors.Is(err, blockdev.ErrDeviceFull) ||
-						errors.Is(err, blockdev.ErrNoSuchMinidisk) {
-						// A wear-driven drain can decommission this worker's
-						// disk mid-run; forget its expected contents.
-						if errors.Is(err, blockdev.ErrNoSuchMinidisk) {
-							version[i] = make(map[int]byte)
-						}
-						continue
-					}
-					if err != nil {
-						errCh <- fmt.Errorf("worker %d: write md%d lba%d: %w", w, m.ID, lba, err)
-						return
-					}
-					version[i][lba] = v
-				}
-			}
-			errCh <- nil
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	obs.Wait()
-	for w := 0; w < workers; w++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

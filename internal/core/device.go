@@ -30,22 +30,22 @@
 // the minidisk's Tiredness field is the capacity class it was created at
 // (0 for original disks, j for disks regenerated from level-j pages). The
 // paper makes the same uniformity assumption "for simplicity" in §3.4.
+//
+// The data path — mapping, write buffer, GC, the level-aware ECC read path
+// and the per-page state table — is the shared engine of internal/ftl; this
+// package is the Salamander Lifecycle on top of it (lifecycle.go) plus the
+// minidisk directory, Eq. 2, scrubbing, invariants and persistence.
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"salamander/internal/blockdev"
-	"salamander/internal/ecc"
 	"salamander/internal/faultinject"
 	"salamander/internal/flash"
 	"salamander/internal/ftl"
 	"salamander/internal/rber"
 	"salamander/internal/sim"
-	"salamander/internal/stats"
 	"salamander/internal/telemetry"
 )
 
@@ -102,34 +102,6 @@ func DefaultConfig() Config {
 	}
 }
 
-type pageStatus uint8
-
-const (
-	psServing pageStatus = iota
-	psLimbo
-	psDead
-)
-
-// pageInfo tracks one fPage's Salamander state.
-type pageInfo struct {
-	status pageStatus
-	// level is the service level while serving (programs store 4-level
-	// oPages), or the current tiredness while in limbo.
-	level uint8
-	// progLevel is the level the page was last programmed at; reads decode
-	// with that level's geometry.
-	progLevel uint8
-}
-
-type blockState uint8
-
-const (
-	stFree blockState = iota
-	stActive
-	stSealed
-	stBad
-)
-
 type mdState uint8
 
 const (
@@ -166,123 +138,52 @@ func (c Counters) WriteAmplification() float64 {
 	return float64(c.FlashWrites*uint64(rber.OPagesPerFPage)) / float64(c.HostWrites)
 }
 
-// devTele holds the registry-backed handles behind Counters(). A fresh
-// device binds them to a private registry; Instrument rebinds to a shared
-// one, so Counters() is always a thin view over live telemetry values.
+// devTele holds the registry-backed handles of the instruments only a
+// Salamander device has; the engine owns the ones every device counts.
 type devTele struct {
-	hostReads, hostWrites    *telemetry.Counter
-	flashReads, flashWrites  *telemetry.Counter
-	gcRelocations            *telemetry.Counter
-	uncorrectable            *telemetry.Counter
-	lostOPages               *telemetry.Counter
-	decommissions            *telemetry.Counter
-	regenerations            *telemetry.Counter
-	drains, releases         *telemetry.Counter
-	readRetries, retrySaves  *telemetry.Counter
-	wearLevelMoves           *telemetry.Counter
-	eccCorrections           *telemetry.Counter
-	eccCorrectedBits         *telemetry.Counter
-	eccErasureDecodes        *telemetry.Counter
-	readLatency              *telemetry.Histogram
-	writeLatency             *telemetry.Histogram
-	servingSlots, capacityFr *telemetry.Gauge
-	tr                       *telemetry.Tracer
+	decommissions, regenerations *telemetry.Counter
+	drains, releases             *telemetry.Counter
+	servingSlots, capacityFr     *telemetry.Gauge
 }
 
-func bindTele(reg *telemetry.Registry, tr *telemetry.Tracer) devTele {
+func bindTele(reg *telemetry.Registry) devTele {
 	return devTele{
-		hostReads:         reg.Counter("core.host_reads"),
-		hostWrites:        reg.Counter("core.host_writes"),
-		flashReads:        reg.Counter("core.flash_reads"),
-		flashWrites:       reg.Counter("core.flash_writes"),
-		gcRelocations:     reg.Counter("core.gc_relocations"),
-		uncorrectable:     reg.Counter("core.uncorrectable"),
-		lostOPages:        reg.Counter("core.lost_opages"),
-		decommissions:     reg.Counter("core.decommissions"),
-		regenerations:     reg.Counter("core.regenerations"),
-		drains:            reg.Counter("core.drains"),
-		releases:          reg.Counter("core.releases"),
-		readRetries:       reg.Counter("core.read_retries"),
-		retrySaves:        reg.Counter("core.retry_saves"),
-		wearLevelMoves:    reg.Counter("core.wear_level_moves"),
-		eccCorrections:    reg.Counter("core.ecc_corrections"),
-		eccCorrectedBits:  reg.Counter("core.ecc_corrected_bits"),
-		eccErasureDecodes: reg.Counter("core.ecc_erasure_decodes"),
-		readLatency:       reg.Histogram("core.host_read_latency_ns"),
-		writeLatency:      reg.Histogram("core.host_write_latency_ns"),
-		servingSlots:      reg.Gauge("core.serving_slots"),
-		capacityFr:        reg.Gauge("core.capacity_frac"),
-		tr:                tr,
+		decommissions: reg.Counter("core.decommissions"),
+		regenerations: reg.Counter("core.regenerations"),
+		drains:        reg.Counter("core.drains"),
+		releases:      reg.Counter("core.releases"),
+		servingSlots:  reg.Gauge("core.serving_slots"),
+		capacityFr:    reg.Gauge("core.capacity_frac"),
 	}
 }
 
-// Device is a Salamander SSD. All exported entry points are safe for
-// concurrent use: one device mutex serializes host I/O, GC, tiredness
-// transitions, and lifecycle events (ShrinkS/RegenS), so their compound
-// invariants hold without fine-grained ordering rules; the flash array
-// underneath has its own per-channel locking. Lock order is device ->
-// flash channel. Notify handlers run with the device lock held and must
-// not call back into the device (the blockdev contract).
+func (t *devTele) counters() []*telemetry.Counter {
+	return []*telemetry.Counter{t.decommissions, t.regenerations, t.drains, t.releases}
+}
+
+// Device is a Salamander SSD: the minidisk directory and the Salamander
+// Lifecycle over an ftl.Engine. All exported entry points are safe for
+// concurrent use: the engine's device lock serializes host I/O, GC,
+// tiredness transitions, and lifecycle events (ShrinkS/RegenS), so their
+// compound invariants hold without fine-grained ordering rules. Lock order
+// is device -> flash channel. Notify handlers run with the device lock held
+// and must not call back into the device (the blockdev contract).
 type Device struct {
-	mu    sync.Mutex
-	cfg   Config
-	arr   *flash.Array
-	eng   *sim.Engine
-	model *rber.Model
-	rng   *stats.RNG
-
-	geoms  [rber.MaxUsableLevel + 1]ecc.SectorGeometry
-	codecs [rber.MaxUsableLevel + 1]*ecc.Code // built lazily per level
-
-	pages        []pageInfo
-	blockServing []int // per-block serving slot capacity
-	servingSlots int   // device-wide serving capacity in oPages
-	limbo        [rber.MaxUsableLevel + 1]int
+	cfg Config
+	e   *ftl.Engine
 
 	mdisks   []*minidisk // index = MinidiskID; never reused
 	liveLBAs int
 	reserve  int
+	barren   []int // erased blocks with zero serving capacity, parked
 
-	table *ftl.Table
-	valid *ftl.ValidMap
-	free  ftl.FreePool
-	wbuf  *ftl.WriteBuffer
-	state []blockState
+	notify func(blockdev.Event)
 
-	active int
-	nextPg int
-	gcBlk  int
-	gcPg   int
-	barren []int // erased blocks with zero serving capacity, parked
-
-	lost    map[int64]bool
-	retired bool
-	notify  func(blockdev.Event)
-
-	// Failpoints (nil = no fault injection).
-	fr       *faultinject.Registry
+	// Host-event failpoints (nil = no fault injection).
 	fiEvDrop *faultinject.Site // "core.event.drop"
 	fiEvDup  *faultinject.Site // "core.event.duplicate"
 
 	tele devTele
-
-	// Device-local wear tallies for the /wear ops report. Registry counters
-	// are shared across a fleet after Instrument, so per-device correction
-	// counts must live on the device itself; atomics keep them readable
-	// without the device lock.
-	wearCorr [rber.MaxUsableLevel + 1]atomic.Uint64
-	wearBits atomic.Uint64
-
-	// Data-path scratch, guarded by mu like the rest of the FTL state:
-	// readBuf receives raw pages from flash.ReadInto and pageBuf is the
-	// compose target for programs (flash.Program copies, so one buffer
-	// serves every program). Both are nil in metadata-only mode.
-	readBuf []byte
-	pageBuf []byte
-	// eraPos is the per-sector erasure-candidate scratch: grown stuck-column
-	// positions from flash, remapped to codeword bit indices for
-	// DecodeWithErasures without allocating per read.
-	eraPos []int
 }
 
 // New builds a Salamander device on a fresh flash array.
@@ -292,65 +193,23 @@ func New(cfg Config, eng *sim.Engine) (*Device, error) {
 		return nil, fmt.Errorf("core: minidisk size %d must be positive", cfg.MSizeOPages)
 	case cfg.OverProvision <= 0 || cfg.OverProvision >= 1:
 		return nil, fmt.Errorf("core: over-provisioning %v out of (0,1)", cfg.OverProvision)
-	case cfg.GCLowWater < 2:
-		return nil, errors.New("core: GC low water must be >= 2")
 	case cfg.MaxLevel < 0 || cfg.MaxLevel > rber.MaxUsableLevel:
 		return nil, fmt.Errorf("core: MaxLevel %d out of [0,%d]", cfg.MaxLevel, rber.MaxUsableLevel)
-	case cfg.MaxReadRetries < 0:
-		return nil, fmt.Errorf("core: MaxReadRetries %d is negative (0 means no retries)", cfg.MaxReadRetries)
-	case cfg.RealECC && !cfg.Flash.StoreData:
-		return nil, errors.New("core: RealECC requires Flash.StoreData")
 	}
-	if !cfg.RealECC {
-		// Analytic ECC: a modeled decode success means the raw errors were
-		// corrected, so reads must hand back pristine stored bytes.
-		cfg.Flash.PristineReads = true
-	}
-	arr, err := flash.New(cfg.Flash)
+	d := &Device{cfg: cfg, tele: bindTele(telemetry.NewRegistry())}
+	e, err := ftl.New(ftl.Config{
+		Layer: "core", Flash: cfg.Flash, GCLowWater: cfg.GCLowWater, RealECC: cfg.RealECC,
+		MaxReadRetries: cfg.MaxReadRetries, WearLevelSpread: cfg.WearLevelSpread, Seed: cfg.Seed,
+	}, eng, (*salamander)(d))
 	if err != nil {
 		return nil, err
 	}
-	g := arr.Geometry()
-	if g.PageSize != rber.FPageSize {
-		return nil, fmt.Errorf("core: fPage size %d unsupported (want %d)", g.PageSize, rber.FPageSize)
-	}
-	d := &Device{
-		cfg:          cfg,
-		arr:          arr,
-		eng:          eng,
-		model:        arr.Model(),
-		rng:          stats.NewRNG(cfg.Seed),
-		pages:        make([]pageInfo, g.TotalPages()),
-		blockServing: make([]int, g.TotalBlocks()),
-		table:        ftl.NewTable(),
-		valid:        ftl.NewValidMap(g.TotalBlocks(), g.PagesPerBlock, rber.OPagesPerFPage),
-		wbuf:         ftl.NewWriteBuffer(),
-		state:        make([]blockState, g.TotalBlocks()),
-		active:       -1,
-		gcBlk:        -1,
-		lost:         map[int64]bool{},
-		tele:         bindTele(telemetry.NewRegistry(), nil),
-	}
-	for l := 0; l <= rber.MaxUsableLevel; l++ {
-		d.geoms[l] = rber.LevelGeometry(l)
-	}
-	if cfg.Flash.StoreData {
-		d.readBuf = make([]byte, g.RawPageBytes())
-		d.pageBuf = make([]byte, g.RawPageBytes())
-	}
-	if cfg.RealECC {
-		d.eraPos = make([]int, 0, 16)
-	}
-	d.servingSlots = g.TotalPages() * rber.OPagesPerFPage
-	for b := 0; b < g.TotalBlocks(); b++ {
-		d.blockServing[b] = g.PagesPerBlock * rber.OPagesPerFPage
-		d.free.Put(b, 0)
-	}
-	total := d.servingSlots
+	d.e = e
+	total := e.ServingSlots()
 	// Like the baseline, the reserve covers both the percentage headroom
 	// and GC's block-granular working set on small devices.
 	d.reserve = int(float64(total)*cfg.OverProvision) + 1
-	if minRes := 4 * g.PagesPerBlock * rber.OPagesPerFPage; d.reserve < minRes {
+	if minRes := 4 * e.Array().Geometry().PagesPerBlock * rber.OPagesPerFPage; d.reserve < minRes {
 		d.reserve = minRes
 	}
 	n := (total - d.reserve) / cfg.MSizeOPages
@@ -370,23 +229,6 @@ func New(cfg Config, eng *sim.Engine) (*Device, error) {
 	return d, nil
 }
 
-// codec returns the (lazily built) BCH code for a service level.
-func (d *Device) codec(level int) *ecc.Code {
-	if d.codecs[level] == nil {
-		c, err := d.geoms[level].Build()
-		if err != nil {
-			panic(fmt.Sprintf("core: level %d codec: %v", level, err)) // geometries are static
-		}
-		d.codecs[level] = c
-	}
-	return d.codecs[level]
-}
-
-// pageIdx flattens a PPA into the pages slice.
-func (d *Device) pageIdx(ppa flash.PPA) int {
-	return ppa.Block*d.arr.Geometry().PagesPerBlock + ppa.Page
-}
-
 func packKey(md blockdev.MinidiskID, lba int) int64 {
 	return int64(md)<<24 | int64(lba)
 }
@@ -394,32 +236,33 @@ func packKey(md blockdev.MinidiskID, lba int) int64 {
 // --- host interface --------------------------------------------------------
 
 // Engine returns the simulation engine the device advances.
-func (d *Device) Engine() *sim.Engine { return d.eng }
+func (d *Device) Engine() *sim.Engine { return d.e.Clock() }
 
 // Array exposes the underlying flash for inspection.
-func (d *Device) Array() *flash.Array { return d.arr }
+func (d *Device) Array() *flash.Array { return d.e.Array() }
 
 // Counters returns an activity snapshot. The struct is a thin view built
 // from the device's registry-backed telemetry handles at call time;
 // mutating the returned value has no effect on the live device.
 func (d *Device) Counters() Counters {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
+	c := d.e.Counters()
 	return Counters{
-		HostReads:      d.tele.hostReads.Value(),
-		HostWrites:     d.tele.hostWrites.Value(),
-		FlashReads:     d.tele.flashReads.Value(),
-		FlashWrites:    d.tele.flashWrites.Value(),
-		GCRelocations:  d.tele.gcRelocations.Value(),
-		Uncorrectable:  d.tele.uncorrectable.Value(),
-		LostOPages:     d.tele.lostOPages.Value(),
+		HostReads:      c.HostReads,
+		HostWrites:     c.HostWrites,
+		FlashReads:     c.FlashReads,
+		FlashWrites:    c.FlashWrites,
+		GCRelocations:  c.GCRelocations,
+		Uncorrectable:  c.Uncorrectable,
+		LostOPages:     c.LostOPages,
 		Decommissions:  d.tele.decommissions.Value(),
 		Regenerations:  d.tele.regenerations.Value(),
 		Drains:         d.tele.drains.Value(),
 		Releases:       d.tele.releases.Value(),
-		ReadRetries:    d.tele.readRetries.Value(),
-		RetrySaves:     d.tele.retrySaves.Value(),
-		WearLevelMoves: d.tele.wearLevelMoves.Value(),
+		ReadRetries:    c.ReadRetries,
+		RetrySaves:     c.RetrySaves,
+		WearLevelMoves: c.WearLevelMoves,
 	}
 }
 
@@ -429,44 +272,18 @@ func (d *Device) Counters() Counters {
 // so instrument at startup for complete latency distributions. A nil
 // registry detaches back onto a private one.
 func (d *Device) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	d.e.Lock()
+	defer d.e.Unlock()
 	old := d.tele
-	d.tele = bindTele(reg, tr)
-	carry := func(dst, src *telemetry.Counter) {
-		if dst != src {
-			dst.Add(src.Value())
-		}
-	}
-	carry(d.tele.hostReads, old.hostReads)
-	carry(d.tele.hostWrites, old.hostWrites)
-	carry(d.tele.flashReads, old.flashReads)
-	carry(d.tele.flashWrites, old.flashWrites)
-	carry(d.tele.gcRelocations, old.gcRelocations)
-	carry(d.tele.uncorrectable, old.uncorrectable)
-	carry(d.tele.lostOPages, old.lostOPages)
-	carry(d.tele.decommissions, old.decommissions)
-	carry(d.tele.regenerations, old.regenerations)
-	carry(d.tele.drains, old.drains)
-	carry(d.tele.releases, old.releases)
-	carry(d.tele.readRetries, old.readRetries)
-	carry(d.tele.retrySaves, old.retrySaves)
-	carry(d.tele.wearLevelMoves, old.wearLevelMoves)
-	carry(d.tele.eccCorrections, old.eccCorrections)
-	carry(d.tele.eccCorrectedBits, old.eccCorrectedBits)
-	carry(d.tele.eccErasureDecodes, old.eccErasureDecodes)
+	d.tele = bindTele(d.e.Instrument(reg, tr))
+	ftl.CarryCounters(d.tele.counters(), old.counters())
 	d.updateGauges()
-	d.arr.Instrument(reg, tr)
 }
 
 // updateGauges refreshes the capacity gauges from device state.
 func (d *Device) updateGauges() {
-	d.tele.servingSlots.Set(float64(d.servingSlots))
-	total := d.arr.Geometry().TotalPages() * rber.OPagesPerFPage
-	d.tele.capacityFr.Set(float64(d.servingSlots) / float64(total))
+	d.tele.servingSlots.Set(float64(d.e.ServingSlots()))
+	d.tele.capacityFr.Set(d.e.CapacityFrac())
 }
 
 // InjectFaults attaches a failpoint registry: the registry clock is bound to
@@ -476,25 +293,21 @@ func (d *Device) updateGauges() {
 // per-device); instrument each registry into a shared telemetry registry for
 // the fleet view.
 func (d *Device) InjectFaults(fr *faultinject.Registry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.fr = fr
-	if fr == nil {
-		d.fiEvDrop, d.fiEvDup = nil, nil
-		d.arr.InjectFaults(nil)
-		return
+	d.e.Lock()
+	defer d.e.Unlock()
+	d.e.InjectFaults(fr)
+	d.fiEvDrop, d.fiEvDup = nil, nil
+	if fr != nil {
+		d.fiEvDrop = fr.Site("core.event.drop")
+		d.fiEvDup = fr.Site("core.event.duplicate")
 	}
-	fr.SetClock(func() sim.Time { return d.eng.Now() })
-	d.fiEvDrop = fr.Site("core.event.drop")
-	d.fiEvDup = fr.Site("core.event.duplicate")
-	d.arr.InjectFaults(fr)
 }
 
 // Retired reports whether the device has shrunk to nothing (or failed).
 func (d *Device) Retired() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.retired
+	d.e.Lock()
+	defer d.e.Unlock()
+	return d.e.Dead()
 }
 
 // Reserve returns the over-provisioning reserve in oPages.
@@ -503,23 +316,23 @@ func (d *Device) Reserve() int { return d.reserve }
 // ServingSlots returns the current serving capacity in oPages (Eq. 1's
 // total across levels).
 func (d *Device) ServingSlots() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.servingSlots
+	d.e.Lock()
+	defer d.e.Unlock()
+	return d.e.ServingSlots()
 }
 
 // LiveLBAs returns the exported logical capacity in oPages.
 func (d *Device) LiveLBAs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
 	return d.liveLBAs
 }
 
 // LimboPages returns the number of limbo fPages at each tiredness level.
 func (d *Device) LimboPages() [rber.MaxUsableLevel + 1]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.limbo
+	d.e.Lock()
+	defer d.e.Unlock()
+	return d.e.Limbo()
 }
 
 // Health is a SMART-style device self-report: the signals a fleet manager
@@ -543,14 +356,19 @@ type Health struct {
 
 // Health returns the current self-report.
 func (d *Device) Health() Health {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
+	return d.health()
+}
+
+func (d *Device) health() Health {
 	h := Health{
 		LiveLBAs:     d.liveLBAs,
-		ServingSlots: d.servingSlots,
+		ServingSlots: d.e.ServingSlots(),
 		Reserve:      d.reserve,
-		Limbo:        d.limbo,
-		Retired:      d.retired,
+		Limbo:        d.e.Limbo(),
+		CapacityFrac: d.e.CapacityFrac(),
+		Retired:      d.e.Dead(),
 	}
 	for _, m := range d.mdisks {
 		switch m.state {
@@ -560,57 +378,43 @@ func (d *Device) Health() Health {
 			h.DrainingMinidisks++
 		}
 	}
-	for i := range d.pages {
-		if d.pages[i].status == psDead {
-			h.DeadPages++
+	g := d.e.Array().Geometry()
+	for b := 0; b < g.TotalBlocks(); b++ {
+		for p := 0; p < g.PagesPerBlock; p++ {
+			if d.e.Page(flash.PPA{Block: b, Page: p}).Status == ftl.PageDead {
+				h.DeadPages++
+			}
 		}
 	}
-	st := d.arr.Stats()
+	st := d.e.Array().Stats()
 	h.MeanPEC = st.MeanPEC
 	h.MaxPEC = st.MaxPEC
-	total := d.arr.Geometry().TotalPages() * rber.OPagesPerFPage
-	h.CapacityFrac = float64(d.servingSlots) / float64(total)
 	return h
 }
 
 // Wear implements blockdev.WearReporter: the Salamander device's media-wear
-// self-report for the fleet ops surface. Correction tallies come from the
-// device-local atomics (registry counters are fleet-shared once the device
-// is instrumented); everything else is derived from Health and flash stats.
+// self-report for the fleet ops surface. Correction tallies are per device
+// (registry counters are fleet-shared once the device is instrumented);
+// everything else is derived from Health and flash stats.
 func (d *Device) Wear() blockdev.WearInfo {
-	h := d.Health()
-	st := d.arr.Stats()
-	w := blockdev.WearInfo{
-		Kind:              "core",
-		MeanPEC:           st.MeanPEC,
-		MaxPEC:            st.MaxPEC,
-		RBEREstimate:      d.model.RBER(st.MeanPEC),
-		CorrectedBits:     d.wearBits.Load(),
-		DeadBlocks:        st.DeadBlocks,
-		DeadPages:         h.DeadPages,
-		LimboPages:        append([]int(nil), h.Limbo[:]...),
-		LiveMinidisks:     h.LiveMinidisks,
-		DrainingMinidisks: h.DrainingMinidisks,
-		CapacityFrac:      h.CapacityFrac,
-		Retired:           h.Retired,
-	}
-	w.CorrectionsByLevel = make([]uint64, len(d.wearCorr))
-	for i := range d.wearCorr {
-		w.CorrectionsByLevel[i] = d.wearCorr[i].Load()
-		w.Corrections += w.CorrectionsByLevel[i]
-	}
-	d.mu.Lock()
+	d.e.Lock()
+	defer d.e.Unlock()
+	h := d.health()
+	w := d.e.Wear()
+	w.DeadPages = h.DeadPages
+	w.LimboPages = append([]int(nil), h.Limbo[:]...)
+	w.LiveMinidisks = h.LiveMinidisks
+	w.DrainingMinidisks = h.DrainingMinidisks
 	// Barren blocks are this device's retired-block analogue: erased blocks
 	// with zero serving capacity, parked out of the free pool.
 	w.RetiredBlocks = len(d.barren)
-	d.mu.Unlock()
 	return w
 }
 
 // Notify implements blockdev.Device.
 func (d *Device) Notify(fn func(blockdev.Event)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
 	d.notify = fn
 }
 
@@ -634,8 +438,8 @@ func (d *Device) emit(e blockdev.Event) {
 // Draining disks are excluded: they accept no writes and should receive no
 // placements, though their data remains readable until Release.
 func (d *Device) Minidisks() []blockdev.MinidiskInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
 	var out []blockdev.MinidiskInfo
 	for _, m := range d.mdisks {
 		if m.state == mdLive {
@@ -648,7 +452,7 @@ func (d *Device) Minidisks() []blockdev.MinidiskInfo {
 // lookupMD resolves a minidisk for an operation; forRead operations are
 // also served by draining disks (the grace-period contract).
 func (d *Device) lookupMD(md blockdev.MinidiskID, forRead bool) (*minidisk, error) {
-	if d.retired {
+	if d.e.Dead() {
 		return nil, blockdev.ErrBricked
 	}
 	if md < 0 || int(md) >= len(d.mdisks) {
@@ -684,235 +488,40 @@ func (d *Device) checkAddr(md blockdev.MinidiskID, lba int, buf []byte, forRead 
 
 // Write implements blockdev.Device.
 func (d *Device) Write(md blockdev.MinidiskID, lba int, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
 	if err := d.checkAddr(md, lba, buf, false); err != nil {
 		return err
 	}
-	d.tele.hostWrites.Inc()
-	start := d.eng.Now()
-	defer func() { d.tele.writeLatency.Observe(float64(d.eng.Now() - start)) }()
-	key := packKey(md, lba)
-	delete(d.lost, key)
-	var data []byte
-	if d.cfg.Flash.StoreData {
-		data = append([]byte(nil), buf...)
-	}
-	d.wbuf.Push(ftl.BufEntry{Key: key, Data: data})
-	return d.drainBuffer(false)
+	return d.e.Write(packKey(md, lba), buf)
 }
 
 // Flush programs any partially filled buffer to flash.
 func (d *Device) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.drainBuffer(true)
+	d.e.Lock()
+	defer d.e.Unlock()
+	return d.e.Flush()
 }
 
 // Trim implements blockdev.Device.
 func (d *Device) Trim(md blockdev.MinidiskID, lba int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
 	if err := d.checkAddr(md, lba, nil, false); err != nil {
 		return err
 	}
-	key := packKey(md, lba)
-	d.wbuf.Drop(key)
-	delete(d.lost, key)
-	if prev, had := d.table.Delete(key); had {
-		d.valid.Clear(prev)
-	}
+	d.e.Trim(packKey(md, lba))
 	return nil
 }
 
 // Read implements blockdev.Device; draining minidisks stay readable.
 func (d *Device) Read(md blockdev.MinidiskID, lba int, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.e.Lock()
+	defer d.e.Unlock()
 	if err := d.checkAddr(md, lba, buf, true); err != nil {
 		return err
 	}
-	d.tele.hostReads.Inc()
-	start := d.eng.Now()
-	defer func() { d.tele.readLatency.Observe(float64(d.eng.Now() - start)) }()
-	key := packKey(md, lba)
-	if d.lost[key] {
-		return blockdev.ErrUncorrectable
-	}
-	if data, ok := d.wbuf.Contains(key); ok {
-		if data != nil {
-			copy(buf, data)
-		} else {
-			zero(buf)
-		}
-		return nil
-	}
-	addr, ok := d.table.Lookup(key)
-	if !ok {
-		zero(buf)
-		return nil
-	}
-	// Decode straight into the host buffer: the whole clean-read path —
-	// flash ReadInto into the device's readBuf, per-sector Check/Decode from
-	// the codec's scratch pool, corrected bytes into buf — allocates nothing.
-	filled, err := d.readOPageInto(addr, buf)
-	if err != nil {
-		return err
-	}
-	if !filled {
-		zero(buf)
-	}
-	return nil
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// readOPage fetches one oPage into a freshly allocated buffer the caller
-// owns. GC relocation and the scrubber use this: their entries retain the
-// data past the next read, so they cannot share the device scratch.
-func (d *Device) readOPage(addr ftl.OPageAddr) ([]byte, error) {
-	var dst []byte
-	if d.cfg.Flash.StoreData {
-		dst = make([]byte, rber.OPageSize)
-	}
-	filled, err := d.readOPageInto(addr, dst)
-	if err != nil {
-		return nil, err
-	}
-	if !filled {
-		return nil, nil
-	}
-	return dst, nil
-}
-
-// readOPageInto fetches one oPage into dst (len rber.OPageSize; ignored in
-// metadata-only mode), decoding at the page's programmed level. Failed
-// reads are retried up to MaxReadRetries times — the iterative
-// voltage-adjustment mechanism of §2: each attempt re-senses the page (an
-// independent error sample) at the cost of a full additional read. filled
-// reports whether dst holds the oPage; it is false in metadata-only mode.
-func (d *Device) readOPageInto(addr ftl.OPageAddr, dst []byte) (bool, error) {
-	filled, injected, err := d.readOPageOnce(addr, dst)
-	sawInjected := injected
-	for attempt := 0; errors.Is(err, blockdev.ErrUncorrectable) && attempt < d.cfg.MaxReadRetries; attempt++ {
-		d.tele.readRetries.Inc()
-		filled, injected, err = d.readOPageOnce(addr, dst)
-		sawInjected = sawInjected || injected
-		if err == nil {
-			d.tele.retrySaves.Inc()
-			if sawInjected {
-				d.fr.Recovered("core")
-			}
-		}
-	}
-	return filled, err
-}
-
-// readOPageOnce performs a single read attempt: the raw page lands in the
-// device's readBuf, sectors are corrected there in place at the page's
-// programmed level, and the corrected payload is copied into dst. injected
-// reports whether the attempt hit an injected transient read failure.
-func (d *Device) readOPageOnce(addr ftl.OPageAddr, dst []byte) (filled, injected bool, err error) {
-	pi := &d.pages[d.pageIdx(addr.PPA)]
-	level := int(pi.progLevel)
-	geom := d.geoms[level]
-	spb := rber.OPageSize / rber.SectorSize
-
-	transfer := rber.OPageSize
-	var code *ecc.Code
-	if d.cfg.RealECC {
-		code = d.codec(level)
-		transfer += spb * code.ParityBytes()
-	}
-	res, err := d.arr.ReadInto(addr.PPA, transfer, d.readBuf)
-	if err != nil {
-		return false, false, fmt.Errorf("blockdev: %w", err)
-	}
-	d.tele.flashReads.Inc()
-	d.eng.Advance(res.Duration)
-	if code == nil {
-		pFail := geom.UncorrectableProb(res.RBER)
-		for s := 0; s < spb; s++ {
-			if d.rng.Float64() < pFail {
-				d.tele.uncorrectable.Inc()
-				return false, res.Injected, blockdev.ErrUncorrectable
-			}
-		}
-		if res.Data == nil {
-			return false, res.Injected, nil
-		}
-		off := addr.Slot * rber.OPageSize
-		copy(dst, res.Data[off:off+rber.OPageSize])
-		return true, res.Injected, nil
-	}
-	dataBytes := rber.LevelDataBytes(level)
-	pb := code.ParityBytes()
-	for s := 0; s < spb; s++ {
-		sectorGlobal := addr.Slot*spb + s
-		dataOff := addr.Slot*rber.OPageSize + s*rber.SectorSize
-		parityOff := dataBytes + sectorGlobal*pb
-		sector := res.Data[dataOff : dataOff+rber.SectorSize]
-		parity := res.Data[parityOff : parityOff+pb]
-		var bits int
-		var err error
-		if cand := d.sectorErasures(code, res.Stuck, dataOff, parityOff, pb); len(cand) > 0 {
-			// Wear tracking knows this block's grown stuck bit-lines: hand
-			// them to the codec as erasure candidates so a hit skips the
-			// full Chien scan. A miss falls back inside the codec.
-			bits, err = code.DecodeWithErasures(sector, parity, cand)
-			d.tele.eccErasureDecodes.Inc()
-		} else {
-			bits, err = code.Decode(sector, parity)
-		}
-		if err != nil {
-			d.tele.uncorrectable.Inc()
-			return false, res.Injected, blockdev.ErrUncorrectable
-		}
-		if bits > 0 {
-			d.tele.eccCorrections.Inc()
-			d.tele.eccCorrectedBits.Add(uint64(bits))
-			d.wearCorr[level].Add(1)
-			d.wearBits.Add(uint64(bits))
-			d.tele.tr.Emit(telemetry.Event{
-				T: d.eng.Now(), Kind: telemetry.KindEccCorrection, Layer: "core",
-				Block: addr.PPA.Block, Page: addr.PPA.Page, Level: level, N: int64(bits),
-			})
-		}
-		copy(dst[s*rber.SectorSize:], sector)
-	}
-	return true, res.Injected, nil
-}
-
-// sectorErasures remaps raw-page stuck bit offsets (LSB-first within each
-// byte, flash's convention) into codeword bit indices (MSB-first, data bits
-// then parity bits, the codec's convention) for the sector whose data bytes
-// span [dataOff, dataOff+SectorSize) and parity bytes
-// [parityOff, parityOff+pb) of the raw page. Offsets landing in other
-// sectors are dropped; parity offsets past the code's R bits (padding in
-// the final parity byte) are dropped too. The result reuses the device
-// scratch and stays distinct because the stuck positions are distinct.
-func (d *Device) sectorErasures(code *ecc.Code, stuck []int, dataOff, parityOff, pb int) []int {
-	if len(stuck) == 0 {
-		return nil
-	}
-	cand := d.eraPos[:0]
-	for _, bit := range stuck {
-		byteOff, cwBit := bit/8, 7-bit%8
-		switch {
-		case byteOff >= dataOff && byteOff < dataOff+rber.SectorSize:
-			cand = append(cand, (byteOff-dataOff)*8+cwBit)
-		case byteOff >= parityOff && byteOff < parityOff+pb:
-			if cw := code.K + (byteOff-parityOff)*8 + cwBit; cw < code.N {
-				cand = append(cand, cw)
-			}
-		}
-	}
-	d.eraPos = cand
-	return cand
+	return d.e.Read(packKey(md, lba), buf)
 }
 
 var _ blockdev.Device = (*Device)(nil)

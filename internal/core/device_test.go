@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"salamander/internal/blockdev"
@@ -10,7 +9,6 @@ import (
 	"salamander/internal/rber"
 	"salamander/internal/sim"
 	"salamander/internal/stats"
-	"salamander/internal/telemetry"
 )
 
 // testConfig: 2x8 blocks x 8 pages = 8 MiB, real ECC, 64KB minidisks so
@@ -62,78 +60,8 @@ func pattern(seed byte) []byte {
 // DESIGN.md §6.
 func checkInvariants(t *testing.T, d *Device) {
 	t.Helper()
-	g := d.arr.Geometry()
-	// Page state counts are consistent.
-	serving, limbo, dead := 0, 0, 0
-	servingSlots := 0
-	var limboByLevel [rber.MaxUsableLevel + 1]int
-	for i := range d.pages {
-		switch d.pages[i].status {
-		case psServing:
-			serving++
-			servingSlots += rber.OPagesPerFPage - int(d.pages[i].level)
-		case psLimbo:
-			limbo++
-			limboByLevel[d.pages[i].level]++
-		case psDead:
-			dead++
-		}
-	}
-	if serving+limbo+dead != g.TotalPages() {
-		t.Fatalf("page states don't sum: %d+%d+%d != %d", serving, limbo, dead, g.TotalPages())
-	}
-	if servingSlots != d.servingSlots {
-		t.Fatalf("servingSlots cache %d != recomputed %d", d.servingSlots, servingSlots)
-	}
-	for l, n := range limboByLevel {
-		if n != d.limbo[l] {
-			t.Fatalf("limbo[%d] cache %d != recomputed %d", l, d.limbo[l], n)
-		}
-	}
-	// Eq. 2: capacity covers live LBAs + reserve (unless retired).
-	if !d.retired && d.servingSlots < d.liveLBAs+d.reserve {
-		t.Fatalf("Eq.2 violated: serving %d < live %d + reserve %d",
-			d.servingSlots, d.liveLBAs, d.reserve)
-	}
-	// Live LBAs match the minidisk directory.
-	live := 0
-	for _, m := range d.mdisks {
-		if m.state == mdLive {
-			live += m.info.LBAs
-		}
-	}
-	if live != d.liveLBAs {
-		t.Fatalf("liveLBAs cache %d != directory sum %d", d.liveLBAs, live)
-	}
-	// Every mapped key belongs to a live minidisk and is unique per slot.
-	for _, m := range d.Minidisks() {
-		for lba := 0; lba < m.LBAs; lba++ {
-			key := packKey(m.ID, lba)
-			if addr, ok := d.table.Lookup(key); ok {
-				if got, live := d.valid.Key(addr); !live || got != key {
-					t.Fatalf("mapping %d -> %v not backed by valid slot", key, addr)
-				}
-			}
-		}
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	for i, mutate := range []func(*Config){
-		func(c *Config) { c.MSizeOPages = 0 },
-		func(c *Config) { c.OverProvision = 0 },
-		func(c *Config) { c.GCLowWater = 1 },
-		func(c *Config) { c.MaxLevel = -1 },
-		func(c *Config) { c.MaxLevel = 4 },
-		func(c *Config) { c.RealECC = true; c.Flash.StoreData = false },
-		func(c *Config) { c.MSizeOPages = 1 << 30 },
-	} {
-		cfg := testConfig()
-		mutate(&cfg)
-		if _, err := New(cfg, eng); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -206,23 +134,6 @@ func TestMinidiskIsolation(t *testing.T) {
 	}
 }
 
-func TestAddressValidation(t *testing.T) {
-	d, _ := mustDevice(t, testConfig())
-	buf := make([]byte, blockdev.OPageSize)
-	if err := d.Read(999, 0, buf); !errors.Is(err, blockdev.ErrNoSuchMinidisk) {
-		t.Errorf("bad md: %v", err)
-	}
-	if err := d.Read(0, 16, buf); !errors.Is(err, blockdev.ErrBadLBA) {
-		t.Errorf("bad lba: %v", err)
-	}
-	if err := d.Write(0, 0, buf[:7]); !errors.Is(err, blockdev.ErrBufSize) {
-		t.Errorf("bad buf: %v", err)
-	}
-	if err := d.Read(-1, 0, buf); !errors.Is(err, blockdev.ErrNoSuchMinidisk) {
-		t.Errorf("negative md: %v", err)
-	}
-}
-
 func TestTrimAndZeroReads(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
 	if err := d.Write(2, 5, pattern(9)); err != nil {
@@ -291,18 +202,6 @@ func TestGCPreservesDataAcrossMinidisks(t *testing.T) {
 	checkInvariants(t, d)
 }
 
-func TestClockAdvances(t *testing.T) {
-	d, eng := mustDevice(t, testConfig())
-	for lba := 0; lba < 4; lba++ {
-		if err := d.Write(0, lba, pattern(byte(lba))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eng.Now() == 0 {
-		t.Fatal("writes did not advance the virtual clock")
-	}
-}
-
 func TestFlushPartialPage(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
 	if err := d.Write(0, 0, pattern(7)); err != nil {
@@ -327,26 +226,6 @@ func TestFlushPartialPage(t *testing.T) {
 	checkInvariants(t, d)
 }
 
-func TestDeterministicCounters(t *testing.T) {
-	run := func() Counters {
-		d, _ := mustDevice(t, testConfig())
-		mds := d.Minidisks()
-		for r := 0; r < 3; r++ {
-			for i := 0; i < 6; i++ {
-				for lba := 0; lba < mds[i].LBAs; lba++ {
-					if err := d.Write(mds[i].ID, lba, pattern(byte(r+lba))); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		return d.Counters()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same-seed devices diverged:\n%+v\n%+v", a, b)
-	}
-}
-
 func TestSalamanderConformance(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
 	if err := blockdev.CheckConformance(d); err != nil {
@@ -358,66 +237,5 @@ func TestSalamanderConcurrencyConformance(t *testing.T) {
 	d, _ := mustDevice(t, stressConfig())
 	if err := blockdev.CheckConcurrency(d, 4, 300, 77); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCountersSnapshotIsolation pins the documented Counters() contract:
-// the returned struct is a point-in-time copy, so mutating it never
-// touches the live device.
-func TestCountersSnapshotIsolation(t *testing.T) {
-	d, _ := mustDevice(t, testConfig())
-	buf := pattern(5)
-	for lba := 0; lba < 8; lba++ {
-		if err := d.Write(0, lba, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Read(0, 3, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	before := d.Counters()
-	if before.HostWrites != 8 || before.HostReads != 1 {
-		t.Fatalf("unexpected baseline counters: %+v", before)
-	}
-	mutated := d.Counters()
-	mutated.HostWrites = 9999
-	mutated.Decommissions = 9999
-	if after := d.Counters(); after != before {
-		t.Errorf("mutating the snapshot changed the device: %+v vs %+v", after, before)
-	}
-}
-
-// TestInstrumentCarriesCounters: rebinding to a shared registry carries
-// accumulated counts, updates the gauges, and routes later activity there.
-func TestInstrumentCarriesCounters(t *testing.T) {
-	d, _ := mustDevice(t, testConfig())
-	buf := pattern(6)
-	for lba := 0; lba < 4; lba++ {
-		if err := d.Write(0, lba, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	reg := telemetry.NewRegistry()
-	d.Instrument(reg, nil)
-	if got := reg.Counter("core.host_writes").Value(); got != 4 {
-		t.Fatalf("carried host_writes = %d, want 4", got)
-	}
-	d.Instrument(reg, nil) // same registry: must not double-count
-	if got := reg.Counter("core.host_writes").Value(); got != 4 {
-		t.Fatalf("re-instrument doubled host_writes: %d", got)
-	}
-	if got := reg.Gauge("core.capacity_frac").Value(); got != 1 {
-		t.Fatalf("capacity_frac gauge = %v, want 1 on a fresh device", got)
-	}
-	if err := d.Write(0, 5, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("core.host_writes").Value(); got != 5 {
-		t.Fatalf("shared registry missed a write: %d", got)
 	}
 }

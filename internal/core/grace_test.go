@@ -193,34 +193,6 @@ func TestGraceCapacityInvariant(t *testing.T) {
 	}
 }
 
-// TestStaticWearLevelingTriggers: the Salamander device also recycles cold
-// blocks when the P/E spread exceeds the threshold.
-func TestStaticWearLevelingTriggers(t *testing.T) {
-	cfg := testConfig()
-	cfg.RealECC = false
-	cfg.Flash.StoreData = false
-	cfg.WearLevelSpread = 16
-	d, _ := mustDevice(t, cfg)
-	buf := make([]byte, blockdev.OPageSize)
-	// Cold base across many minidisks, then a hot hammer on one.
-	for _, m := range d.Minidisks() {
-		for lba := 0; lba < m.LBAs; lba++ {
-			if err := d.Write(m.ID, lba, buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < 20000; i++ {
-		if err := d.Write(0, i%16, buf); err != nil {
-			t.Fatalf("hot write %d: %v", i, err)
-		}
-	}
-	if d.Counters().WearLevelMoves == 0 {
-		t.Fatal("static WL never triggered on the Salamander device")
-	}
-	checkInvariants(t, d)
-}
-
 func TestHealthReport(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
 	h := d.Health()

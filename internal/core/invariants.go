@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"salamander/internal/rber"
 )
 
 // CheckInvariants verifies the device's internal accounting against the
@@ -13,52 +11,21 @@ import (
 //  1. page-state conservation — every fPage is serving, limbo, or dead, and
 //     the limbo tallies match the per-page states;
 //  2. the per-block serving-slot sums equal the device-wide serving capacity;
-//  3. Eq. 2 — serving capacity covers live LBAs plus the GC reserve (unless
+//  3. the mapping table and the valid slots are one bijection;
+//  4. Eq. 2 — serving capacity covers live LBAs plus the GC reserve (unless
 //     the device has retired);
-//  4. the live-LBA ledger equals the sum of live minidisk capacities.
+//  5. the live-LBA ledger equals the sum of live minidisk capacities.
 //
-// It is a pure read (no clock advance, no state change), so chaos drivers can
-// call it between operations. Returns nil when everything holds, or an error
-// listing every violation.
+// The first three are the engine's own (ftl.Engine.CheckInvariants). It is a
+// pure read (no clock advance, no state change), so chaos drivers can call it
+// between operations. Returns nil when everything holds, or an error listing
+// every violation.
 func (d *Device) CheckInvariants() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var bad []string
-
-	g := d.arr.Geometry()
-	var limboCount [rber.MaxUsableLevel + 1]int
-	servingSum := 0
-	for b := 0; b < g.TotalBlocks(); b++ {
-		blockSum := 0
-		for p := 0; p < g.PagesPerBlock; p++ {
-			pi := d.pages[b*g.PagesPerBlock+p]
-			switch pi.status {
-			case psServing:
-				blockSum += rber.OPagesPerFPage - int(pi.level)
-			case psLimbo:
-				if int(pi.level) <= rber.MaxUsableLevel {
-					limboCount[pi.level]++
-				}
-			case psDead:
-			default:
-				bad = append(bad, fmt.Sprintf("page %d/%d has unknown status %d", b, p, pi.status))
-			}
-		}
-		if blockSum != d.blockServing[b] {
-			bad = append(bad, fmt.Sprintf("block %d serving sum %d != tracked %d", b, blockSum, d.blockServing[b]))
-		}
-		servingSum += blockSum
-	}
-	if servingSum != d.servingSlots {
-		bad = append(bad, fmt.Sprintf("serving slots %d != per-page sum %d", d.servingSlots, servingSum))
-	}
-	for l := 0; l <= rber.MaxUsableLevel; l++ {
-		if limboCount[l] != d.limbo[l] {
-			bad = append(bad, fmt.Sprintf("limbo[%d] tally %d != per-page count %d (limbo conservation)", l, d.limbo[l], limboCount[l]))
-		}
-	}
-	if !d.retired && d.servingSlots < d.liveLBAs+d.reserve {
-		bad = append(bad, fmt.Sprintf("Eq. 2 violated: serving %d < live %d + reserve %d", d.servingSlots, d.liveLBAs, d.reserve))
+	d.e.Lock()
+	defer d.e.Unlock()
+	bad := d.e.CheckInvariants()
+	if !d.e.Dead() && d.e.ServingSlots() < d.liveLBAs+d.reserve {
+		bad = append(bad, fmt.Sprintf("Eq. 2 violated: serving %d < live %d + reserve %d", d.e.ServingSlots(), d.liveLBAs, d.reserve))
 	}
 	liveSum := 0
 	for _, m := range d.mdisks {
@@ -69,8 +36,8 @@ func (d *Device) CheckInvariants() error {
 	if liveSum != d.liveLBAs {
 		bad = append(bad, fmt.Sprintf("live LBAs %d != sum of live minidisks %d", d.liveLBAs, liveSum))
 	}
-	if d.liveLBAs < 0 || d.servingSlots < 0 {
-		bad = append(bad, fmt.Sprintf("negative capacity: live %d serving %d", d.liveLBAs, d.servingSlots))
+	if d.liveLBAs < 0 || d.e.ServingSlots() < 0 {
+		bad = append(bad, fmt.Sprintf("negative capacity: live %d serving %d", d.liveLBAs, d.e.ServingSlots()))
 	}
 
 	if len(bad) == 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"salamander/internal/blockdev"
@@ -11,388 +10,70 @@ import (
 	"salamander/internal/telemetry"
 )
 
-var errNoVictim = errors.New("core: no GC victim available")
+// --- the Salamander Lifecycle (§3.3, §3.4) -----------------------------------
 
-// maxGCPerAlloc bounds background collections per allocation attempt.
-const maxGCPerAlloc = 4
+// salamander is the Device as the engine's ftl.Lifecycle: flash retires a
+// page at a time, capacity is shed a minidisk at a time, and (RegenS) worn
+// pages return to service at lower code rates. It is a separate type so the
+// policy's methods stay out of the device's exported surface.
+type salamander Device
 
-// --- write path ------------------------------------------------------------
-
-// drainBuffer programs buffered oPages while full fPages can be formed (or
-// unconditionally when force is set, padding the final page).
-func (d *Device) drainBuffer(force bool) error {
-	for d.wbuf.Len() > 0 {
-		if d.retired {
-			return blockdev.ErrBricked
-		}
-		if err := d.ensureActive(); err != nil {
-			return err
-		}
-		level := int(d.pages[d.active*d.arr.Geometry().PagesPerBlock+d.nextPg].level)
-		need := rber.OPagesPerFPage - level
-		if d.wbuf.Len() < need && !force {
-			return nil
-		}
-		entries := d.wbuf.PopN(need)
-		if err := d.programPage(entries); err != nil {
-			return err
-		}
+// AdmitBlock: physically dead blocks retire; blocks whose pages are all
+// limbo or dead are parked aside ("barren") until regeneration revives them.
+func (p *salamander) AdmitBlock(block int) bool {
+	switch {
+	case p.e.Array().BlockDead(block):
+		p.e.RetireBlock(block)
+		return false
+	case p.e.BlockServing(block) == 0:
+		p.barren = append(p.barren, block)
+		return false
 	}
-	return nil
+	return true
 }
 
-// programPage writes entries into the active block's next serving page at
-// that page's service level.
-func (d *Device) programPage(entries []ftl.BufEntry) error {
-	ppa := flash.PPA{Block: d.active, Page: d.nextPg}
-	pi := &d.pages[d.pageIdx(ppa)]
-	level := int(pi.level)
-	var raw []byte
-	if d.cfg.Flash.StoreData {
-		raw = d.composePageInto(d.pageBuf, entries, level)
+// ProgramFailed: only the failed page dies — Salamander retires pages, not
+// blocks. On the host path the entries return to the NV buffer (relocating
+// through the normal flush path) before Eq. 2 re-runs over the lost
+// capacity, so a decommission triggered here drops their keys correctly. In
+// GC the collector retries on the next serving page and Eq. 2 runs from
+// Erased, after every entry is re-homed.
+func (p *salamander) ProgramFailed(ppa flash.PPA, host []ftl.BufEntry) bool {
+	p.e.KillPage(ppa)
+	if host != nil {
+		p.e.Requeue(host)
+		(*Device)(p).capacityChecks()
 	}
-	dur, err := d.arr.Program(ppa, raw)
-	if err != nil {
-		if !errors.Is(err, flash.ErrProgramFailed) {
-			return fmt.Errorf("blockdev: %w", err)
-		}
-		// Page-granular program-fail handling: only the failed page dies —
-		// Salamander retires pages, not blocks. The entries return to the NV
-		// buffer (relocating through the normal flush path) before Eq. 2
-		// re-runs over the lost capacity, so a decommission triggered here
-		// drops their keys correctly.
-		d.tele.flashWrites.Inc()
-		d.eng.Advance(dur)
-		for _, e := range entries {
-			d.wbuf.Push(e)
-		}
-		d.failPage(ppa)
-		d.advanceActive()
-		d.capacityChecks()
-		d.fr.Recovered("core")
-		return nil
-	}
-	d.tele.flashWrites.Inc()
-	d.eng.Advance(dur)
-	pi.progLevel = uint8(level)
-	for slot, e := range entries {
-		addr := ftl.OPageAddr{PPA: ppa, Slot: slot}
-		if prev, had := d.table.Update(e.Key, addr); had {
-			d.valid.Clear(prev)
-		}
-		d.valid.Set(addr, e.Key)
-	}
-	d.nextPg++
-	d.advanceActive()
-	return nil
+	return false
 }
 
-// failPage retires a page whose program failed: it leaves service permanently
-// (a dead page, not a dead block — the rest of the block keeps serving). The
-// caller re-runs capacityChecks once its own bookkeeping is consistent.
-func (d *Device) failPage(ppa flash.PPA) {
-	pi := &d.pages[d.pageIdx(ppa)]
-	switch pi.status {
-	case psServing:
-		slots := rber.OPagesPerFPage - int(pi.level)
-		d.servingSlots -= slots
-		d.blockServing[ppa.Block] -= slots
-	case psLimbo:
-		d.limbo[pi.level]--
-	}
-	pi.status = psDead
-}
-
-// advanceActive skips non-serving pages; seals the block when exhausted.
-func (d *Device) advanceActive() {
-	g := d.arr.Geometry()
-	for d.nextPg < g.PagesPerBlock &&
-		d.pages[d.active*g.PagesPerBlock+d.nextPg].status != psServing {
-		d.nextPg++
-	}
-	if d.nextPg >= g.PagesPerBlock {
-		d.state[d.active] = stSealed
-		d.active = -1
-	}
-}
-
-// composePageInto lays out up to (4-level) oPages and their per-sector BCH
-// parity for a level-coded fPage into dst (at least RawPageBytes),
-// returning the raw page slice. Callers pass the device's pageBuf scratch:
-// flash.Program copies, so one buffer serves every program. Parity
-// generation goes through the codec's shared EncodeSectors helper (the same
-// loop the baseline ssd compose uses), at this level's data size.
-func (d *Device) composePageInto(dst []byte, entries []ftl.BufEntry, level int) []byte {
-	g := d.arr.Geometry()
-	raw := dst[:g.RawPageBytes()]
-	zero(raw)
-	for slot, e := range entries {
-		if e.Data != nil {
-			copy(raw[slot*rber.OPageSize:], e.Data)
+// Erased: erasing is where NAND wear advances, so tiredness transitions,
+// Eq. 2 capacity checks, decommissioning, and regeneration all run from
+// here.
+func (p *salamander) Erased(block int, err error) {
+	d := (*Device)(p)
+	switch {
+	case err != nil:
+		d.e.RetireBlock(block)
+		d.retirePages(block)
+	default:
+		d.applyTransitions(block)
+		if d.e.BlockServing(block) > 0 {
+			d.e.FreeBlock(block)
+		} else {
+			d.barren = append(d.barren, block)
 		}
-	}
-	if d.cfg.RealECC {
-		code := d.codec(level)
-		if err := code.EncodeSectors(raw, rber.LevelDataBytes(level), rber.SectorSize); err != nil {
-			panic(err) // level geometries are fixed; cannot fail
-		}
-	}
-	return raw
-}
-
-// --- block allocation --------------------------------------------------------
-
-// allocBlock takes a block with serving capacity from the free pool. Blocks
-// whose pages are all limbo/dead are parked aside ("barren") until
-// regeneration revives them. The last free block is reserved for GC.
-func (d *Device) allocBlock(forGC bool) (int, bool) {
-	for {
-		if !forGC && d.free.Len() < 2 {
-			return -1, false
-		}
-		id, ok := d.free.Get()
-		if !ok {
-			return -1, false
-		}
-		if d.arr.BlockDead(id) {
-			d.state[id] = stBad
-			continue
-		}
-		if d.blockServing[id] == 0 {
-			d.barren = append(d.barren, id)
-			continue
-		}
-		return id, true
-	}
-}
-
-// ensureActive guarantees an open host write block positioned on a serving
-// page, collecting garbage as needed.
-func (d *Device) ensureActive() error {
-	if d.retired {
-		return blockdev.ErrBricked
-	}
-	for i := 0; i < maxGCPerAlloc && d.free.Len() <= d.cfg.GCLowWater; i++ {
-		if err := d.collect(); err != nil {
-			if errors.Is(err, errNoVictim) {
-				break
-			}
-			return err
-		}
-		if d.retired {
-			return blockdev.ErrBricked
-		}
-	}
-	if d.active >= 0 {
-		return nil
-	}
-	id, ok := d.allocBlock(false)
-	for !ok {
-		if d.retired {
-			return blockdev.ErrBricked
-		}
-		if err := d.collect(); err != nil {
-			d.retire()
-			return blockdev.ErrDeviceFull
-		}
-		if d.free.Len() > 1 {
-			id, ok = d.allocBlock(false)
-		}
-	}
-	d.state[id] = stActive
-	d.active = id
-	d.nextPg = 0
-	d.advanceActive()
-	if d.active < 0 {
-		// The block sealed immediately (no serving pages appeared after a
-		// concurrent transition); try again.
-		return d.ensureActive()
-	}
-	return nil
-}
-
-// --- garbage collection ------------------------------------------------------
-
-// nextGCPage positions the GC write stream on a serving page, allocating or
-// sealing GC blocks as needed. Returns the page and its service level.
-func (d *Device) nextGCPage() (flash.PPA, int, error) {
-	g := d.arr.Geometry()
-	for {
-		if d.gcBlk >= 0 {
-			for d.gcPg < g.PagesPerBlock &&
-				d.pages[d.gcBlk*g.PagesPerBlock+d.gcPg].status != psServing {
-				d.gcPg++
-			}
-			if d.gcPg < g.PagesPerBlock {
-				ppa := flash.PPA{Block: d.gcBlk, Page: d.gcPg}
-				return ppa, int(d.pages[d.pageIdx(ppa)].level), nil
-			}
-			d.state[d.gcBlk] = stSealed
-			d.gcBlk = -1
-		}
-		id, ok := d.allocBlock(true)
-		if !ok {
-			return flash.PPA{}, 0, errNoVictim
-		}
-		d.state[id] = stActive
-		d.gcBlk = id
-		d.gcPg = 0
-	}
-}
-
-// collect reclaims one sealed block: live oPages are packed into full fPages
-// in the GC block, sub-page remainders spill into the NV write buffer, and
-// the victim is erased. Erasing is where NAND wear advances, so tiredness
-// transitions, Eq. 2 capacity checks, decommissioning, and regeneration all
-// run from here.
-func (d *Device) collect() error {
-	victim, ok := d.pickVictim()
-	if !ok {
-		return errNoVictim
-	}
-
-	var moved []ftl.BufEntry
-	for _, se := range d.valid.LiveSlots(victim) {
-		if _, pending := d.wbuf.Contains(se.Key); pending {
-			// A newer write is buffered; the flash copy is stale.
-			d.valid.Clear(se.Addr)
-			d.table.Delete(se.Key)
-			continue
-		}
-		data, err := d.readOPage(se.Addr)
-		if err != nil {
-			if errors.Is(err, blockdev.ErrUncorrectable) {
-				d.valid.Clear(se.Addr)
-				d.table.Delete(se.Key)
-				d.lost[se.Key] = true
-				d.tele.lostOPages.Inc()
-				continue
-			}
-			return err
-		}
-		d.tele.gcRelocations.Inc()
-		moved = append(moved, ftl.BufEntry{Key: se.Key, Data: data})
-	}
-	d.tele.tr.Emit(telemetry.Event{
-		T: d.eng.Now(), Kind: telemetry.KindGcVictim, Layer: "ftl",
-		Block: victim, N: int64(len(moved)),
-	})
-
-	// Pack full fPages; spill the tail into the NV buffer.
-	for len(moved) > 0 {
-		ppa, level, err := d.nextGCPage()
-		if err != nil {
-			break // no GC destination; spill everything
-		}
-		slots := rber.OPagesPerFPage - level
-		if len(moved) < slots {
-			break
-		}
-		entries := moved[:slots]
-		var raw []byte
-		if d.cfg.Flash.StoreData {
-			raw = d.composePageInto(d.pageBuf, entries, level)
-		}
-		dur, err := d.arr.Program(ppa, raw)
-		if err != nil {
-			if !errors.Is(err, flash.ErrProgramFailed) {
-				return fmt.Errorf("blockdev: %w", err)
-			}
-			// The failed GC page dies; the entries stay in moved and retry on
-			// the next serving page (nextGCPage skips dead pages). Eq. 2 runs
-			// at the end of collect, after every entry is re-homed.
-			d.tele.flashWrites.Inc()
-			d.eng.Advance(dur)
-			d.failPage(ppa)
-			d.fr.Recovered("core")
-			continue
-		}
-		moved = moved[slots:]
-		d.tele.flashWrites.Inc()
-		d.eng.Advance(dur)
-		d.pages[d.pageIdx(ppa)].progLevel = uint8(level)
-		for slot, e := range entries {
-			a := ftl.OPageAddr{PPA: ppa, Slot: slot}
-			if prev, had := d.table.Update(e.Key, a); had {
-				d.valid.Clear(prev)
-			}
-			d.valid.Set(a, e.Key)
-		}
-		d.gcPg++
-	}
-	for _, e := range moved {
-		if prev, had := d.table.Delete(e.Key); had {
-			d.valid.Clear(prev)
-		}
-		d.wbuf.Push(e)
-	}
-
-	d.valid.ClearBlock(victim)
-	dur, err := d.arr.Erase(victim)
-	d.eng.Advance(dur)
-	if err != nil {
-		d.state[victim] = stBad
-		d.retirePages(victim)
-		d.capacityChecks()
-		return nil
-	}
-	d.applyTransitions(victim)
-	if d.blockServing[victim] > 0 {
-		d.state[victim] = stFree
-		d.free.Put(victim, d.arr.BlockPEC(victim))
-	} else {
-		d.state[victim] = stFree
-		d.barren = append(d.barren, victim)
 	}
 	d.capacityChecks()
-	return nil
 }
 
-// pickVictim chooses the next block to collect: normally the greedy
-// minimum-valid sealed block with reclaimable space, but when the P/E
-// spread between the hottest and coldest sealed blocks exceeds the static
-// wear-leveling threshold, the coldest block is recycled instead — even if
-// fully valid — so cold data stops pinning young blocks (§2's wear
-// leveling).
-func (d *Device) pickVictim() (int, bool) {
-	if d.cfg.WearLevelSpread > 0 {
-		coldest, hottest := -1, -1
-		var minPEC, maxPEC uint32
-		for b, st := range d.state {
-			if st != stSealed {
-				continue
-			}
-			pec := d.arr.BlockPEC(b)
-			if coldest < 0 || pec < minPEC {
-				coldest, minPEC = b, pec
-			}
-			if hottest < 0 || pec > maxPEC {
-				hottest, maxPEC = b, pec
-			}
-		}
-		if coldest >= 0 && maxPEC-minPEC > d.cfg.WearLevelSpread {
-			d.tele.wearLevelMoves.Inc()
-			return coldest, true
-		}
-	}
-	return d.valid.Victim(func(b int) bool {
-		return d.state[b] == stSealed && d.valid.ValidCount(b) < d.blockServing[b]
-	})
-}
+// Exhausted: nothing is left to reclaim; the device has shrunk to nothing.
+func (p *salamander) Exhausted() { (*Device)(p).retire() }
 
 // retirePages marks every page of a physically dead block as dead.
 func (d *Device) retirePages(block int) {
-	g := d.arr.Geometry()
-	for p := 0; p < g.PagesPerBlock; p++ {
-		pi := &d.pages[block*g.PagesPerBlock+p]
-		switch pi.status {
-		case psServing:
-			d.servingSlots -= rber.OPagesPerFPage - int(pi.level)
-			d.blockServing[block] -= rber.OPagesPerFPage - int(pi.level)
-		case psLimbo:
-			d.limbo[pi.level]--
-		}
-		pi.status = psDead
+	for p := 0; p < d.e.Array().Geometry().PagesPerBlock; p++ {
+		d.e.KillPage(flash.PPA{Block: block, Page: p})
 	}
 }
 
@@ -400,46 +81,27 @@ func (d *Device) retirePages(block int) {
 // serving pages whose wear crossed their level's PEC limit move to limbo (or
 // die in ShrinkS); limbo pages keep tiring until they die.
 func (d *Device) applyTransitions(block int) {
-	g := d.arr.Geometry()
-	for p := 0; p < g.PagesPerBlock; p++ {
+	for p := 0; p < d.e.Array().Geometry().PagesPerBlock; p++ {
 		ppa := flash.PPA{Block: block, Page: p}
-		pi := &d.pages[d.pageIdx(ppa)]
-		t := d.arr.PageTiredness(ppa)
-		var detail string
-		switch pi.status {
-		case psServing:
-			if t > int(pi.level) {
-				d.servingSlots -= rber.OPagesPerFPage - int(pi.level)
-				d.blockServing[block] -= rber.OPagesPerFPage - int(pi.level)
-				if t > d.cfg.MaxLevel || t > rber.MaxUsableLevel {
-					pi.status = psDead
-					detail = "serving->dead"
-				} else {
-					pi.status = psLimbo
-					pi.level = uint8(t)
-					d.limbo[t]++
-					detail = "serving->limbo"
-				}
-			}
-		case psLimbo:
-			if t > int(pi.level) {
-				d.limbo[pi.level]--
-				if t > d.cfg.MaxLevel || t > rber.MaxUsableLevel {
-					pi.status = psDead
-					detail = "limbo->dead"
-				} else {
-					pi.level = uint8(t)
-					d.limbo[t]++
-					detail = "limbo->limbo"
-				}
-			}
+		pi := d.e.Page(ppa)
+		t := d.e.Array().PageTiredness(ppa)
+		if pi.Status == ftl.PageDead || t <= int(pi.Level) {
+			continue
 		}
-		if detail != "" {
-			d.tele.tr.Emit(telemetry.Event{
-				T: d.eng.Now(), Kind: telemetry.KindTirednessTransition, Layer: "core",
-				Block: block, Page: p, Level: t, Detail: detail,
-			})
+		from := "serving"
+		if pi.Status == ftl.PageLimbo {
+			from = "limbo"
 		}
+		to := "limbo"
+		if t > d.cfg.MaxLevel || t > rber.MaxUsableLevel {
+			to = "dead"
+			d.e.KillPage(ppa)
+		} else {
+			d.e.SetPage(ppa, ftl.PageLimbo, t)
+		}
+		d.e.Trace(telemetry.Event{
+			Kind: telemetry.KindTirednessTransition, Block: block, Page: p, Level: t, Detail: from + "->" + to,
+		})
 	}
 }
 
@@ -450,7 +112,7 @@ func (d *Device) applyTransitions(block int) {
 // minidisks from accumulated limbo capacity (RegenS).
 func (d *Device) capacityChecks() {
 	shrunk := 0
-	for !d.retired && d.servingSlots < d.liveLBAs+d.reserve {
+	for !d.e.Dead() && d.e.ServingSlots() < d.liveLBAs+d.reserve {
 		if !d.decommissionOne() {
 			d.retire()
 			return
@@ -460,16 +122,15 @@ func (d *Device) capacityChecks() {
 	if shrunk > 0 {
 		// The paper's headline: where the baseline would brick on a capacity
 		// deficit, Salamander sheds minidisks and keeps serving.
-		d.tele.tr.Emit(telemetry.Event{
-			T: d.eng.Now(), Kind: telemetry.KindBrickAvoided, Layer: "core",
-			N: int64(shrunk), Detail: "shrunk instead of bricking",
+		d.e.Trace(telemetry.Event{
+			Kind: telemetry.KindBrickAvoided, N: int64(shrunk), Detail: "shrunk instead of bricking",
 		})
 	}
 	if d.cfg.MaxLevel >= 1 {
 		d.maybeRegenerate()
 	}
 	d.updateGauges()
-	if d.liveLBAs == 0 && !d.retired {
+	if d.liveLBAs == 0 && !d.e.Dead() {
 		d.retire()
 	}
 }
@@ -498,59 +159,47 @@ func (d *Device) decommissionOne() bool {
 	if d.cfg.GraceDecommission {
 		victim.state = mdDraining
 		d.tele.drains.Inc()
-		d.tele.tr.Emit(telemetry.Event{
-			T: d.eng.Now(), Kind: telemetry.KindMinidiskRetire, Layer: "core",
+		d.e.Trace(telemetry.Event{
+			Kind:     telemetry.KindMinidiskRetire,
 			Minidisk: int(victim.info.ID), Level: victim.info.Tiredness, Detail: "drain",
 		})
 		d.emit(blockdev.Event{Kind: blockdev.EventDrain, Minidisk: victim.info.ID, Info: victim.info})
 		return true
 	}
-	d.invalidateMinidisk(victim)
-	victim.state = mdDead
-	d.tele.decommissions.Inc()
-	d.tele.tr.Emit(telemetry.Event{
-		T: d.eng.Now(), Kind: telemetry.KindMinidiskRetire, Layer: "core",
-		Minidisk: int(victim.info.ID), Level: victim.info.Tiredness, Detail: "decommission",
-	})
-	d.emit(blockdev.Event{Kind: blockdev.EventDecommission, Minidisk: victim.info.ID, Info: victim.info})
+	d.finishDecommission(victim, "decommission")
 	return true
 }
 
-// invalidateMinidisk drops every mapping of a minidisk so its slots become
-// reclaimable garbage.
-func (d *Device) invalidateMinidisk(m *minidisk) {
+// finishDecommission takes a minidisk's data away for good: every mapping
+// is dropped so its slots become reclaimable garbage, and the host is told.
+// detail names the route here in the trace.
+func (d *Device) finishDecommission(m *minidisk, detail string) {
 	for lba := 0; lba < m.info.LBAs; lba++ {
-		key := packKey(m.info.ID, lba)
-		d.wbuf.Drop(key)
-		delete(d.lost, key)
-		if prev, had := d.table.Delete(key); had {
-			d.valid.Clear(prev)
-		}
+		d.e.Trim(packKey(m.info.ID, lba))
 	}
+	m.state = mdDead
+	d.tele.decommissions.Inc()
+	d.e.Trace(telemetry.Event{
+		Kind:     telemetry.KindMinidiskRetire,
+		Minidisk: int(m.info.ID), Level: m.info.Tiredness, Detail: detail,
+	})
+	d.emit(blockdev.Event{Kind: blockdev.EventDecommission, Minidisk: m.info.ID, Info: m.info})
 }
 
 // Release implements blockdev.Drainer: the host has safely re-replicated a
 // draining minidisk's data, so its space can be reclaimed and the
 // decommission completed.
 func (d *Device) Release(md blockdev.MinidiskID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.retired {
+	d.e.Lock()
+	defer d.e.Unlock()
+	if d.e.Dead() {
 		return blockdev.ErrBricked
 	}
 	if md < 0 || int(md) >= len(d.mdisks) || d.mdisks[md].state != mdDraining {
 		return fmt.Errorf("%w: %d is not draining", blockdev.ErrNoSuchMinidisk, md)
 	}
-	m := d.mdisks[md]
-	d.invalidateMinidisk(m)
-	m.state = mdDead
 	d.tele.releases.Inc()
-	d.tele.decommissions.Inc()
-	d.tele.tr.Emit(telemetry.Event{
-		T: d.eng.Now(), Kind: telemetry.KindMinidiskRetire, Layer: "core",
-		Minidisk: int(m.info.ID), Level: m.info.Tiredness, Detail: "release",
-	})
-	d.emit(blockdev.Event{Kind: blockdev.EventDecommission, Minidisk: m.info.ID, Info: m.info})
+	d.finishDecommission(d.mdisks[md], "release")
 	return nil
 }
 
@@ -561,19 +210,15 @@ func (d *Device) maybeRegenerate() {
 	for j := 1; j <= d.cfg.MaxLevel; j++ {
 		slotsPer := rber.OPagesPerFPage - j
 		need := (d.cfg.MSizeOPages + slotsPer - 1) / slotsPer
-		for d.limbo[j] >= need {
+		for d.e.Limbo()[j] >= need {
 			claimed := d.claimPages(j, need)
 			if len(claimed) < need {
 				// Limbo pages exist but sit in blocks that are not erased
 				// right now; retry after future collections.
 				break
 			}
-			for _, idx := range claimed {
-				pi := &d.pages[idx]
-				pi.status = psServing
-				d.limbo[j]--
-				d.servingSlots += slotsPer
-				d.blockServing[idx/d.arr.Geometry().PagesPerBlock] += slotsPer
+			for _, ppa := range claimed {
+				d.e.SetPage(ppa, ftl.PageServing, j)
 			}
 			d.reviveBarren()
 			id := blockdev.MinidiskID(len(d.mdisks))
@@ -581,38 +226,29 @@ func (d *Device) maybeRegenerate() {
 			d.mdisks = append(d.mdisks, &minidisk{info: info})
 			d.liveLBAs += info.LBAs
 			d.tele.regenerations.Inc()
-			d.tele.tr.Emit(telemetry.Event{
-				T: d.eng.Now(), Kind: telemetry.KindMinidiskRegen, Layer: "core",
-				Minidisk: int(id), Level: j,
-			})
+			d.e.Trace(telemetry.Event{Kind: telemetry.KindMinidiskRegen, Minidisk: int(id), Level: j})
 			d.emit(blockdev.Event{Kind: blockdev.EventRegenerate, Minidisk: id, Info: info})
 		}
 	}
 }
 
-// claimPages gathers up to need limbo pages at level j from erased blocks
-// (free pool and barren list) — only erased pages can re-enter the program
-// order. Returns page indices; fewer than need means not enough claimable.
-func (d *Device) claimPages(j, need int) []int {
-	g := d.arr.Geometry()
-	var out []int
-	scan := append(d.free.Blocks(), d.barren...)
-	for _, b := range scan {
-		for p := 0; p < g.PagesPerBlock && len(out) < need; p++ {
-			idx := b*g.PagesPerBlock + p
-			pi := d.pages[idx]
-			if pi.status == psLimbo && int(pi.level) == j {
-				out = append(out, idx)
+// claimPages gathers need limbo pages at level j from erased blocks (free
+// pool and barren list) — only erased pages can re-enter the program order.
+// It returns nil when fewer than need are claimable.
+func (d *Device) claimPages(j, need int) []flash.PPA {
+	var out []flash.PPA
+	for _, b := range append(d.e.FreeBlocks(), d.barren...) {
+		for p := 0; p < d.e.Array().Geometry().PagesPerBlock && len(out) < need; p++ {
+			ppa := flash.PPA{Block: b, Page: p}
+			if pi := d.e.Page(ppa); pi.Status == ftl.PageLimbo && int(pi.Level) == j {
+				out = append(out, ppa)
 			}
 		}
 		if len(out) >= need {
-			break
+			return out
 		}
 	}
-	if len(out) < need {
-		return nil
-	}
-	return out
+	return nil
 }
 
 // reviveBarren returns parked blocks that regained serving capacity to the
@@ -620,8 +256,8 @@ func (d *Device) claimPages(j, need int) []int {
 func (d *Device) reviveBarren() {
 	var still []int
 	for _, b := range d.barren {
-		if d.blockServing[b] > 0 {
-			d.free.Put(b, d.arr.BlockPEC(b))
+		if d.e.BlockServing(b) > 0 {
+			d.e.FreeBlock(b)
 		} else {
 			still = append(still, b)
 		}
@@ -635,27 +271,17 @@ func (d *Device) reviveBarren() {
 // the distributed layer sees every failure domain disappear before the
 // device-level event.
 func (d *Device) retire() {
-	if d.retired {
+	if d.e.Dead() {
 		return
 	}
 	for d.decommissionOne() {
 	}
 	for _, m := range d.mdisks {
 		if m.state == mdDraining {
-			d.invalidateMinidisk(m)
-			m.state = mdDead
-			d.tele.decommissions.Inc()
-			d.tele.tr.Emit(telemetry.Event{
-				T: d.eng.Now(), Kind: telemetry.KindMinidiskRetire, Layer: "core",
-				Minidisk: int(m.info.ID), Level: m.info.Tiredness, Detail: "force_release",
-			})
-			d.emit(blockdev.Event{Kind: blockdev.EventDecommission, Minidisk: m.info.ID, Info: m.info})
+			d.finishDecommission(m, "force_release")
 		}
 	}
-	d.retired = true
-	d.tele.tr.Emit(telemetry.Event{
-		T: d.eng.Now(), Kind: telemetry.KindMinidiskRetire, Layer: "core",
-		Detail: "device_retired",
-	})
+	d.e.MarkDead()
+	d.e.Trace(telemetry.Event{Kind: telemetry.KindMinidiskRetire, Detail: "device_retired"})
 	d.emit(blockdev.Event{Kind: blockdev.EventBrick})
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"salamander/internal/blockdev"
+	"salamander/internal/flash"
+	"salamander/internal/ftl"
 	"salamander/internal/rber"
 	"salamander/internal/sim"
 	"salamander/internal/ssd"
@@ -269,12 +271,13 @@ func TestInvariantsThroughoutAging(t *testing.T) {
 // TestTirednessMonotone: no page's tiredness ever decreases.
 func TestTirednessMonotone(t *testing.T) {
 	d, _ := mustDevice(t, agingConfig(8, 1))
-	prev := make([]uint8, len(d.pages))
-	statusRank := func(p pageInfo) uint8 {
-		if p.status == psDead {
+	g := d.Array().Geometry()
+	prev := make([]uint8, g.TotalPages())
+	statusRank := func(p ftl.PageInfo) uint8 {
+		if p.Status == ftl.PageDead {
 			return rber.DeadLevel
 		}
-		return p.level
+		return p.Level
 	}
 	buf := make([]byte, blockdev.OPageSize)
 	for round := 0; round < 100 && !d.Retired(); round++ {
@@ -285,8 +288,8 @@ func TestTirednessMonotone(t *testing.T) {
 				}
 			}
 		}
-		for i := range d.pages {
-			r := statusRank(d.pages[i])
+		for i := range prev {
+			r := statusRank(d.e.Page(flash.PPA{Block: i / g.PagesPerBlock, Page: i % g.PagesPerBlock}))
 			if r < prev[i] {
 				t.Fatalf("page %d level went backwards: %d -> %d", i, prev[i], r)
 			}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"salamander/internal/blockdev"
-	"salamander/internal/ftl"
-)
+import "salamander/internal/blockdev"
 
 // ScrubReport summarizes one background media scan.
 type ScrubReport struct {
@@ -21,79 +16,28 @@ type ScrubReport struct {
 	Lost int
 }
 
-// scrubRefreshFraction: refresh data once its page's RBER passes this
-// fraction of the level ceiling.
-const scrubRefreshFraction = 0.8
-
 // Scrub performs a background media scan (the patrol read real SSD
 // firmware schedules): every mapped oPage is read through ECC; data on
 // pages drifting toward their correction ceiling is rewritten to fresh
 // pages, and unreadable oPages are surfaced as lost. Scrubbing costs real
 // device time on the virtual clock.
 func (d *Device) Scrub() (ScrubReport, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var rep ScrubReport
-	if d.retired {
-		return rep, blockdev.ErrBricked
+	d.e.Lock()
+	defer d.e.Unlock()
+	if d.e.Dead() {
+		return ScrubReport{}, blockdev.ErrBricked
 	}
-	// Snapshot the mapped keys first: refreshing mutates the table.
-	type item struct {
-		key  int64
-		addr ftl.OPageAddr
-	}
-	var items []item
+	var keys []int64
 	for _, m := range d.mdisks {
 		if m.state == mdDead {
 			continue
 		}
 		for lba := 0; lba < m.info.LBAs; lba++ {
-			key := packKey(m.info.ID, lba)
-			if addr, ok := d.table.Lookup(key); ok {
-				items = append(items, item{key, addr})
-			}
+			keys = append(keys, packKey(m.info.ID, lba))
 		}
 	}
-	for _, it := range items {
-		// The mapping may have moved since the snapshot (GC, overwrites).
-		addr, ok := d.table.Lookup(it.key)
-		if !ok || addr != it.addr {
-			continue
-		}
-		data, err := d.readOPage(addr)
-		if err != nil {
-			if errors.Is(err, blockdev.ErrUncorrectable) {
-				d.valid.Clear(addr)
-				d.table.Delete(it.key)
-				d.lost[it.key] = true
-				d.tele.lostOPages.Inc()
-				rep.Lost++
-				continue
-			}
-			return rep, err
-		}
-		rep.Scanned++
-		pi := d.pages[d.pageIdx(addr.PPA)]
-		ceiling := d.model.Level(int(pi.progLevel)).MaxRBER
-		if d.arr.EffectiveRBER(addr.PPA) >= scrubRefreshFraction*ceiling {
-			// Refresh: push the data back through the write path so it
-			// lands on a healthier page.
-			var buf []byte
-			if d.cfg.Flash.StoreData {
-				buf = data
-			}
-			d.wbuf.Push(ftl.BufEntry{Key: it.key, Data: buf})
-			if err := d.drainBuffer(false); err != nil {
-				return rep, err
-			}
-			rep.Refreshed++
-		}
-	}
-	// Flush any refresh tail so scrubbed data is durable on flash.
-	if d.wbuf.Len() > 0 {
-		if err := d.drainBuffer(true); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	var rep ScrubReport
+	var err error
+	rep.Scanned, rep.Refreshed, rep.Lost, err = d.e.Scrub(keys)
+	return rep, err
 }

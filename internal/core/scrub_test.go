@@ -100,42 +100,3 @@ func TestScrubPreservesData(t *testing.T) {
 		}
 	}
 }
-
-// TestCoreReadRetry: the Salamander device's read path retries under read
-// disturb just like the baseline's.
-func TestCoreReadRetry(t *testing.T) {
-	cfg := testConfig()
-	cfg.RealECC = false
-	cfg.Flash.StoreData = false
-	cfg.Flash.EnduranceCV = 0
-	cfg.Flash.PageCV = 0
-	cfg.Flash.ReadDisturbRBER = 2.5e-5
-	cfg.MaxReadRetries = 3
-	d, _ := mustDevice(t, cfg)
-	buf := make([]byte, blockdev.OPageSize)
-	for lba := 0; lba < 16; lba++ {
-		if err := d.Write(0, lba, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		_ = d.Read(0, i%16, buf)
-	}
-	c := d.Counters()
-	if c.ReadRetries == 0 {
-		t.Skip("no retries triggered at this disturb level")
-	}
-	if c.RetrySaves == 0 {
-		t.Error("no read rescued by retry")
-	}
-	if c.FlashReads != c.HostReads+c.ReadRetries {
-		// GC may add flash reads; allow >=.
-		if c.FlashReads < c.HostReads+c.ReadRetries {
-			t.Errorf("flash reads %d below host %d + retries %d",
-				c.FlashReads, c.HostReads, c.ReadRetries)
-		}
-	}
-}

@@ -1,8 +1,18 @@
-// Package ftl provides the flash-translation-layer machinery shared by the
-// baseline SSD (internal/ssd) and the Salamander device (internal/core):
-// a wear-aware free-block pool, a validity map with greedy GC victim
-// selection, a logical-to-physical mapping table, and the small non-volatile
-// write buffer of §3.2 that coalesces oPage writes into full fPage programs.
+// Package ftl is the flash-translation layer both device kinds run on.
+//
+// engine.go holds the Engine: the whole FTL-backed data path — host
+// read/write/trim/flush bodies, the level-aware BCH read path with retries
+// and erasure hints, the NV write buffer drain, block allocation, page-by-page
+// garbage collection with static wear levelling, and the per-fPage
+// {status, level, progLevel} table — written once. What differs between the
+// baseline SSD (internal/ssd) and the Salamander device (internal/core) is the
+// Lifecycle the owning device hands the engine: what happens to blocks and
+// pages as flash tires (DESIGN.md §3.1).
+//
+// This file holds the engine's building blocks: a wear-aware free-block pool,
+// a validity map with greedy GC victim selection, a logical-to-physical
+// mapping table, and the small non-volatile write buffer of §3.2 that
+// coalesces oPage writes into full fPage programs.
 //
 // Logical keys are opaque int64s; each device packs its own addressing
 // (plain LBA for the baseline, minidisk+LBA for Salamander) into them.

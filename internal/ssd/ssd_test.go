@@ -10,7 +10,6 @@ import (
 	"salamander/internal/rber"
 	"salamander/internal/sim"
 	"salamander/internal/stats"
-	"salamander/internal/telemetry"
 )
 
 // testConfig returns a small real-ECC device: 2x8 blocks x 8 pages = 8 MiB.
@@ -54,31 +53,6 @@ func pattern(seed byte) []byte {
 		buf[i] = seed ^ byte(i*31)
 	}
 	return buf
-}
-
-func TestNewValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := testConfig()
-	cfg.OverProvision = 0
-	if _, err := New(cfg, eng); err == nil {
-		t.Error("zero OP accepted")
-	}
-	cfg = testConfig()
-	cfg.GCLowWater = 1
-	if _, err := New(cfg, eng); err == nil {
-		t.Error("GC low water 1 accepted")
-	}
-	cfg = testConfig()
-	cfg.BrickThreshold = 0
-	if _, err := New(cfg, eng); err == nil {
-		t.Error("zero brick threshold accepted")
-	}
-	cfg = testConfig()
-	cfg.RealECC = true
-	cfg.Flash.StoreData = false
-	if _, err := New(cfg, eng); err == nil {
-		t.Error("RealECC without StoreData accepted")
-	}
 }
 
 func TestExportsSingleMinidisk(t *testing.T) {
@@ -166,20 +140,6 @@ func TestUnwrittenReadsZero(t *testing.T) {
 	}
 }
 
-func TestAddressValidation(t *testing.T) {
-	d, _ := mustDevice(t, testConfig())
-	buf := make([]byte, blockdev.OPageSize)
-	if err := d.Read(1, 0, buf); !errors.Is(err, blockdev.ErrNoSuchMinidisk) {
-		t.Errorf("wrong minidisk: %v", err)
-	}
-	if err := d.Read(0, d.LBAs(), buf); !errors.Is(err, blockdev.ErrBadLBA) {
-		t.Errorf("out of range: %v", err)
-	}
-	if err := d.Write(0, 0, buf[:100]); !errors.Is(err, blockdev.ErrBufSize) {
-		t.Errorf("short buf: %v", err)
-	}
-}
-
 func TestTrim(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
 	for lba := 0; lba < 8; lba++ {
@@ -198,27 +158,6 @@ func TestTrim(t *testing.T) {
 		if b != 0 {
 			t.Fatal("trimmed lba not zero")
 		}
-	}
-}
-
-func TestClockAdvances(t *testing.T) {
-	d, eng := mustDevice(t, testConfig())
-	start := eng.Now()
-	for lba := 0; lba < 4; lba++ { // exactly one fPage
-		if err := d.Write(0, lba, pattern(byte(lba))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	afterWrite := eng.Now()
-	if afterWrite <= start {
-		t.Fatal("program did not advance the clock")
-	}
-	buf := make([]byte, blockdev.OPageSize)
-	if err := d.Read(0, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Now() <= afterWrite {
-		t.Fatal("read did not advance the clock")
 	}
 }
 
@@ -367,24 +306,6 @@ func TestWriteAmplificationCounter(t *testing.T) {
 	}
 }
 
-func TestDeterministicCounters(t *testing.T) {
-	run := func() Counters {
-		d, _ := mustDevice(t, testConfig())
-		for r := 0; r < 3; r++ {
-			for lba := 0; lba < 64; lba++ {
-				if err := d.Write(0, lba, pattern(byte(lba))); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return d.Counters()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same-seed devices diverged: %+v vs %+v", a, b)
-	}
-}
-
 func TestBaselineConformance(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
 	if err := blockdev.CheckConformance(d); err != nil {
@@ -393,75 +314,12 @@ func TestBaselineConformance(t *testing.T) {
 }
 
 func TestBaselineConcurrencyConformance(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		cfg := stressConfig(parallel)
-		d, _ := mustDevice(t, cfg)
-		if err := blockdev.CheckConcurrency(d, 4, 300, 77); err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-	}
-}
-
-// TestCountersSnapshotIsolation pins the documented Counters() contract:
-// the returned struct is a point-in-time copy, so mutating it never
-// touches the live device.
-func TestCountersSnapshotIsolation(t *testing.T) {
-	d, _ := mustDevice(t, testConfig())
-	buf := pattern(5)
-	for lba := 0; lba < 8; lba++ {
-		if err := d.Write(0, lba, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Flush(); err != nil {
+	// Analytic ECC (no BCH math on the hot path) with stored data, so
+	// read-your-writes is checked on real bytes.
+	cfg := testConfig()
+	cfg.RealECC = false
+	d, _ := mustDevice(t, cfg)
+	if err := blockdev.CheckConcurrency(d, 4, 300, 77); err != nil {
 		t.Fatal(err)
-	}
-	if err := d.Read(0, 3, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	before := d.Counters()
-	if before.HostWrites != 8 || before.HostReads != 1 {
-		t.Fatalf("unexpected baseline counters: %+v", before)
-	}
-	mutated := d.Counters()
-	mutated.HostWrites = 9999
-	mutated.FlashWrites = 9999
-	mutated.BadBlocks = -1
-	if after := d.Counters(); after != before {
-		t.Errorf("mutating the snapshot changed the device: %+v vs %+v", after, before)
-	}
-}
-
-// TestInstrumentCarriesCounters verifies that rebinding to a shared
-// registry carries accumulated counts and that later activity lands in the
-// shared registry (and only once — re-instrumenting with the same registry
-// must not double-count).
-func TestInstrumentCarriesCounters(t *testing.T) {
-	d, _ := mustDevice(t, testConfig())
-	buf := pattern(6)
-	for lba := 0; lba < 4; lba++ {
-		if err := d.Write(0, lba, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	reg := telemetry.NewRegistry()
-	d.Instrument(reg, nil)
-	if got := reg.Counter("ssd.host_writes").Value(); got != 4 {
-		t.Fatalf("carried host_writes = %d, want 4", got)
-	}
-	d.Instrument(reg, nil) // same registry: must be a no-op for values
-	if got := reg.Counter("ssd.host_writes").Value(); got != 4 {
-		t.Fatalf("re-instrument doubled host_writes: %d", got)
-	}
-	if err := d.Write(0, 5, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("ssd.host_writes").Value(); got != 5 {
-		t.Fatalf("shared registry missed a write: %d", got)
-	}
-	if got := d.Counters().HostWrites; got != 5 {
-		t.Fatalf("Counters() diverged from registry: %d", got)
 	}
 }
