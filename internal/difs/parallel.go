@@ -199,6 +199,7 @@ func (sh *shard) repairParallel(workers int) (copies int, err error) {
 			}
 			d.tgt.chunks[d.slot] = ch
 			ch.replicas = append(ch.replicas, replica{tgt: d.tgt, slot: d.slot})
+			sh.markChunkDirty(ch)
 			copies++
 			sh.tele.recoveryOps.Inc()
 			sh.tele.recoveryBytes.Add(uint64(sh.chunkBytes()))

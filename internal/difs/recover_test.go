@@ -100,6 +100,47 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRepairParallelPersistsNewReplicas: the replicas a parallel repair pass
+// adds must reach the manifest store like the serial pass's do — after a
+// restart the cluster is fully replicated with nothing left to repair.
+func TestRepairParallelPersistsNewReplicas(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ChunkOPages = 4
+	c1, devs, st := metaCluster(t, cfg, 6, 4, 64)
+	objs := fillCluster(t, c1, 42, 20)
+	if err := devs[0].FailMinidisk(0); err != nil {
+		t.Fatal(err)
+	}
+	// Traffic between the failure and the repair settles the loss and
+	// flushes the shrunken replica lists, so the repair pass starts from
+	// clean manifests and must dirty what it changes itself.
+	for name := range objs {
+		if _, err := c1.Get(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if copies := repairUntilQuiet(t, c1, func() (int, error) { return c1.RepairParallel(4) }); copies == 0 {
+		t.Fatal("the failed minidisk held no chunk; nothing was repaired")
+	}
+
+	c2, rep := restartCluster(t, cfg, devs, st)
+	if rep.QuarantinedReplicas != 0 || rep.RepairsQueued != 0 || c2.PendingRepairs() != 0 {
+		t.Fatalf("restart after a parallel repair left work behind: %+v, pending %d", rep, c2.PendingRepairs())
+	}
+	if copies, err := c2.Repair(); err != nil || copies != 0 || c2.Stats().RecoveryBytes != 0 {
+		t.Fatalf("post-restart repair copied %d chunks (%d bytes), err %v; want nothing to do",
+			copies, c2.Stats().RecoveryBytes, err)
+	}
+	if bad := c2.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("invariants after recovery: %v", bad)
+	}
+	for name, want := range objs {
+		if got, err := c2.Get(name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("post-recovery get %q: err=%v", name, err)
+		}
+	}
+}
+
 func TestRecoverTornReplicaQuarantinedAndRepaired(t *testing.T) {
 	cfg := DefaultConfig() // R=3
 	c1, devs, st := metaCluster(t, cfg, 4, 4, 64)
