@@ -52,11 +52,10 @@ func (p *salamander) ProgramFailed(ppa flash.PPA, host []ftl.BufEntry) bool {
 // here.
 func (p *salamander) Erased(block int, err error) {
 	d := (*Device)(p)
-	switch {
-	case err != nil:
+	if err != nil {
 		d.e.RetireBlock(block)
 		d.retirePages(block)
-	default:
+	} else {
 		d.applyTransitions(block)
 		if d.e.BlockServing(block) > 0 {
 			d.e.FreeBlock(block)

@@ -380,18 +380,18 @@ func (e *Engine) Wear() blockdev.WearInfo {
 
 // --- page and block state ------------------------------------------------------
 
-func (e *Engine) pageIdx(ppa flash.PPA) int {
-	return ppa.Block*e.arr.Geometry().PagesPerBlock + ppa.Page
+func (e *Engine) page(ppa flash.PPA) *PageInfo {
+	return &e.pages[ppa.Block*e.arr.Geometry().PagesPerBlock+ppa.Page]
 }
 
 // Page returns one fPage's life-cycle state.
-func (e *Engine) Page(ppa flash.PPA) PageInfo { return e.pages[e.pageIdx(ppa)] }
+func (e *Engine) Page(ppa flash.PPA) PageInfo { return *e.page(ppa) }
 
 // SetPage moves a page to a new status and level, keeping the serving
 // capacity (device-wide and per block) and the limbo tallies in step. A
 // program in flight on the page keeps its ProgLevel.
 func (e *Engine) SetPage(ppa flash.PPA, status PageStatus, level int) {
-	pi := &e.pages[e.pageIdx(ppa)]
+	pi := e.page(ppa)
 	e.tally(ppa.Block, *pi, -1)
 	pi.Status, pi.Level = status, uint8(level)
 	e.tally(ppa.Block, *pi, +1)
@@ -410,7 +410,7 @@ func (e *Engine) tally(block int, pi PageInfo, sign int) {
 
 // KillPage takes a page out of service for good.
 func (e *Engine) KillPage(ppa flash.PPA) {
-	e.SetPage(ppa, PageDead, int(e.pages[e.pageIdx(ppa)].Level))
+	e.SetPage(ppa, PageDead, int(e.page(ppa).Level))
 }
 
 // ServingSlots returns the serving capacity in oPages (Eq. 1's total across
@@ -473,17 +473,22 @@ func (e *Engine) CheckInvariants() []string {
 			default:
 				bad = append(bad, fmt.Sprintf("page %d/%d has unknown status %d", b, p, pi.Status))
 			}
+			for slot := 0; slot < rber.OPagesPerFPage; slot++ {
+				at := OPageAddr{PPA: flash.PPA{Block: b, Page: p}, Slot: slot}
+				key, live := e.valid.Key(at)
+				if !live {
+					continue
+				}
+				if addr, ok := e.table.Lookup(key); !ok || addr != at {
+					bad = append(bad, fmt.Sprintf("valid slot %v holds key %d but the table maps it to %v (%v)", at, key, addr, ok))
+				}
+			}
 		}
 		if blockSum != e.blockServing[b] {
 			bad = append(bad, fmt.Sprintf("block %d serving sum %d != tracked %d", b, blockSum, e.blockServing[b]))
 		}
 		servingSum += blockSum
 		validSum += e.valid.ValidCount(b)
-		for _, se := range e.valid.LiveSlots(b) {
-			if addr, ok := e.table.Lookup(se.Key); !ok || addr != se.Addr {
-				bad = append(bad, fmt.Sprintf("valid slot %v holds key %d but the table maps it to %v (%v)", se.Addr, se.Key, addr, ok))
-			}
-		}
 	}
 	if servingSum != e.servingSlots {
 		bad = append(bad, fmt.Sprintf("serving slots %d != per-page sum %d", e.servingSlots, servingSum))
@@ -625,7 +630,7 @@ func (e *Engine) readOPageInto(addr OPageAddr, dst []byte) (bool, error) {
 // level, and the corrected payload is copied into dst. injected reports
 // whether the attempt hit an injected transient read failure.
 func (e *Engine) readOPageOnce(addr OPageAddr, dst []byte) (filled, injected bool, err error) {
-	level := int(e.pages[e.pageIdx(addr.PPA)].ProgLevel)
+	level := int(e.page(addr.PPA).ProgLevel)
 	const spb = rber.OPageSize / rber.SectorSize
 
 	transfer := rber.OPageSize
@@ -685,8 +690,8 @@ func (e *Engine) readOPageOnce(addr OPageAddr, dst []byte) (filled, injected boo
 			e.tele.eccCorrectedBits.Add(uint64(bits))
 			e.wearCorr[level]++
 			e.wearBits += uint64(bits)
-			e.tele.tr.Emit(telemetry.Event{
-				T: e.clk.Now(), Kind: telemetry.KindEccCorrection, Layer: e.cfg.Layer,
+			e.Trace(telemetry.Event{
+				Kind:  telemetry.KindEccCorrection,
 				Block: addr.PPA.Block, Page: addr.PPA.Page, Level: level, N: int64(bits),
 			})
 		}
@@ -742,15 +747,20 @@ const scrubRefreshFraction = 0.8
 // virtual clock.
 func (e *Engine) Scrub(keys []int64) (scanned, refreshed, lost int, err error) {
 	// Snapshot the mappings first: refreshing mutates the table.
-	addrs := make([]OPageAddr, len(keys))
-	mapped := make([]bool, len(keys))
-	for i, key := range keys {
-		addrs[i], mapped[i] = e.table.Lookup(key)
+	type mapping struct {
+		key  int64
+		addr OPageAddr
 	}
-	for i, key := range keys {
+	var items []mapping
+	for _, key := range keys {
+		if addr, ok := e.table.Lookup(key); ok {
+			items = append(items, mapping{key, addr})
+		}
+	}
+	for _, it := range items {
 		// The mapping may have moved since the snapshot (GC, overwrites).
-		addr, ok := e.table.Lookup(key)
-		if !mapped[i] || !ok || addr != addrs[i] {
+		key, addr := it.key, it.addr
+		if now, ok := e.table.Lookup(key); !ok || now != addr {
 			continue
 		}
 		data, err := e.readOPage(addr)
@@ -763,7 +773,7 @@ func (e *Engine) Scrub(keys []int64) (scanned, refreshed, lost int, err error) {
 			return scanned, refreshed, lost, err
 		}
 		scanned++
-		ceiling := e.model.Level(int(e.pages[e.pageIdx(addr.PPA)].ProgLevel)).MaxRBER
+		ceiling := e.model.Level(int(e.page(addr.PPA).ProgLevel)).MaxRBER
 		if e.arr.EffectiveRBER(addr.PPA) >= scrubRefreshFraction*ceiling {
 			// Refresh: push the data back through the write path so it
 			// lands on a healthier page.
@@ -797,7 +807,7 @@ func (e *Engine) drain(force bool) error {
 		if err := e.ensureActive(); err != nil {
 			return err
 		}
-		need := rber.OPagesPerFPage - int(e.pages[e.pageIdx(flash.PPA{Block: e.host.blk, Page: e.host.pg})].Level)
+		need := rber.OPagesPerFPage - int(e.page(flash.PPA{Block: e.host.blk, Page: e.host.pg}).Level)
 		if e.wbuf.Len() < need && !force {
 			return nil
 		}
@@ -816,7 +826,7 @@ const maxProgramRetries = 4
 // counting and timing the attempt whether or not it sticks. failed reports
 // a program failure the Lifecycle must absorb; any other error is final.
 func (e *Engine) program(ppa flash.PPA, entries []BufEntry) (failed bool, err error) {
-	pi := &e.pages[e.pageIdx(ppa)]
+	pi := e.page(ppa)
 	level := int(pi.Level)
 	var raw []byte
 	if e.cfg.Flash.StoreData {
@@ -1086,7 +1096,7 @@ func (e *Engine) collect() error {
 		if err != nil {
 			break // no GC destination; spill everything
 		}
-		slots := rber.OPagesPerFPage - int(e.pages[e.pageIdx(ppa)].Level)
+		slots := rber.OPagesPerFPage - int(e.page(ppa).Level)
 		if len(moved) < slots {
 			break
 		}
