@@ -218,7 +218,7 @@ func TestChaosReportDigestsPinned(t *testing.T) {
 			}
 		})
 	}
-	if rows != 24 {
-		t.Errorf("testdata holds %d digest rows, want 24 (12 seeds x shards 1 and 16)", rows)
+	if rows != 33 {
+		t.Errorf("testdata holds %d digest rows, want 33 (12 seeds x shards 1 and 16, 3 seeds x shards 2, 4 and 8)", rows)
 	}
 }
