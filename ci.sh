@@ -1,66 +1,55 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before merging.
 #
-#   ./ci.sh            full gate: format, vet, build, tests, race detector,
-#                      chaos smoke, write-scaling regression guard
+#   ./ci.sh            full gate: format, vet, build, structure gate, tests,
+#                      race detector, determinism and serving smokes
 #
-# A structure gate first holds the one-FTL-engine shape: each data-path
-# function (readOPageOnce ... collect) is defined exactly once across
-# non-test internal/, the deleted ParallelFlush fork is gone, and the
-# policy-parameterised device suite in internal/ftl (both devices over one
-# table) passes under -race.
-# The race-detector pass runs the whole module: the stress battery in
-# blockdev/ftl/core/difs hammers each layer from many goroutines, so a
-# data race anywhere in the concurrent data path (channel workers, sharded
-# FTL locks, device mutexes, per-shard cluster locks, event sink) fails the
-# gate. The difs corpus is replayed at DIFS_SHARDS=4 and 16 (sharded-cluster
-# conformance: the same tests must pass at every shard count), the 16-shard
-# replay also runs under -race, two fixed-seed 16-shard salchaos runs must
-# render byte-identical reports (shard determinism), and the salperf
-# -shardbench model must show >= 2x modeled throughput at 16 shards vs 1
-# and reproduce BENCH_shard.json byte for byte (it is virtual-time); the
-# repo benchmark's -quick smoke then runs all four workloads once. A
-# fixed-seed salchaos smoke run then asserts the cross-layer invariants
-# end to end, and the salperf -parallel benchmark is compared against the
-# checked-in BENCH_parallel.json: >15% write-throughput regression at any
-# channel count fails the build. The salperf -ecc -degraded benchmark guards
-# the table-driven BCH fast path against BENCH_ecc.json — each rate relative
-# to the same run's bit-serial reference, so host speed cancels —
-# including the degraded decode mix and erasure-hinted figures — plus a
-# machine-independent >= 4x syndrome-speedup floor at the level-0 geometry
-# and per-level kernel floors on the baseline file's decode figures.
-# Both salperf guards run BEFORE the network smokes (the wall-clock-sensitive
-# ECC guard first): the loopback load run is CPU-heavy, and benchmarking in
-# its wake would force the checked-in floors down to under-load minima,
-# weakening the regression guard. The -net chaos
-# smoke then replays the fixed seed through the loopback serving layer with
-# its failpoints armed, and a loopback salsrv/salload smoke starts the
-# server, drives 8 clients x depth 8 of zipf-skewed traffic with content
-# verification, requires >= 10k ops/s and no >15% drop vs BENCH_net.json,
-# and asserts a clean
-# graceful drain. The same run exercises the live ops surface: /healthz
-# must answer ok, /metrics must expose a parseable sal_net_server_requests
-# counting the load, /wear must return the fleet report, and /readyz must
-# flip to 503 after SIGTERM while the -drain-linger window keeps the
-# server answering. A degraded-fleet smoke then serves verified hot-spot
-# traffic from a pre-worn RealECC core fleet (salsrv -wear 0.6): the p99
-# tail must hold within 15% of BENCH_net_degraded.json and the exposition
-# must prove ECC corrections, erasure-hinted decodes, and server-side GET
-# batching all fired. Finally the kill -9 durability smoke (salchaos -proc)
-# SIGKILLs a real salsrv mid-load on a durable -data-dir, restarts it on
-# the same directory, and content-verifies every acked write — then one
-# more cold restart asserts sal_difs_recover_ns and a non-zero
-# sal_difs_recover_objects in the exposition. The scale-out battery closes
-# the gate: salchaos -fleet runs four salsrv processes over disjoint
-# -own-shards subsets of one data tree, SIGKILLs one owner mid-load, and
-# asserts the blast radius is exactly its subset (survivors keep serving,
-# the restarted owner recovers only its own shards); then a device-bound
-# throughput comparison (-service-time pins per-op cost to a real-time
-# device floor, GOMAXPROCS=1 per server, so the ratio measures the sharded
-# architecture rather than host core count) requires the 4-process fleet
-# to clear 2x one process's ops/s through the routing client with full
-# content verification, every endpoint taking traffic, and no >15% drop
-# against the checked-in BENCH_scaleout.json.
+# Performance evidence. Wall-clock performance is judged in one place only:
+# alternating `go run ./benchmark` pairs compared with -compare (see
+# benchmark/README.md). A wall-clock figure recorded on one machine does not
+# gate another, so this script keeps exactly two perf checks, each immune to
+# host speed: salperf -ecc -degraded fails unless the level-0 table-driven
+# syndrome path runs >= 4x the bit-serial reference measured in the same
+# process (minSpeedupL0), and salperf -parallel, which runs on the virtual
+# clock, must reproduce BENCH_parallel.json byte for byte (cmp).
+#
+# In order:
+#  - gofmt, go vet, go build.
+#  - Structure gate: each FTL data-path function (readOPageOnce ... collect)
+#    is defined exactly once across non-test internal/ (ssd.Device and
+#    core.Device share internal/ftl's engine), the deleted parallel-flush
+#    fork stays gone, the retired perf gates (sleep-paced service time,
+#    shard-scaling model, baseline tolerance comparators) stay gone, and
+#    BENCH_parallel.json is the only BENCH_*.json at the root; then the
+#    policy-parameterised device suite in internal/ftl runs under -race.
+#  - go test ./..., which includes the 33 pinned chaos report digests and
+#    the 60 pinned device digests.
+#  - Sharded-cluster conformance: the difs corpus again at DIFS_SHARDS=4 and
+#    16, and go test -race over the whole module (the stress battery in
+#    blockdev/ftl/core/difs hammers each layer from many goroutines) plus
+#    the 16-shard difs corpus under -race.
+#  - salchaos: a fixed-seed smoke (cross-layer invariants end to end) and
+#    two 16-shard runs that must render byte-identical reports.
+#  - The two perf checks above, then the benchmark's -quick smoke (all four
+#    workloads once; exit status only).
+#  - salchaos -net: the fixed seed through the loopback serving layer with
+#    its network failpoints armed.
+#  - Loopback salsrv/salload smokes, each with full content verification,
+#    a clean graceful drain and a clean invariant sweep: 16 shards with the
+#    live ops surface (/healthz, /readyz flipping to 503 after SIGTERM while
+#    -drain-linger keeps serving, /metrics counting the load, /wear); one
+#    shard (unsharded conformance); and a pre-worn RealECC fleet (salsrv
+#    -devices core -wear 0.6) whose exposition must show ECC corrections,
+#    erasure-hinted decodes and server-side GET batching all fired.
+#  - kill -9 durability (salchaos -proc): SIGKILL a real salsrv mid-load on
+#    a durable -data-dir, restart, content-verify every acked write, then a
+#    cold restart must expose sal_difs_recover_ns and a non-zero
+#    sal_difs_recover_objects.
+#  - Scale-out: salchaos -fleet runs four salsrv processes over disjoint
+#    -own-shards subsets of one data tree, SIGKILLs one owner and asserts the
+#    blast radius is exactly its subset; then salload -shard-map drives a
+#    fresh 4-process fleet through the routing client and every endpoint
+#    must take traffic (four rows in the per-endpoint split, none at zero).
 set -eu
 
 cd "$(dirname "$0")"
@@ -79,7 +68,7 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== structure gate (one FTL engine, no ParallelFlush fork) =="
+echo "== structure gate (one FTL engine, no ParallelFlush fork, no retired perf gates) =="
 # ssd.Device and core.Device run on internal/ftl's engine; a second copy of
 # any data-path function is the fork growing back.
 nontest=$(find internal -name '*.go' ! -name '*_test.go')
@@ -100,6 +89,26 @@ if [ -e internal/ssd/parallel.go ]; then
     echo "structure gate: internal/ssd/parallel.go exists" >&2
     exit 1
 fi
+# The retired perf gates: a sleep-paced server, the shard-scaling queueing
+# model and the wall-clock baseline comparators. Each pattern brackets one
+# letter so this list does not match itself.
+if grep -n -e 'Service[T]ime' -e 'service-[t]ime' -e 'MeasureShard[S]caling' \
+    -e 'shard[b]ench' -e 'compareECC[B]aseline' -e 'ecc-[b]aseline' \
+    -e 'parallel-[b]aseline' -e 'p99-[t]olerance' -e 'regression[T]olerance' \
+    ci.sh $(find . -name '*.go'); then
+    echo "structure gate: a retired perf gate is back" >&2
+    exit 1
+fi
+for f in BENCH_*.json; do
+    if [ "$f" != BENCH_parallel.json ]; then
+        echo "structure gate: $f (BENCH_parallel.json is the only BENCH file)" >&2
+        exit 1
+    fi
+done
+[ -f BENCH_parallel.json ] || {
+    echo "structure gate: BENCH_parallel.json is missing" >&2
+    exit 1
+}
 go test -race -count=1 ./internal/ftl/
 
 echo "== go test =="
@@ -137,26 +146,19 @@ grep -q "shards=16" "$chaostmp/run1.txt" || {
 }
 rm -rf "$chaostmp"
 
-echo "== salperf -ecc -degraded regression guard (baseline BENCH_ecc.json) =="
-go run ./cmd/salperf -ecc -degraded -ecc-baseline BENCH_ecc.json
+echo "== salperf -ecc -degraded (level-0 syndrome speedup >= 4x, same process) =="
+go run ./cmd/salperf -ecc -degraded
 
-echo "== salperf -parallel regression guard (baseline BENCH_parallel.json) =="
-go run ./cmd/salperf -parallel 4 -data 8 -parallel-baseline BENCH_parallel.json
-
-echo "== salperf -shardbench guard (>= 2x at 16 shards + byte-identical BENCH_shard.json) =="
-# Virtual-time model of the metadata-shard split: must scale >= 2x from one
-# shard to 16 (absolute floor, enforced by salperf itself). The model is
-# deterministic, so the points must also reproduce the checked-in file byte
-# for byte — any drift in placement, repair or event ordering at any of the
-# five shard counts shows up here, not just a >15% slowdown.
-shardtmp=$(mktemp)
-go run ./cmd/salperf -shardbench 16 -shardbench-out "$shardtmp"
-cmp "$shardtmp" BENCH_shard.json || {
-    echo "salperf -shardbench points differ from BENCH_shard.json" >&2
-    diff "$shardtmp" BENCH_shard.json >&2 || true
+echo "== salperf -parallel (byte-identical BENCH_parallel.json) =="
+# Virtual-time, so a fixed build reproduces the checked-in points exactly.
+partmp=$(mktemp)
+go run ./cmd/salperf -parallel 4 -data 8 -parallel-out "$partmp"
+cmp "$partmp" BENCH_parallel.json || {
+    echo "salperf -parallel points differ from BENCH_parallel.json" >&2
+    diff "$partmp" BENCH_parallel.json >&2 || true
     exit 1
 }
-rm -f "$shardtmp"
+rm -f "$partmp"
 
 echo "== benchmark smoke (go run ./benchmark -quick -trace 1) =="
 # Exit status only: every workload's quick run drives the 16-shard cluster
@@ -168,7 +170,7 @@ go run ./benchmark -quick -trace 1 -seconds 3 >/dev/null
 echo "== salchaos smoke with network failpoints (-net) =="
 go run ./cmd/salchaos -seed 1 -ops 2000 -net >/dev/null
 
-echo "== salsrv/salload loopback smoke + BENCH_net.json regression guard + ops surface =="
+echo "== salsrv/salload loopback smoke + ops surface =="
 nettmp=$(mktemp -d)
 go build -o "$nettmp/salsrv" ./cmd/salsrv
 go build -o "$nettmp/salload" ./cmd/salload
@@ -199,7 +201,7 @@ ops="http://$(cat "$nettmp/opsaddr")"
     exit 1
 }
 "$nettmp/salload" -addr "$(cat "$nettmp/addr")" -clients 8 -depth 8 -ops 40000 \
-    -zipf 1.1 -min-ops 10000 -baseline BENCH_net.json
+    -zipf 1.1
 # The exposition must be valid Prometheus text and the request counter must
 # have counted the load we just drove.
 curl -s "$ops/metrics" >"$nettmp/metrics.prom"
@@ -254,9 +256,8 @@ grep -q "invariants clean=true" "$nettmp/salsrv.log" || {
 
 echo "== salsrv/salload loopback smoke at -shards 1 (unsharded conformance) =="
 # Same serving stack with the shard facade disabled: clients must not be
-# able to tell. A lighter load, no baseline (single-lock throughput is the
-# thing the shard split exists to beat), but full content verification,
-# shard counters present, and a clean drain.
+# able to tell. A lighter load, full content verification, shard counters
+# present, and a clean drain.
 "$nettmp/salsrv" -addr 127.0.0.1:0 -addr-file "$nettmp/addr1" \
     -ops-addr 127.0.0.1:0 -ops-addr-file "$nettmp/opsaddr1" \
     -shards 1 >"$nettmp/salsrv1.log" 2>&1 &
@@ -288,14 +289,12 @@ grep -q "invariants clean=true" "$nettmp/salsrv1.log" || {
     exit 1
 }
 
-echo "== degraded-fleet loopback smoke (-devices core -wear 0.6) + BENCH_net_degraded.json =="
+echo "== degraded-fleet loopback smoke (-devices core -wear 0.6) =="
 # A pre-worn RealECC fleet: every block starts at 60% of nominal PEC with
 # grown stuck bit-lines, so reads exercise the degraded decode kernels and
-# the erasure-hinted path while serving verified hot-spot traffic. The tail
-# guard (-p99-tolerance) holds p99 within 15% of the checked-in degraded
-# baseline — a fatter tail under wear is exactly the regression the degraded
-# kernels exist to prevent — and the metric asserts below prove the degraded
-# machinery actually fired instead of the smoke coasting on a clean path.
+# the erasure-hinted path while serving verified hot-spot traffic. The metric
+# asserts below prove the degraded machinery actually fired instead of the
+# smoke coasting on a clean path.
 "$nettmp/salsrv" -addr 127.0.0.1:0 -addr-file "$nettmp/addrw" \
     -ops-addr 127.0.0.1:0 -ops-addr-file "$nettmp/opsaddrw" \
     -devices core -wear 0.6 -nodes 4 -shards 4 -workers 8 >"$nettmp/salsrvw.log" 2>&1 &
@@ -311,8 +310,7 @@ if [ ! -s "$nettmp/addrw" ] || [ ! -s "$nettmp/opsaddrw" ]; then
     exit 1
 fi
 "$nettmp/salload" -addr "$(cat "$nettmp/addrw")" -clients 2 -depth 2 -ops 1200 \
-    -objects 8 -size 2048 -hot-frac 0.7 \
-    -baseline BENCH_net_degraded.json -p99-tolerance 1.15
+    -objects 8 -size 2048 -hot-frac 0.7
 opsw="http://$(cat "$nettmp/opsaddrw")"
 curl -s "$opsw/metrics" >"$nettmp/metricsw.prom"
 for m in sal_core_ecc_corrections sal_core_ecc_erasure_decodes sal_net_server_batches; do
@@ -436,45 +434,16 @@ grep -q "fleet chaos: PASS" "$fltmp/fleetchaos.log" || {
     exit 1
 }
 
-echo "== scale-out throughput: 4-process fleet vs one process + BENCH_scaleout.json =="
-# Device-bound comparison: -service-time 10ms pins each op (or coalesced GET
-# run) to a real-time device floor — the flash sim is virtual-time, so
-# without it throughput is CPU-bound and the ratio would measure host cores,
-# not the sharded architecture. GOMAXPROCS=1 per server keeps the unit of
-# scaling the process. Identical workload both ways; the fleet must clear
-# 2x the single process's ops/s (machine-independent floor), spread traffic
-# over every endpoint, and hold the checked-in baseline (pinned to the
-# conservative low edge of observed runs, so 1-core scheduler noise does
-# not flap the gate).
-GOMAXPROCS=1 "$fltmp/salsrv" -addr 127.0.0.1:0 -addr-file "$fltmp/addrS" \
-    -ops-addr 127.0.0.1:0 -ops-addr-file "$fltmp/opsS" \
-    -shards 16 -workers 4 -service-time 10ms \
-    -data-dir "$fltmp/single" -fsync=false >"$fltmp/srvS.log" 2>&1 &
-spid=$!
-i=0
-while [ ! -s "$fltmp/addrS" ] && [ $i -lt 100 ]; do
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -s "$fltmp/addrS" ] || {
-    echo "single scale-out salsrv never bound" >&2
-    cat "$fltmp/srvS.log" >&2
-    exit 1
-}
-"$fltmp/salload" -addr "$(cat "$fltmp/addrS")" -clients 8 -depth 8 -ops 2000 \
-    -out "$fltmp/single.json"
-kill -TERM "$spid"
-wait "$spid" || {
-    echo "single scale-out salsrv drain failed" >&2
-    cat "$fltmp/srvS.log" >&2
-    exit 1
-}
+echo "== scale-out routing: salload -shard-map over a 4-process fleet =="
+# The only CI caller of salload's fleet mode: four owners of disjoint
+# quarters of a 16-shard namespace, one routing client per salload client,
+# full content verification, and every endpoint must take traffic.
 flpids=""
 i=0
 for subset in 0-3 4-7 8-11 12-15; do
-    GOMAXPROCS=1 "$fltmp/salsrv" -addr 127.0.0.1:0 -addr-file "$fltmp/addr$i" \
+    "$fltmp/salsrv" -addr 127.0.0.1:0 -addr-file "$fltmp/addr$i" \
         -ops-addr 127.0.0.1:0 -ops-addr-file "$fltmp/ops$i" \
-        -shards 16 -own-shards "$subset" -workers 4 -service-time 10ms \
+        -shards 16 -own-shards "$subset" \
         -data-dir "$fltmp/fleetdata" -fsync=false -seed $((i + 2)) \
         >"$fltmp/srv$i.log" 2>&1 &
     flpids="$flpids $!"
@@ -496,7 +465,7 @@ done
     "$(cat "$fltmp/addr0")=0-3" "$(cat "$fltmp/addr1")=4-7" \
     "$(cat "$fltmp/addr2")=8-11" "$(cat "$fltmp/addr3")=12-15"
 "$fltmp/salload" -shard-map "$fltmp/map.bin" -clients 8 -depth 8 -ops 8000 \
-    -out "$fltmp/fleetrep.json" -baseline BENCH_scaleout.json
+    -out "$fltmp/fleetrep.json"
 for p in $flpids; do kill -TERM "$p"; done
 for p in $flpids; do
     wait "$p" || {
@@ -505,8 +474,7 @@ for p in $flpids; do
         exit 1
     }
 done
-# Every member must have taken traffic: the report's per-endpoint split has
-# four rows and none with zero ops.
+# The report's per-endpoint split must have four rows and none with zero ops.
 nend=$(grep -c '"endpoint":' "$fltmp/fleetrep.json")
 if [ "$nend" -ne 4 ]; then
     echo "fleet report has $nend endpoints in its split (want 4)" >&2
@@ -518,13 +486,6 @@ if grep -q '"ops": 0' "$fltmp/fleetrep.json"; then
     cat "$fltmp/fleetrep.json" >&2
     exit 1
 fi
-sops=$(sed -n 's/.*"ops_per_sec": *\([0-9.][0-9.eE+-]*\).*/\1/p' "$fltmp/single.json")
-fops=$(sed -n 's/.*"ops_per_sec": *\([0-9.][0-9.eE+-]*\).*/\1/p' "$fltmp/fleetrep.json")
-awk -v s="$sops" -v f="$fops" 'BEGIN { exit !(s + 0 > 0 && f + 0 >= 2 * s) }' || {
-    echo "scale-out floor: fleet $fops ops/s < 2x single-process $sops ops/s" >&2
-    exit 1
-}
-echo "scale-out: single $sops ops/s, 4-process fleet $fops ops/s (>= 2x)"
 rm -rf "$fltmp"
 
 echo "CI PASSED"

@@ -2,15 +2,16 @@
 // M pipelining depth, each pipeline stream driving a read/write mix from
 // internal/workload over its own keyspace, with every read verified against
 // the deterministically generated content it must hold. It reports
-// throughput and latency percentiles, optionally as a BENCH_net.json that
-// ci.sh guards against regression like BENCH_ecc.json.
+// throughput and latency percentiles, optionally as a JSON report, and
+// exits non-zero on any error or content mismatch. It is the multi-process
+// load and correctness tool; the repo's wall-clock performance evidence is
+// the benchmark harness (go run ./benchmark), not salload's figures.
 //
 // Usage:
 //
 //	salload -addr HOST:PORT [-clients N] [-depth N] [-ops N] [-objects N]
 //	        [-size N] [-read-frac F] [-zipf S] [-hot-frac F] [-seed S]
-//	        [-verify] [-out FILE] [-baseline FILE] [-min-ops F]
-//	        [-max-p99 D] [-p99-tolerance F]
+//	        [-verify] [-out FILE]
 //	salload -shard-map FILE [same options]
 //
 // With -shard-map the load drives a scale-out fleet instead of one server:
@@ -18,7 +19,7 @@
 // key's owning endpoint, and stale-map NotOwner rejections are absorbed by
 // the router's transparent retry. The report then splits ops, errors, and
 // redirect retries per endpoint, so an imbalanced or half-dead fleet is
-// visible in the BENCH json, not averaged away.
+// visible in the report, not averaged away.
 //
 // Keys are partitioned per pipeline stream ("c<client>-w<stream>-o<obj>"), so
 // -verify is race-free: each stream is the only writer and reader of its
@@ -46,11 +47,7 @@ import (
 	"salamander/internal/workload"
 )
 
-// regressionTolerance matches the salperf guards: measured throughput may
-// fall at most 15% below the checked-in baseline.
-const regressionTolerance = 0.85
-
-// Report is the BENCH_net.json schema. The p50/p95/p99 trio appears three
+// Report is the -out JSON schema. The p50/p95/p99 trio appears three
 // times: over all ops, and split by read and write, because the two paths
 // have different tails (writes pay erasure encoding and placement, reads pay
 // reconstruction only when degraded) and a combined quantile hides whichever
@@ -64,7 +61,7 @@ type Report struct {
 	HotFrac  float64 `json:"hot_frac"`
 	// TopDecileFrac is the measured skew: the fraction of ops that landed on
 	// each stream's hottest decile of objects. ~0.1 for uniform, higher for
-	// zipf/hot-spot — recorded so the baseline pins what traffic shape the
+	// zipf/hot-spot — recorded so the report states what traffic shape the
 	// numbers were taken under, not just what was requested.
 	TopDecileFrac float64 `json:"top_decile_frac"`
 	SizeBytes     int     `json:"size_bytes"`
@@ -116,11 +113,7 @@ func main() {
 		hotFrac  = flag.Float64("hot-frac", 0, "fraction of ops aimed at the hottest 10% of each keyspace (0 = off; exclusive with -zipf)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		verify   = flag.Bool("verify", true, "verify read contents against the deterministic model")
-		outPath  = flag.String("out", "", "write the report JSON (BENCH_net.json) to this file")
-		basePath = flag.String("baseline", "", "compare ops/s against this baseline report (15% tolerance)")
-		minOps   = flag.Float64("min-ops", 0, "machine-independent ops/s floor (0 = no floor)")
-		maxP99   = flag.Duration("max-p99", 0, "fail if overall p99 latency exceeds this (0 = no ceiling)")
-		p99Tol   = flag.Float64("p99-tolerance", 0, "with -baseline: fail if p99 exceeds the baseline's p99 by this factor (e.g. 1.15; 0 = no tail guard)")
+		outPath  = flag.String("out", "", "write the report JSON to this file")
 	)
 	flag.Parse()
 	if (*addr == "") == (*mapPath == "") {
@@ -288,22 +281,6 @@ func main() {
 		log.Printf("FAIL: %d errors, %d content mismatches", rep.Errors, rep.Mismatches)
 		exit = 1
 	}
-	if *minOps > 0 && rep.OpsPerSec < *minOps {
-		log.Printf("FAIL: %.0f ops/s below the %.0f ops/s floor", rep.OpsPerSec, *minOps)
-		exit = 1
-	}
-	if *maxP99 > 0 && rep.P99us > float64(maxP99.Microseconds()) {
-		log.Printf("FAIL: p99 %.0fus above the %v ceiling", rep.P99us, *maxP99)
-		exit = 1
-	}
-	if *basePath != "" {
-		if err := compareBaseline(rep, *basePath, *p99Tol); err != nil {
-			log.Printf("FAIL: %v", err)
-			exit = 1
-		} else {
-			fmt.Printf("no regression vs %s (tolerance %.0f%%)\n", *basePath, (1-regressionTolerance)*100)
-		}
-	}
 	if *outPath != "" {
 		raw, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -396,30 +373,4 @@ func equal(a, b []byte) bool {
 		}
 	}
 	return true
-}
-
-// compareBaseline fails if throughput fell more than the tolerance below the
-// checked-in baseline's ops/s, or — with p99Tol > 0 — if the overall p99
-// grew past the baseline's p99 by more than that factor. The tail guard is
-// opt-in because p99 is the noisiest number in the report; it exists for the
-// degraded run, where a fatter tail is exactly the regression the degraded
-// decode kernels are meant to prevent.
-func compareBaseline(rep Report, path string, p99Tol float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	if rep.OpsPerSec < base.OpsPerSec*regressionTolerance {
-		return fmt.Errorf("regression: %.0f ops/s vs baseline %.0f ops/s (>%.0f%% drop)",
-			rep.OpsPerSec, base.OpsPerSec, (1-regressionTolerance)*100)
-	}
-	if p99Tol > 0 && base.P99us > 0 && rep.P99us > base.P99us*p99Tol {
-		return fmt.Errorf("tail regression: p99 %.0fus vs baseline %.0fus (>%.0f%% growth)",
-			rep.P99us, base.P99us, (p99Tol-1)*100)
-	}
-	return nil
 }

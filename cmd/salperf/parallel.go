@@ -9,11 +9,8 @@ import (
 	"salamander/internal/perfmodel"
 )
 
-// regressionTolerance is how much measured throughput may fall below the
-// baseline before the comparison fails: >15% slower is a regression.
-const regressionTolerance = 0.85
-
-// benchSeed keeps the checked-in baseline reproducible across runs.
+// benchSeed keeps the checked-in BENCH_parallel.json reproducible byte for
+// byte across runs.
 const benchSeed = 9
 
 // benchChannelCounts returns the 1..max channel counts measured by
@@ -28,9 +25,8 @@ func benchChannelCounts(max int) []int {
 }
 
 // runParallelBench measures write throughput from 1 to maxChannels channels,
-// prints the scaling table, optionally writes the points as JSON, and
-// optionally compares them against a checked-in baseline.
-func runParallelBench(maxChannels, dataMB int, outPath, basePath string) error {
+// prints the scaling table, and optionally writes the points as JSON.
+func runParallelBench(maxChannels, dataMB int, outPath string) error {
 	pts, err := perfmodel.MeasureWriteScaling(benchChannelCounts(maxChannels), dataMB, benchSeed)
 	if err != nil {
 		return err
@@ -52,42 +48,6 @@ func runParallelBench(maxChannels, dataMB int, outPath, basePath string) error {
 			return err
 		}
 		fmt.Printf("scaling points written to %s\n", outPath)
-	}
-	if basePath != "" {
-		if err := compareBaseline(pts, basePath); err != nil {
-			return err
-		}
-		fmt.Printf("no regression vs %s (tolerance %.0f%%)\n", basePath, (1-regressionTolerance)*100)
-	}
-	return nil
-}
-
-// compareBaseline fails if any measured point's throughput fell more than
-// the tolerance below the baseline's point for the same channel count.
-// Baseline points with no measured counterpart (or vice versa) are ignored:
-// the guard tracks regressions, not benchmark shape.
-func compareBaseline(pts []perfmodel.ScalingPoint, basePath string) error {
-	raw, err := os.ReadFile(basePath)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base []perfmodel.ScalingPoint
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", basePath, err)
-	}
-	byChannels := make(map[int]perfmodel.ScalingPoint, len(base))
-	for _, b := range base {
-		byChannels[b.Channels] = b
-	}
-	for _, p := range pts {
-		b, ok := byChannels[p.Channels]
-		if !ok {
-			continue
-		}
-		if p.MBPerSec < b.MBPerSec*regressionTolerance {
-			return fmt.Errorf("regression at %d channels: %.1f MB/s vs baseline %.1f MB/s (>%.0f%% drop)",
-				p.Channels, p.MBPerSec, b.MBPerSec, (1-regressionTolerance)*100)
-		}
 	}
 	return nil
 }

@@ -105,7 +105,6 @@ func main() {
 		opsAddrFile = flag.String("ops-addr-file", "", "write the bound ops address to this file once listening")
 		opsPprof    = flag.Bool("ops-pprof", false, "also mount /debug/pprof/* on the ops listener")
 		slowOp      = flag.Duration("slow-op", 0, "log server ops slower than this into the event trace (0 = disabled)")
-		serviceTime = flag.Duration("service-time", 0, "real-time floor each op (or coalesced GET run) holds its worker, simulating device latency the virtual-time flash model compresses away; makes throughput device-bound for machine-independent scale-out benches (0 = disabled)")
 		drainLinger = flag.Duration("drain-linger", 0, "after a shutdown signal, keep serving for this long with /readyz at 503 before draining")
 
 		ownShardsSpec = flag.String("own-shards", "", "serve only this subset of the metadata shards, e.g. \"0,1\" or \"4-7\" (empty = all); other processes own the rest of the namespace")
@@ -187,7 +186,6 @@ func main() {
 		OpTimeout:       *opTimeout,
 		WriteTimeout:    *wrTimeout,
 		SlowOpThreshold: *slowOp,
-		ServiceTime:     *serviceTime,
 	})
 	srv.Instrument(reg, tr)
 

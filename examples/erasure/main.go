@@ -52,9 +52,13 @@ func main() {
 	}
 
 	rng := stats.NewRNG(5)
+	// The churn loop walks names, not the content map: map order would hand
+	// the RNG draws and the put/delete order to different names each run.
+	names := make([]string, 8)
 	content := map[string][]byte{}
-	for i := 0; i < 8; i++ {
+	for i := range names {
 		name := fmt.Sprintf("dataset-%d", i)
+		names[i] = name
 		b := make([]byte, 150000+rng.Intn(100000))
 		for j := range b {
 			b[j] = byte(rng.Uint64())
@@ -70,7 +74,7 @@ func main() {
 
 	// Churn until wear decommissions minidisks underneath the stripes.
 	for round := 0; round < 40 && cluster.Stats().DecommissionEvents < 4; round++ {
-		for name := range content {
+		for _, name := range names {
 			if err := cluster.Delete(name); err != nil {
 				log.Fatal(err)
 			}

@@ -205,48 +205,3 @@ func TestWriteScalingValidation(t *testing.T) {
 		t.Error("zero dataMB accepted")
 	}
 }
-
-func TestShardScalingSpeedup(t *testing.T) {
-	pts, err := MeasureShardScaling([]int{1, 4, 16}, 300, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("want 3 points, got %d", len(pts))
-	}
-	if pts[0].Speedup != 1 {
-		t.Errorf("base speedup = %v, want 1", pts[0].Speedup)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Speedup < pts[i-1].Speedup {
-			t.Errorf("speedup not monotone: %.2f at %d shards after %.2f at %d",
-				pts[i].Speedup, pts[i].Shards, pts[i-1].Speedup, pts[i-1].Shards)
-		}
-	}
-	// The acceptance floor ci.sh enforces on the full-size run must hold on
-	// the quick one too: splitting one lock 16 ways buys at least 2x.
-	if pts[2].Speedup < 2 {
-		t.Errorf("1→16 shard speedup = %.2f, want >= 2", pts[2].Speedup)
-	}
-	again, err := MeasureShardScaling([]int{1, 4, 16}, 300, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		if pts[i] != again[i] {
-			t.Errorf("point %d not deterministic: %+v vs %+v", i, pts[i], again[i])
-		}
-	}
-}
-
-func TestShardScalingValidation(t *testing.T) {
-	if _, err := MeasureShardScaling(nil, 100, 1); err == nil {
-		t.Error("empty shard list accepted")
-	}
-	if _, err := MeasureShardScaling([]int{0}, 100, 1); err == nil {
-		t.Error("zero shards accepted")
-	}
-	if _, err := MeasureShardScaling([]int{1}, 0, 1); err == nil {
-		t.Error("zero ops accepted")
-	}
-}

@@ -91,16 +91,6 @@ type ServerConfig struct {
 	// op, key, and duration. Zero disables; the check is one comparison per
 	// op, so it is safe to leave on in production.
 	SlowOpThreshold time.Duration
-	// ServiceTime, when positive, holds each work item on its worker for at
-	// least this long (a coalesced GET run pays it once, like one device
-	// read). The flash layers simulate media latency in virtual time —
-	// CPU-fast — so a lone process's real throughput is CPU-bound and scales
-	// with host cores, not with architecture. ServiceTime re-imposes a
-	// device-like real-time floor, making throughput worker- and
-	// process-bound; the scale-out bench uses it so the fleet-vs-single
-	// ratio measures the sharded design rather than the host's core count.
-	// Zero (the default) disables it.
-	ServiceTime time.Duration
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -501,9 +491,6 @@ func (s *Server) handle(req *request) {
 		s.tele.slowResponses.Inc()
 		time.Sleep(s.cfg.InjectedLatency)
 	}
-	if s.cfg.ServiceTime > 0 {
-		time.Sleep(s.cfg.ServiceTime)
-	}
 
 	ctx := context.Background()
 	var cancel context.CancelFunc
@@ -550,11 +537,6 @@ func (s *Server) handleGetRun(head *request) {
 	if slow > 0 {
 		s.tele.slowResponses.Add(uint64(slow))
 		time.Sleep(time.Duration(slow) * s.cfg.InjectedLatency)
-	}
-	// One service-time charge for the whole run: a coalesced batch costs one
-	// device read, which is the point of coalescing.
-	if s.cfg.ServiceTime > 0 {
-		time.Sleep(s.cfg.ServiceTime)
 	}
 
 	keys := make([]string, len(run))

@@ -158,8 +158,8 @@ func (s HistSnapshot) Mean() float64 {
 // value is interpolated linearly between the bucket's Lo and Hi, assuming
 // observations spread uniformly inside the bucket. This is what lets
 // nearby quantiles (p50/p95/p99) of a tight latency distribution remain
-// distinguishable instead of collapsing onto one bucket midpoint — the
-// BENCH_net.json coarseness fix. The edge behavior is pinned:
+// distinguishable instead of collapsing onto one bucket midpoint. The edge
+// behavior is pinned:
 //
 //   - An empty snapshot (Count == 0, or no buckets — possible on a Delta of
 //     an idle interval) returns 0.

@@ -81,7 +81,10 @@ func readTraceBinary(br *bufio.Reader) (*Trace, error) {
 	if nOps > maxOps {
 		return nil, fmt.Errorf("workload: implausible op count %d", nOps)
 	}
-	t := &Trace{Ops: make([]Op, 0, nOps)}
+	// The count is untrusted until the records are actually there: reserve
+	// at most 64k ops up front and let append grow past that, so a corrupt
+	// header costs an error, not a multi-GiB allocation.
+	t := &Trace{Ops: make([]Op, 0, min(nOps, 1<<16))}
 	var rec [9]byte
 	for i := uint64(0); i < nOps; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

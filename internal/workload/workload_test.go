@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"salamander/internal/blockdev"
@@ -241,6 +242,23 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, err := ReadTrace(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
+	}
+}
+
+// A binary header claiming ~2^30 ops with no records behind it is rejected
+// without reserving memory for the claimed count (tens of GiB of Ops). A
+// single corrupted count byte produces such a header, so
+// TestQuickTraceCorruptionSafe reaches this case at random.
+func TestReadTraceCorruptCountAllocatesLittle(t *testing.T) {
+	raw := []byte{'S', 'T', 'R', '1', 0, 0, 0, 0x3f, 0, 0, 0, 0}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadTrace(bytes.NewReader(raw)); err == nil {
+		t.Fatal("header with no records accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Errorf("rejecting a corrupt count allocated %d bytes", got)
 	}
 }
 
