@@ -19,7 +19,10 @@
 #    is defined exactly once across non-test internal/ (ssd.Device and
 #    core.Device share internal/ftl's engine), the deleted parallel-flush
 #    fork stays gone, the retired perf gates (sleep-paced service time,
-#    shard-scaling model, baseline tolerance comparators) stay gone, and
+#    shard-scaling model, baseline tolerance comparators) stay gone, the
+#    durable page key format (pg/<md>/<lba>) is written once in non-test
+#    internal/ (blockdev.Persister) and core's retired durable options and
+#    replay stats stay gone, and
 #    BENCH_parallel.json is the only BENCH_*.json at the root; then the
 #    policy-parameterised device suite in internal/ftl runs under -race.
 #  - go test ./..., which includes the 33 pinned chaos report digests and
@@ -45,6 +48,10 @@
 #    a durable -data-dir, restart, content-verify every acked write, then a
 #    cold restart must expose sal_difs_recover_ns and a non-zero
 #    sal_difs_recover_objects.
+#  - Core durable restart: salsrv -devices core on a -data-dir takes
+#    salload traffic, is SIGKILLed and restarted on the same dir, and must
+#    come back ready with every object recovered, none lost, and a clean
+#    SIGTERM drain.
 #  - Scale-out: salchaos -fleet runs four salsrv processes over disjoint
 #    -own-shards subsets of one data tree, SIGKILLs one owner and asserts the
 #    blast radius is exactly its subset; then salload -shard-map drives a
@@ -68,7 +75,7 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== structure gate (one FTL engine, no ParallelFlush fork, no retired perf gates) =="
+echo "== structure gate (one FTL engine, one durable page path, no ParallelFlush fork, no retired perf gates) =="
 # ssd.Device and core.Device run on internal/ftl's engine; a second copy of
 # any data-path function is the fork growing back.
 nontest=$(find internal -name '*.go' ! -name '*_test.go')
@@ -97,6 +104,21 @@ if grep -n -e 'Service[T]ime' -e 'service-[t]ime' -e 'MeasureShard[S]caling' \
     -e 'parallel-[b]aseline' -e 'p99-[t]olerance' -e 'regression[T]olerance' \
     ci.sh $(find . -name '*.go'); then
     echo "structure gate: a retired perf gate is back" >&2
+    exit 1
+fi
+# One durable page path: blockdev.DurableDevice and core.Durable share
+# blockdev.Persister, so the page key format is written once and the
+# retired durable options stay gone. Each pattern brackets one letter so
+# this list does not match itself.
+# shellcheck disable=SC2086
+n=$(cat $nontest | grep -c 'pg/%d/%d' || true)
+if [ "$n" -ne 1 ]; then
+    echo "structure gate: the pg/%d/%d key format is written $n times in non-test internal/ (want 1)" >&2
+    exit 1
+fi
+if grep -n -e 'Durable[O]ptions' -e 'Replay[S]tats' -e 'Checkpoint[E]very' \
+    ci.sh $(find . -name '*.go'); then
+    echo "structure gate: a retired durable option is back" >&2
     exit 1
 fi
 for f in BENCH_*.json; do
@@ -410,6 +432,75 @@ grep -q "invariants clean=true" "$durtmp/salsrv.log" || {
     exit 1
 }
 rm -rf "$durtmp"
+
+echo "== core durable restart smoke (salsrv -devices core -data-dir, SIGKILL, restart) =="
+# salchaos -proc and -fleet run mem devices only, so this is the
+# process-level check of core.OpenDurable: load a core fleet on a data dir,
+# SIGKILL it, restart it on the same dir, and require every object
+# recovered with none lost and a clean drain.
+coretmp=$(mktemp -d)
+go build -o "$coretmp/salsrv" ./cmd/salsrv
+go build -o "$coretmp/salload" ./cmd/salload
+start_core() { # $1: log file
+    rm -f "$coretmp/addr" "$coretmp/opsaddr"
+    "$coretmp/salsrv" -addr 127.0.0.1:0 -addr-file "$coretmp/addr" \
+        -ops-addr 127.0.0.1:0 -ops-addr-file "$coretmp/opsaddr" \
+        -devices core -data-dir "$coretmp/data" -fsync=false >"$1" 2>&1 &
+    corepid=$!
+    i=0
+    while { [ ! -s "$coretmp/addr" ] || [ ! -s "$coretmp/opsaddr" ]; } && [ $i -lt 100 ]; do
+        sleep 0.1
+        i=$((i + 1))
+    done
+    if [ ! -s "$coretmp/addr" ] || [ ! -s "$coretmp/opsaddr" ]; then
+        echo "core durable salsrv never bound" >&2
+        cat "$1" >&2
+        exit 1
+    fi
+}
+start_core "$coretmp/salsrv1.log"
+"$coretmp/salload" -addr "$(cat "$coretmp/addr")" -ops 2000
+kill -KILL "$corepid"
+wait "$corepid" 2>/dev/null || true
+start_core "$coretmp/salsrv2.log"
+coreops="http://$(cat "$coretmp/opsaddr")"
+i=0
+while [ "$(curl -s -o /dev/null -w '%{http_code}' "$coreops/readyz")" != "200" ] && [ $i -lt 100 ]; do
+    sleep 0.1
+    i=$((i + 1))
+done
+[ "$(curl -s -o /dev/null -w '%{http_code}' "$coreops/readyz")" = "200" ] || {
+    echo "core durable salsrv /readyz not 200 after restart" >&2
+    exit 1
+}
+recovered=$(curl -s "$coreops/metrics" | awk '$1 == "sal_difs_recover_objects" { print $2 }')
+case "$recovered" in
+'' | *[!0-9]*)
+    echo "core restart: sal_difs_recover_objects missing or non-numeric: '$recovered'" >&2
+    exit 1
+    ;;
+esac
+if [ "$recovered" -eq 0 ]; then
+    echo "core restart: sal_difs_recover_objects=0 after a loaded life" >&2
+    exit 1
+fi
+grep -q "recovered .* 0 lost) in" "$coretmp/salsrv2.log" || {
+    echo "core restart lost objects" >&2
+    cat "$coretmp/salsrv2.log" >&2
+    exit 1
+}
+kill -TERM "$corepid"
+if ! wait "$corepid"; then
+    echo "core durable salsrv drain failed" >&2
+    cat "$coretmp/salsrv2.log" >&2
+    exit 1
+fi
+grep -q "invariants clean=true" "$coretmp/salsrv2.log" || {
+    echo "core durable salsrv invariant sweep failed" >&2
+    cat "$coretmp/salsrv2.log" >&2
+    exit 1
+}
+rm -rf "$coretmp"
 
 echo "== scale-out fleet chaos (salchaos -fleet: SIGKILL one owner, subset blast radius) =="
 fltmp=$(mktemp -d)

@@ -405,27 +405,28 @@ func buildDevice(kind string, seed uint64, i, disks, lbas int, wear float64, dat
 		}
 		st = fs
 	}
+	var dev interface {
+		blockdev.Device
+		Damaged() []string
+	}
 	switch kind {
 	case "mem":
 		if st == nil {
 			return blockdev.NewMemDevice(disks, lbas), nil
 		}
-		dev, err := blockdev.OpenDurable(st)
+		d, err := blockdev.OpenDurable(st)
 		if err != nil {
 			return nil, err
 		}
-		for _, d := range dev.Damaged() {
-			log.Printf("node%d: dropped corrupt durable record %s", i, d)
-		}
 		// First boot on this directory: provision the minidisks.
-		if len(dev.Minidisks()) == 0 {
-			for d := 0; d < disks; d++ {
-				if _, err := dev.AddMinidisk(lbas, 0); err != nil {
+		if len(d.Minidisks()) == 0 {
+			for k := 0; k < disks; k++ {
+				if _, err := d.AddMinidisk(lbas, 0); err != nil {
 					return nil, err
 				}
 			}
 		}
-		return dev, nil
+		dev = d
 	case "core":
 		dcfg := core.DefaultConfig()
 		dcfg.Flash.Geometry = flash.Geometry{
@@ -453,16 +454,16 @@ func buildDevice(kind string, seed uint64, i, disks, lbas int, wear float64, dat
 		if st == nil {
 			return core.New(dcfg, sim.NewEngine())
 		}
-		dev, err := core.OpenDurable(dcfg, sim.NewEngine(), st, core.DurableOptions{})
+		d, err := core.OpenDurable(dcfg, sim.NewEngine(), st)
 		if err != nil {
 			return nil, err
 		}
-		rs := dev.ReplayStats()
-		if rs.ReplayedPages > 0 || rs.DroppedPages > 0 {
-			log.Printf("node%d: replayed %d pages, dropped %d torn", i, rs.ReplayedPages, rs.DroppedPages)
-		}
-		return dev, nil
+		dev = d
 	default:
 		return nil, fmt.Errorf("unknown -devices %q (want mem or core)", kind)
 	}
+	for _, k := range dev.Damaged() {
+		log.Printf("node%d: dropped corrupt durable record %s", i, k)
+	}
+	return dev, nil
 }

@@ -36,7 +36,8 @@ func fail(rule string, format string, args ...any) error {
 //     ordinary I/O.
 //
 // Every Device implementation in this repository (MemDevice, the baseline
-// SSD, the Salamander device) is held to this same contract by its tests.
+// SSD, the Salamander device, and both durable kinds over a store) is held
+// to this same contract by its tests.
 func CheckConformance(dev Device) error {
 	mds := dev.Minidisks()
 	if len(mds) == 0 {

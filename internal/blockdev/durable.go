@@ -4,45 +4,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"salamander/internal/store"
 )
 
-// DurableDevice is a Device whose minidisk metadata and contents live in a
-// store.Store, so they survive process death — the persistence layer that
+// DurableDevice is a MemDevice whose minidisk directory and contents live in
+// a store.Store, so they survive process death — the persistence layer that
 // turns salchaos crash/restart from a simulation into real kill-the-binary
-// durability testing. Semantics match MemDevice exactly (it passes the same
-// conformance check); reads are served from a RAM image, every mutation is
-// committed to the store before it is acknowledged.
+// durability testing. The embedded MemDevice serves reads and holds the
+// semantics; the embedded Persister commits every page; DurableDevice itself
+// adds only the directory records, each committed before the change it
+// records is applied and acknowledged.
 //
 // Store layout (all under the device's own store root):
 //
 //	dev/meta       JSON {NextID, Brick}
 //	md/<id>        JSON {Info, Draining} per live minidisk
-//	pg/<id>/<lba>  one committed oPage
-//
-// Write ordering is store-first: the oPage is committed before the RAM
-// image and before the caller's ack, so an acknowledged write is always
-// recoverable. A crash mid-write loses only the unacknowledged page.
+//	pg/<id>/<lba>  one committed oPage (Persister)
 type DurableDevice struct {
-	mu     sync.Mutex
-	st     store.Store
-	disks  map[MinidiskID]*durDisk
-	nextID MinidiskID
-	notify func(Event)
-	brick  bool
-	// damaged lists store records that failed to decode on open; the
-	// affected minidisks are absent (difs recovery quarantines their chunks
-	// and repairs from replicas) rather than half-loaded.
-	damaged []string
-}
-
-type durDisk struct {
-	info     MinidiskInfo
-	data     map[int][]byte
-	draining bool
+	*MemDevice
+	*Persister
 }
 
 type durMeta struct {
@@ -60,334 +41,153 @@ type durDiskRec struct {
 // provision it. Records that fail to decode are skipped and reported via
 // Damaged — recovery degrades to repair, it does not abort.
 func OpenDurable(st store.Store) (*DurableDevice, error) {
-	d := &DurableDevice{st: st, disks: map[MinidiskID]*durDisk{}}
+	mem := &MemDevice{disks: map[MinidiskID]*memDisk{}}
+	var damaged []string
 	if raw, err := st.Get("dev/meta"); err == nil {
 		var m durMeta
-		if jerr := json.Unmarshal(raw, &m); jerr != nil {
-			d.damaged = append(d.damaged, "dev/meta")
+		if json.Unmarshal(raw, &m) != nil {
+			damaged = append(damaged, "dev/meta")
 		} else {
-			d.nextID, d.brick = m.NextID, m.Brick
+			mem.nextID, mem.brick = m.NextID, m.Brick
 		}
-	} else if !isNotFound(err) {
+	} else if !errors.Is(err, store.ErrNotFound) {
 		return nil, fmt.Errorf("blockdev: open durable: %w", err)
 	}
-	mdKeys, err := st.List("md/")
+	keys, err := st.List("md/")
 	if err != nil {
 		return nil, fmt.Errorf("blockdev: open durable: %w", err)
 	}
-	for _, k := range mdKeys {
+	var draining []*memDisk
+	for _, k := range keys {
 		raw, err := st.Get(k)
-		if err != nil {
-			d.damaged = append(d.damaged, k)
-			continue
-		}
 		var rec durDiskRec
-		if err := json.Unmarshal(raw, &rec); err != nil || rec.Info.LBAs <= 0 {
-			d.damaged = append(d.damaged, k)
+		if err != nil || json.Unmarshal(raw, &rec) != nil || rec.Info.LBAs <= 0 {
+			damaged = append(damaged, k)
 			continue
 		}
-		d.disks[rec.Info.ID] = &durDisk{info: rec.Info, data: map[int][]byte{}, draining: rec.Draining}
-		if rec.Info.ID >= d.nextID {
-			d.nextID = rec.Info.ID + 1
+		disk := &memDisk{info: rec.Info, data: map[int][]byte{}}
+		mem.disks[rec.Info.ID] = disk
+		mem.nextID = max(mem.nextID, rec.Info.ID+1)
+		if rec.Draining {
+			draining = append(draining, disk)
 		}
 	}
-	pgKeys, err := st.List("pg/")
+	// Replay while every disk is still writable, then resume the drains.
+	p, err := Persist(mem, st, nil, damaged)
 	if err != nil {
-		return nil, fmt.Errorf("blockdev: open durable: %w", err)
+		return nil, err
 	}
-	for _, k := range pgKeys {
-		var id MinidiskID
-		var lba int
-		if _, err := fmt.Sscanf(k, "pg/%d/%d", &id, &lba); err != nil {
-			d.damaged = append(d.damaged, k)
-			continue
-		}
-		disk, ok := d.disks[id]
-		if !ok || lba < 0 || lba >= disk.info.LBAs {
-			// Page of a minidisk that no longer exists (its decommission
-			// committed before the page delete did): reclaim it.
-			_ = st.Delete(k)
-			continue
-		}
-		raw, err := st.Get(k)
-		if err != nil || len(raw) != OPageSize {
-			d.damaged = append(d.damaged, k)
-			_ = st.Delete(k)
-			continue
-		}
-		disk.data[lba] = raw
+	for _, disk := range draining {
+		disk.draining = true
 	}
-	return d, nil
+	return &DurableDevice{mem, p}, nil
 }
 
-func isNotFound(err error) bool { return errors.Is(err, store.ErrNotFound) }
-
-// Damaged lists the store records that failed to decode when the device was
-// opened (empty on a clean open).
-func (d *DurableDevice) Damaged() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.damaged...)
+// Both embedded types define Write, Trim and Notify; these pick the
+// Persister's, which wraps the device's own.
+func (d *DurableDevice) Write(md MinidiskID, lba int, buf []byte) error {
+	return d.Persister.Write(md, lba, buf)
 }
+func (d *DurableDevice) Trim(md MinidiskID, lba int) error { return d.Persister.Trim(md, lba) }
+func (d *DurableDevice) Notify(fn func(Event))             { d.Persister.Notify(fn) }
 
-func pgKey(id MinidiskID, lba int) string { return fmt.Sprintf("pg/%d/%d", id, lba) }
-func mdKey(id MinidiskID) string          { return fmt.Sprintf("md/%d", id) }
+func mdKey(id MinidiskID) string { return fmt.Sprintf("md/%d", id) }
 
-func (d *DurableDevice) putMeta() error {
-	raw, _ := json.Marshal(durMeta{NextID: d.nextID, Brick: d.brick})
+func (d *DurableDevice) putMeta(next MinidiskID, brick bool) error {
+	raw, _ := json.Marshal(durMeta{NextID: next, Brick: brick})
 	return d.st.Put("dev/meta", raw)
 }
 
-func (d *DurableDevice) putDisk(disk *durDisk) error {
-	raw, _ := json.Marshal(durDiskRec{Info: disk.info, Draining: disk.draining})
-	return d.st.Put(mdKey(disk.info.ID), raw)
+func (d *DurableDevice) putDisk(info MinidiskInfo, draining bool) error {
+	raw, _ := json.Marshal(durDiskRec{Info: info, Draining: draining})
+	return d.st.Put(mdKey(info.ID), raw)
+}
+
+// dir reads the MemDevice's directory: id's disk (nil if absent), the next
+// ID and the brick flag. Callers hold the Persister's lock, which orders
+// every directory change.
+func (d *DurableDevice) dir(id MinidiskID) (*memDisk, MinidiskID, bool) {
+	m := d.MemDevice
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.disks[id], m.nextID, m.brick
 }
 
 // AddMinidisk provisions a new minidisk (tiredness > 0 models a RegenS
-// disk) and emits EventRegenerate once the metadata is committed.
+// disk) and emits EventRegenerate once its record is committed.
 func (d *DurableDevice) AddMinidisk(lbas, tiredness int) (MinidiskID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.brick {
+	d.Persister.mu.Lock()
+	defer d.Persister.mu.Unlock()
+	_, id, brick := d.dir(-1)
+	if brick {
 		return 0, ErrBricked
 	}
-	id := d.nextID
-	d.nextID++
-	info := MinidiskInfo{ID: id, LBAs: lbas, Tiredness: tiredness}
-	disk := &durDisk{info: info, data: map[int][]byte{}}
-	if err := d.putDisk(disk); err != nil {
-		d.nextID--
+	if err := d.putDisk(MinidiskInfo{ID: id, LBAs: lbas, Tiredness: tiredness}, false); err != nil {
 		return 0, err
 	}
-	if err := d.putMeta(); err != nil {
+	if err := d.putMeta(id+1, false); err != nil {
 		return 0, err
 	}
-	d.disks[id] = disk
-	if d.notify != nil {
-		d.notify(Event{Kind: EventRegenerate, Minidisk: id, Info: info})
-	}
-	return id, nil
+	return d.MemDevice.AddMinidisk(lbas, tiredness), nil
 }
 
-// FailMinidisk decommissions a minidisk: its metadata and pages are removed
-// from the store, then EventDecommission is emitted.
+// FailMinidisk decommissions a minidisk durably.
 func (d *DurableDevice) FailMinidisk(id MinidiskID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	disk, ok := d.disks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchMinidisk, id)
-	}
-	if err := d.st.Delete(mdKey(id)); err != nil {
-		return err
-	}
-	d.dropPages(disk)
-	delete(d.disks, id)
-	if d.notify != nil {
-		d.notify(Event{Kind: EventDecommission, Minidisk: id, Info: disk.info})
-	}
-	return nil
+	return d.retire(id, false, d.MemDevice.FailMinidisk)
 }
 
-// dropPages removes a disk's committed pages. The minidisk record is
-// already gone, so a crash mid-sweep leaves only orphan pages that the next
-// open reclaims.
-func (d *DurableDevice) dropPages(disk *durDisk) {
-	for lba := range disk.data {
-		_ = d.st.Delete(pgKey(disk.info.ID, lba))
+// Release implements Drainer: completes a drain by dropping the minidisk.
+func (d *DurableDevice) Release(id MinidiskID) error {
+	return d.retire(id, true, d.MemDevice.Release)
+}
+
+// retire deletes the minidisk record before drop decommissions the disk,
+// whose event prunes its pages, so a crash mid-sweep leaves only orphan
+// pages that the next open reclaims. A call drop refuses changes no record.
+func (d *DurableDevice) retire(id MinidiskID, mustDrain bool, drop func(MinidiskID) error) error {
+	d.Persister.mu.Lock()
+	defer d.Persister.mu.Unlock()
+	if disk, _, _ := d.dir(id); disk != nil && (disk.draining || !mustDrain) {
+		if err := d.st.Delete(mdKey(id)); err != nil {
+			return err
+		}
 	}
+	return drop(id)
 }
 
 // DrainMinidisk starts a grace-period decommission (readable, not
 // writable), persisting the draining flag so a restart resumes the drain.
 func (d *DurableDevice) DrainMinidisk(id MinidiskID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	disk, ok := d.disks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchMinidisk, id)
+	d.Persister.mu.Lock()
+	defer d.Persister.mu.Unlock()
+	if disk, _, _ := d.dir(id); disk != nil && !disk.draining {
+		if err := d.putDisk(disk.info, true); err != nil {
+			return err
+		}
 	}
-	if disk.draining {
-		return nil
-	}
-	disk.draining = true
-	if err := d.putDisk(disk); err != nil {
-		disk.draining = false
-		return err
-	}
-	if d.notify != nil {
-		d.notify(Event{Kind: EventDrain, Minidisk: id, Info: disk.info})
-	}
-	return nil
-}
-
-// Release implements Drainer: completes a drain by dropping the minidisk.
-func (d *DurableDevice) Release(id MinidiskID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	disk, ok := d.disks[id]
-	if !ok || !disk.draining {
-		return fmt.Errorf("%w: %d is not draining", ErrNoSuchMinidisk, id)
-	}
-	if err := d.st.Delete(mdKey(id)); err != nil {
-		return err
-	}
-	d.dropPages(disk)
-	delete(d.disks, id)
-	if d.notify != nil {
-		d.notify(Event{Kind: EventDecommission, Minidisk: id, Info: disk.info})
-	}
-	return nil
+	return d.MemDevice.DrainMinidisk(id)
 }
 
 // Brick fails the whole device, durably: a reopened store comes back
 // bricked too.
 func (d *DurableDevice) Brick() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.brick {
+	d.Persister.mu.Lock()
+	defer d.Persister.mu.Unlock()
+	_, next, brick := d.dir(-1)
+	if brick {
 		return nil
 	}
-	d.brick = true
-	if err := d.putMeta(); err != nil {
-		d.brick = false
+	if err := d.putMeta(next, true); err != nil {
 		return err
 	}
-	for _, disk := range d.disks {
-		_ = d.st.Delete(mdKey(disk.info.ID))
-		d.dropPages(disk)
+	// Best effort: with the brick committed, a record the sweep misses
+	// names a disk that serves nothing.
+	keys, _ := d.st.List("md/")
+	for _, k := range keys {
+		_ = d.st.Delete(k)
 	}
-	d.disks = map[MinidiskID]*durDisk{}
-	if d.notify != nil {
-		d.notify(Event{Kind: EventBrick})
-	}
+	d.MemDevice.Brick()
 	return nil
-}
-
-// Bricked reports whether the device has failed.
-func (d *DurableDevice) Bricked() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.brick
-}
-
-// Wear implements WearReporter: a file-backed device has no media wear, so
-// only lifecycle counts are populated (mirroring MemDevice).
-func (d *DurableDevice) Wear() WearInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	w := WearInfo{Kind: "durable", Retired: d.brick}
-	for _, disk := range d.disks {
-		if disk.draining {
-			w.DrainingMinidisks++
-		} else {
-			w.LiveMinidisks++
-		}
-	}
-	if !d.brick {
-		w.CapacityFrac = 1
-	}
-	return w
-}
-
-// Minidisks implements Device, returning non-draining disks in ID order.
-func (d *DurableDevice) Minidisks() []MinidiskInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]MinidiskInfo, 0, len(d.disks))
-	for _, disk := range d.disks {
-		if !disk.draining {
-			out = append(out, disk.info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func (d *DurableDevice) lookup(md MinidiskID, lba int, buf []byte) (*durDisk, error) {
-	if d.brick {
-		return nil, ErrBricked
-	}
-	disk, ok := d.disks[md]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchMinidisk, md)
-	}
-	if lba < 0 || lba >= disk.info.LBAs {
-		return nil, fmt.Errorf("%w: %d (minidisk has %d)", ErrBadLBA, lba, disk.info.LBAs)
-	}
-	if len(buf) != OPageSize {
-		return nil, ErrBufSize
-	}
-	return disk, nil
-}
-
-// Read implements Device, serving from the RAM image (the store is only
-// read at open). Unwritten LBAs read as zeros.
-func (d *DurableDevice) Read(md MinidiskID, lba int, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	disk, err := d.lookup(md, lba, buf)
-	if err != nil {
-		return err
-	}
-	if data, ok := disk.data[lba]; ok {
-		copy(buf, data)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
-	return nil
-}
-
-// Write implements Device: the page is committed to the store before the
-// RAM image is updated and before the ack. Draining minidisks reject
-// writes.
-func (d *DurableDevice) Write(md MinidiskID, lba int, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	disk, err := d.lookup(md, lba, buf)
-	if err != nil {
-		return err
-	}
-	if disk.draining {
-		return fmt.Errorf("%w: %d (draining)", ErrNoSuchMinidisk, md)
-	}
-	cp := append([]byte(nil), buf...)
-	if err := d.st.Put(pgKey(md, lba), cp); err != nil {
-		return fmt.Errorf("blockdev: durable write md %d lba %d: %w", md, lba, err)
-	}
-	disk.data[lba] = cp
-	return nil
-}
-
-// Trim implements Device: the committed page is deleted before the RAM
-// image forgets it.
-func (d *DurableDevice) Trim(md MinidiskID, lba int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.brick {
-		return ErrBricked
-	}
-	disk, ok := d.disks[md]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchMinidisk, md)
-	}
-	if lba < 0 || lba >= disk.info.LBAs {
-		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
-	}
-	if err := d.st.Delete(pgKey(md, lba)); err != nil {
-		return err
-	}
-	delete(disk.data, lba)
-	return nil
-}
-
-// Notify implements Device.
-func (d *DurableDevice) Notify(fn func(Event)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.notify = fn
 }
 
 var (

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"salamander/internal/blockdev"
 	"salamander/internal/sim"
@@ -16,56 +15,28 @@ import (
 // acked oPages and the flash array's accumulated wear. The simulated device
 // itself is rebuilt from its Config on every open (the simulation is
 // deterministic), then aged back to its checkpointed wear and re-fed its
-// persisted contents.
+// persisted contents. The embedded blockdev.Persister owns the pages;
+// Durable adds only the wear snapshot.
 //
-// Store layout (under Options.Prefix):
+// Store layout:
 //
 //	wear           JSON per-block {PEC, Dead} snapshot
-//	pg/<md>/<lba>  one committed host oPage
+//	pg/<md>/<lba>  one committed host oPage (blockdev.Persister)
 //
-// Write ordering is device-first, store-second, ack-last: a crash between
-// the device write and the store put loses only an unacknowledged page. A
-// wear snapshot is checkpointed every Options.CheckpointEvery host writes
-// and on Flush/Close, so a kill -9 forfeits at most that window of aging —
-// wear only ever under-counts, it never runs backwards.
+// The wear snapshot is checkpointed every 64 host writes and on Flush and
+// Close, so a kill -9 forfeits at most that window of aging — wear only
+// ever under-counts, it never runs backwards.
 //
 // Honest limitations, by design: minidisk lifecycle (decommissions,
 // drains) is not replayed — a reopened device starts from its config's
 // disk set, and pages persisted for minidisks the fresh device does not
-// expose are dropped (counted in ReplayStats). The distributed layer's
-// recovery quarantines and repairs the affected chunks; pretending the
-// pages were still addressable is how recovery serves wrong bytes.
+// expose are reclaimed. The distributed layer's recovery quarantines and
+// repairs the affected chunks; pretending the pages were still addressable
+// is how recovery serves wrong bytes.
 type Durable struct {
 	*Device
-	st   store.Store
-	opts DurableOptions
-
-	pmu        sync.Mutex // guards sinceCkpt and checkpoint writes
-	sinceCkpt  int
-	userNotify func(blockdev.Event)
-	stats      ReplayStats
-}
-
-// DurableOptions parameterize a Durable device.
-type DurableOptions struct {
-	// Prefix namespaces this device's keys inside a shared store
-	// ("dev0/"); empty means the store is exclusive to this device.
-	Prefix string
-	// CheckpointEvery is how many host writes may elapse between wear
-	// snapshots (default 64). Flush and Close always checkpoint.
-	CheckpointEvery int
-}
-
-// ReplayStats reports what OpenDurable reconstructed.
-type ReplayStats struct {
-	// WearBlocks is how many flash blocks had wear restored.
-	WearBlocks int
-	// ReplayedPages is how many persisted oPages were written back.
-	ReplayedPages int
-	// DroppedPages is how many persisted oPages referenced minidisks or
-	// LBAs the fresh device does not expose; their store keys were
-	// reclaimed and the distributed layer must repair the affected chunks.
-	DroppedPages int
+	*blockdev.Persister
+	st store.Store
 }
 
 type wearSnap struct {
@@ -75,123 +46,66 @@ type wearSnap struct {
 
 // OpenDurable builds a fresh Device from cfg and recovers it from the
 // store: wear first (so replayed programs age already-worn flash), then
-// contents. A fresh store yields a pristine device.
-func OpenDurable(cfg Config, eng *sim.Engine, st store.Store, opts DurableOptions) (*Durable, error) {
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 64
-	}
+// contents. A fresh store yields a pristine device. An undecodable wear
+// snapshot is reported by Damaged and the device starts from pristine wear.
+func OpenDurable(cfg Config, eng *sim.Engine, st store.Store) (*Durable, error) {
 	inner, err := New(cfg, eng)
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{Device: inner, st: st, opts: opts}
-	// Route device events through the pruning wrapper from the start so a
-	// decommission during replay already reclaims its pages.
-	inner.Notify(d.onEvent)
-	if err := d.restoreWear(); err != nil {
+	d := &Durable{Device: inner, st: st}
+	damaged, err := d.restoreWear()
+	if err != nil {
 		return nil, err
 	}
-	if err := d.replayPages(); err != nil {
+	if d.Persister, err = blockdev.Persist(inner, st, d.checkpointWear, damaged); err != nil {
 		return nil, err
 	}
-	if err := d.checkpointWear(); err != nil {
+	if err := d.Flush(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// ReplayStats returns what recovery reconstructed at open.
-func (d *Durable) ReplayStats() ReplayStats { return d.stats }
-
-// Store returns the backing store (for tests and ops tooling).
-func (d *Durable) Store() store.Store { return d.st }
-
-func (d *Durable) key(parts string) string { return d.opts.Prefix + parts }
-
-func (d *Durable) pgKey(md blockdev.MinidiskID, lba int) string {
-	return fmt.Sprintf("%spg/%d/%d", d.opts.Prefix, md, lba)
+// Both embedded types define Write, Trim and Notify; these pick the
+// Persister's, which wraps the device's own.
+func (d *Durable) Write(md blockdev.MinidiskID, lba int, buf []byte) error {
+	return d.Persister.Write(md, lba, buf)
 }
+func (d *Durable) Trim(md blockdev.MinidiskID, lba int) error { return d.Persister.Trim(md, lba) }
+func (d *Durable) Notify(fn func(blockdev.Event))             { d.Persister.Notify(fn) }
 
-func (d *Durable) restoreWear() error {
-	raw, err := d.st.Get(d.key("wear"))
+// restoreWear ages the fresh array to the checkpointed wear. It returns
+// the snapshot's key as damaged if it does not decode.
+func (d *Durable) restoreWear() ([]string, error) {
+	raw, err := d.st.Get("wear")
 	if errors.Is(err, store.ErrNotFound) {
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("core: restore wear: %w", err)
+		return nil, fmt.Errorf("core: restore wear: %w", err)
 	}
 	var snap wearSnap
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		// A torn snapshot cannot happen (puts are atomic); an undecodable
-		// one means foreign data. Starting from pristine wear is the safe
-		// degradation — lifespan is under-counted, never corrupted.
-		return nil
+	if json.Unmarshal(raw, &snap) != nil {
+		// Puts are atomic, so this is foreign data. Pristine wear is the
+		// safe degradation: lifespan is under-counted, never corrupted.
+		return []string{"wear"}, nil
 	}
 	arr := d.Array()
 	total := arr.Geometry().TotalBlocks()
-	for b, pec := range snap.PEC {
-		if b >= total {
-			break
-		}
+	for b, pec := range snap.PEC[:min(len(snap.PEC), total)] {
 		if err := arr.RestoreWear(b, pec, false); err != nil {
-			return err
+			return nil, err
 		}
-		d.stats.WearBlocks++
 	}
 	for _, b := range snap.Dead {
 		if b >= 0 && b < total {
 			if err := arr.RestoreWear(b, arr.BlockPEC(b), true); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
-}
-
-// replayPages writes every persisted oPage back through the host write
-// path. Pages whose minidisk or LBA the fresh device does not expose are
-// dropped and their keys reclaimed.
-func (d *Durable) replayPages() error {
-	keys, err := d.st.List(d.key("pg/"))
-	if err != nil {
-		return fmt.Errorf("core: replay: %w", err)
-	}
-	live := map[blockdev.MinidiskID]int{}
-	for _, m := range d.Device.Minidisks() {
-		live[m.ID] = m.LBAs
-	}
-	for _, k := range keys {
-		var md blockdev.MinidiskID
-		var lba int
-		if _, err := fmt.Sscanf(k[len(d.opts.Prefix):], "pg/%d/%d", &md, &lba); err != nil {
-			d.stats.DroppedPages++
-			_ = d.st.Delete(k)
-			continue
-		}
-		raw, err := d.st.Get(k)
-		if err != nil || len(raw) != blockdev.OPageSize {
-			d.stats.DroppedPages++
-			_ = d.st.Delete(k)
-			continue
-		}
-		if lbas, ok := live[md]; !ok || lba < 0 || lba >= lbas {
-			d.stats.DroppedPages++
-			_ = d.st.Delete(k)
-			continue
-		}
-		if err := d.Device.Write(md, lba, raw); err != nil {
-			// The device shrank mid-replay (decommission/brick): the pages
-			// it can no longer address are repair work for the layer above.
-			if errors.Is(err, blockdev.ErrNoSuchMinidisk) || errors.Is(err, blockdev.ErrBricked) {
-				d.stats.DroppedPages++
-				_ = d.st.Delete(k)
-				continue
-			}
-			return fmt.Errorf("core: replay %s: %w", k, err)
-		}
-		d.stats.ReplayedPages++
-	}
-	return d.Device.Flush()
+	return nil, nil
 }
 
 // checkpointWear snapshots per-block wear into the store.
@@ -206,73 +120,10 @@ func (d *Durable) checkpointWear() error {
 		}
 	}
 	raw, _ := json.Marshal(snap)
-	if err := d.st.Put(d.key("wear"), raw); err != nil {
+	if err := d.st.Put("wear", raw); err != nil {
 		return fmt.Errorf("core: checkpoint wear: %w", err)
 	}
 	return nil
-}
-
-// onEvent runs under the device lock (the blockdev Notify contract): it
-// must not call back into the device, so it only touches the store —
-// reclaiming the pages of capacity the device just withdrew — before
-// forwarding to the user handler.
-func (d *Durable) onEvent(e blockdev.Event) {
-	switch e.Kind {
-	case blockdev.EventDecommission:
-		if keys, err := d.st.List(fmt.Sprintf("%spg/%d/", d.opts.Prefix, e.Minidisk)); err == nil {
-			for _, k := range keys {
-				_ = d.st.Delete(k)
-			}
-		}
-	case blockdev.EventBrick:
-		if keys, err := d.st.List(d.key("pg/")); err == nil {
-			for _, k := range keys {
-				_ = d.st.Delete(k)
-			}
-		}
-	}
-	if d.userNotify != nil {
-		d.userNotify(e)
-	}
-}
-
-// Notify implements blockdev.Device, chaining the caller's handler behind
-// the page-pruning wrapper.
-func (d *Durable) Notify(fn func(blockdev.Event)) {
-	d.pmu.Lock()
-	d.userNotify = fn
-	d.pmu.Unlock()
-}
-
-// Write implements blockdev.Device: device write, then store commit, then
-// ack. A store failure fails the write — the caller must not ack what the
-// store did not.
-func (d *Durable) Write(md blockdev.MinidiskID, lba int, buf []byte) error {
-	if err := d.Device.Write(md, lba, buf); err != nil {
-		return err
-	}
-	if err := d.st.Put(d.pgKey(md, lba), buf); err != nil {
-		return fmt.Errorf("core: durable write md %d lba %d: %w", md, lba, err)
-	}
-	d.pmu.Lock()
-	d.sinceCkpt++
-	due := d.sinceCkpt >= d.opts.CheckpointEvery
-	if due {
-		d.sinceCkpt = 0
-	}
-	d.pmu.Unlock()
-	if due {
-		return d.checkpointWear()
-	}
-	return nil
-}
-
-// Trim implements blockdev.Device, forgetting the page durably.
-func (d *Durable) Trim(md blockdev.MinidiskID, lba int) error {
-	if err := d.Device.Trim(md, lba); err != nil {
-		return err
-	}
-	return d.st.Delete(d.pgKey(md, lba))
 }
 
 // Flush drains the device write buffer and checkpoints wear.
@@ -283,14 +134,13 @@ func (d *Durable) Flush() error {
 	return d.checkpointWear()
 }
 
-// Close checkpoints and syncs the store. The device itself has no
-// resources to release; the store is left open for the caller (it may be
-// shared across devices via Prefix).
+// Close drains the device write buffer, then checkpoints and syncs through
+// the Persister.
 func (d *Durable) Close() error {
-	if err := d.Flush(); err != nil {
+	if err := d.Device.Flush(); err != nil {
 		return err
 	}
-	return d.st.Sync()
+	return d.Persister.Close()
 }
 
 var _ blockdev.Device = (*Durable)(nil)

@@ -1,11 +1,11 @@
 // Package store defines the minimal persistence interface behind every
 // durable layer of the system (tensorvault ADR-003's shape): a flat
 // key→blob namespace with atomic, idempotent puts. Implementations back
-// the durable block device (internal/blockdev), the Salamander device's
-// wear/content mirror (internal/core), and the difs cluster's object
-// manifests (internal/difs), so each layer is backend-agnostic — RAM for
-// tests, sharded local files for real kill-the-binary durability, object
-// storage later without touching the callers.
+// the durable devices' pages and state records (blockdev.Persister, shared
+// by blockdev.OpenDurable and core.OpenDurable) and the difs cluster's
+// object manifests (internal/difs), so each layer is backend-agnostic —
+// RAM for tests, sharded local files for real kill-the-binary durability,
+// object storage later without touching the callers.
 //
 // Keys are slash-separated paths ("obj/alpha", "pg/3/17"). The contract
 // every implementation honors:
