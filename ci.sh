@@ -27,6 +27,8 @@
 #    policy-parameterised device suite in internal/ftl runs under -race.
 #  - go test ./..., which includes the 33 pinned chaos report digests and
 #    the 60 pinned device digests.
+#  - BenchmarkPickTargets once at -benchtime 100x, so the placement
+#    micro-benchmark keeps compiling and running (its time is not checked).
 #  - Sharded-cluster conformance: the difs corpus again at DIFS_SHARDS=4 and
 #    16, and go test -race over the whole module (the stress battery in
 #    blockdev/ftl/core/difs hammers each layer from many goroutines) plus
@@ -135,6 +137,9 @@ go test -race -count=1 ./internal/ftl/
 
 echo "== go test =="
 go test ./...
+
+echo "== placement micro-benchmark (runs once; time not checked) =="
+go test -run '^$' -bench PickTargets -benchtime 100x ./internal/difs/
 
 echo "== sharded-cluster conformance (difs corpus at DIFS_SHARDS=4 and 16) =="
 # The whole difs test corpus doubles as the shard conformance battery: every

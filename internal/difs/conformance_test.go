@@ -41,8 +41,8 @@ func eachObject(c *Cluster, fn func(*object)) {
 // lives here anymore" want exactly that union view.
 func eachTarget(c *Cluster, fn func(key targetKey, t *target)) {
 	for _, s := range c.owned {
-		for _, k := range sortedKeys(s.targets) {
-			fn(k, s.targets[k])
+		for _, t := range s.allTargets() {
+			fn(t.key, t)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package difs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -43,9 +44,16 @@ func (c *Cluster) CheckInvariants() []string {
 func (sh *shard) checkInvariantsLocked() []string {
 	var bad []string
 
-	// Targets, in key order.
-	for _, k := range sortedKeys(sh.targets) {
-		t := sh.targets[k]
+	// Targets, in key order; the node lists must be exactly the target map.
+	all := sh.allTargets()
+	if len(all) != len(sh.targets) {
+		bad = append(bad, fmt.Sprintf("node lists hold %d targets, the target map %d", len(all), len(sh.targets)))
+	}
+	for i, t := range all {
+		k := t.key
+		if sh.targets[k] != t || (i > 0 && !all[i-1].key.less(k)) {
+			bad = append(bad, fmt.Sprintf("target %v listed out of key order or not registered", k))
+		}
 		if t.state == tDead {
 			bad = append(bad, fmt.Sprintf("target %v is dead but still registered", k))
 		}
@@ -63,14 +71,7 @@ func (sh *shard) checkInvariantsLocked() []string {
 				bad = append(bad, fmt.Sprintf("target %v slot %d holds chunk of deleted object %q", k, s, ch.obj.name))
 				continue
 			}
-			listed := false
-			for _, r := range ch.replicas {
-				if r.tgt == t && r.slot == s {
-					listed = true
-					break
-				}
-			}
-			if !listed {
+			if !slices.Contains(ch.replicas, replica{tgt: t, slot: s}) {
 				bad = append(bad, fmt.Sprintf("target %v slot %d holds %s but the chunk does not list the replica", k, s, chunkName(ch)))
 			}
 		}
@@ -136,8 +137,8 @@ func (c *Cluster) checkLedgerInvariants() []string {
 	occ := map[targetKey]map[int]int{} // disk -> slot -> shard
 	for _, sh := range c.owned {
 		sh.mu.Lock()
-		for _, k := range sortedKeys(sh.targets) {
-			t := sh.targets[k]
+		for _, t := range sh.allTargets() {
+			k := t.key
 			slots := make([]int, 0, len(t.chunks))
 			for slot := range t.chunks {
 				slots = append(slots, slot)

@@ -31,17 +31,8 @@ func (k targetKey) less(o targetKey) bool {
 	return k.md < o.md
 }
 
-// sortedKeys lists a target-keyed map's keys in targetKey.less order.
-func sortedKeys[V any](m map[targetKey]V) []targetKey {
-	keys := make([]targetKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	return keys
-}
-
-// ledgerDisk is one minidisk's physical slot book.
+// ledgerDisk is one minidisk's physical slot book, guarded by the ledger
+// mutex. Every shard's target for the minidisk points at it.
 type ledgerDisk struct {
 	cap  int
 	free []int
@@ -61,13 +52,13 @@ func newSlotLedger() *slotLedger {
 	return &slotLedger{disks: map[targetKey]*ledgerDisk{}}
 }
 
-// register opens a disk's slot book (idempotent — every shard registers the
-// same disk on AddNode/regenerate; the first wins).
-func (l *slotLedger) register(key targetKey, slots int, dev blockdev.Device) {
+// register opens a disk's slot book and returns it (idempotent — every shard
+// registers the same disk on AddNode/regenerate; the first wins).
+func (l *slotLedger) register(key targetKey, slots int, dev blockdev.Device) *ledgerDisk {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.disks[key]; ok {
-		return
+	if d, ok := l.disks[key]; ok {
+		return d
 	}
 	d := &ledgerDisk{cap: slots, dev: dev}
 	// Descending free list: alloc pops the tail, so slots are handed out
@@ -76,14 +67,19 @@ func (l *slotLedger) register(key targetKey, slots int, dev blockdev.Device) {
 		d.free = append(d.free, s)
 	}
 	l.disks[key] = d
+	return d
 }
 
 // drop closes a disk's slot book (idempotent — every shard processes the
-// same decommission/brick event).
+// same decommission/brick event). It empties the book too, so a shard yet
+// to settle the event reads 0 free through its target's pointer.
 func (l *slotLedger) drop(key targetKey) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.disks, key)
+	if d := l.disks[key]; d != nil {
+		d.free = nil
+		delete(l.disks, key)
+	}
 }
 
 // alloc pops a free slot. ok=false when the disk is gone or full — which can
@@ -133,16 +129,6 @@ func (l *slotLedger) release(key targetKey, slot int) {
 	d.free = append(d.free, slot)
 }
 
-func (l *slotLedger) freeCount(key targetKey) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.disks[key]
-	if d == nil {
-		return 0
-	}
-	return len(d.free)
-}
-
 // snapshot copies a disk's slot book for lock-free inspection.
 func (l *slotLedger) snapshot(key targetKey) (free []int, capacity int, dev blockdev.Device, ok bool) {
 	l.mu.Lock()
@@ -157,7 +143,7 @@ func (l *slotLedger) snapshot(key targetKey) (free []int, capacity int, dev bloc
 // takeIfFullyFree atomically closes a disk's slot book iff every slot is
 // free. The one shard this succeeds for performs the physical release of a
 // drained minidisk — the others have (or will) merely retire their local
-// view of it.
+// view of it. Like drop, it empties the book for any pointer still held.
 func (l *slotLedger) takeIfFullyFree(key targetKey) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -165,6 +151,7 @@ func (l *slotLedger) takeIfFullyFree(key targetKey) bool {
 	if d == nil || len(d.free) != d.cap {
 		return false
 	}
+	d.free = nil
 	delete(l.disks, key)
 	return true
 }
@@ -173,5 +160,10 @@ func (l *slotLedger) takeIfFullyFree(key targetKey) bool {
 func (l *slotLedger) keysSorted() []targetKey {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return sortedKeys(l.disks)
+	keys := make([]targetKey, 0, len(l.disks))
+	for k := range l.disks {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	return keys
 }

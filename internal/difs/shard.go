@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,6 +63,7 @@ type target struct {
 	// a rejoining node re-registers them.
 	down bool
 	dev  blockdev.Device
+	book *ledgerDisk // the minidisk's slot book in the shared ledger
 }
 
 func (t *target) live() bool     { return t.state == tLive && !t.down }
@@ -121,6 +123,10 @@ type object struct {
 type node struct {
 	id      NodeID
 	devices []blockdev.Device
+	// targets is the shard's target order: the node's targets by key. No
+	// element is ever overwritten in place, so callers may range over it
+	// while targets come and go.
+	targets []*target
 }
 
 // shard is one namespace slice of a Cluster. mu guards every field below it
@@ -305,9 +311,22 @@ func (sh *shard) addTarget(nid NodeID, dev int, info blockdev.MinidiskInfo) {
 		state:  tLive,
 		dev:    sh.nodes[nid].devices[dev],
 	}
-	sh.led.register(t.key, slots, t.dev)
+	t.book = sh.led.register(t.key, slots, t.dev)
 	sh.targets[t.key] = t
+	n := sh.nodes[nid]
+	if i := sort.Search(len(n.targets), func(i int) bool { return t.key.less(n.targets[i].key) }); i < len(n.targets) {
+		n.targets = slices.Concat(n.targets[:i], []*target{t}, n.targets[i:])
+	} else {
+		n.targets = append(n.targets, t)
+	}
 	sh.bumpEpoch()
+}
+
+// unlistTarget removes a retired target from the shard's view.
+func (sh *shard) unlistTarget(t *target) {
+	delete(sh.targets, t.key)
+	n := sh.nodes[t.key.node]
+	n.targets = slices.DeleteFunc(slices.Clone(n.targets), func(x *target) bool { return x == t })
 }
 
 // bumpEpoch advances the shard's placement epoch. Callers hold the lock.
@@ -398,25 +417,28 @@ func (sh *shard) applyEvent(nid NodeID, dev int, e blockdev.Event) {
 	}
 }
 
-// targetsWhere lists the targets whose key satisfies keep, in key order
-// (deterministic).
-func (sh *shard) targetsWhere(keep func(targetKey) bool) []*target {
-	var out []*target
-	for key, t := range sh.targets {
-		if keep(key) {
-			out = append(out, t)
-		}
+// targetsOfNode lists a node's targets in key order (read-only).
+func (sh *shard) targetsOfNode(nid NodeID) []*target {
+	if nid < 0 || int(nid) >= len(sh.nodes) {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key.less(out[j].key) })
+	return sh.nodes[nid].targets
+}
+
+// allTargets lists every target of the shard in key order.
+func (sh *shard) allTargets() []*target {
+	var out []*target
+	for _, n := range sh.nodes {
+		out = append(out, n.targets...)
+	}
 	return out
 }
 
 func (sh *shard) targetsOfDevice(nid NodeID, dev int) []*target {
-	return sh.targetsWhere(func(k targetKey) bool { return k.node == nid && k.dev == dev })
-}
-
-func (sh *shard) targetsOfNode(nid NodeID) []*target {
-	return sh.targetsWhere(func(k targetKey) bool { return k.node == nid })
+	ts := sh.targetsOfNode(nid)
+	lo := sort.Search(len(ts), func(i int) bool { return ts[i].key.dev >= dev })
+	hi := sort.Search(len(ts), func(i int) bool { return ts[i].key.dev > dev })
+	return ts[lo:hi:hi]
 }
 
 // loseTarget marks a minidisk gone and queues its chunks for repair.
@@ -444,7 +466,7 @@ func (sh *shard) loseTarget(key targetKey) {
 		sh.enqueueRepair(ch)
 	}
 	t.chunks = map[int]*chunk{}
-	delete(sh.targets, key)
+	sh.unlistTarget(t)
 	sh.bumpEpoch()
 }
 
@@ -521,12 +543,13 @@ func (sh *shard) capacity() (total, free int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.settleLocked()
-	for _, t := range sh.targets {
-		if !t.live() {
-			continue
+	sh.led.mu.Lock()
+	defer sh.led.mu.Unlock()
+	for _, t := range sh.allTargets() {
+		if t.live() {
+			total += t.info.LBAs / sh.cfg.ChunkOPages
+			free += len(t.book.free)
 		}
-		total += t.info.LBAs / sh.cfg.ChunkOPages
-		free += sh.led.freeCount(t.key)
 	}
 	return total, free
 }
@@ -550,53 +573,37 @@ func (sh *shard) objectNames() []string {
 // --- placement ---------------------------------------------------------------
 
 // pickTargets chooses up to want targets on distinct nodes, excluding nodes
-// already hosting the chunk. Random choice among the least-loaded halves the
-// variance without a full cost model.
+// already hosting the chunk: each node's best live target with a free slot
+// (emptiest for spread, fullest non-full for pack, ties to the lower
+// targetKey), in one pass under the leaf ledger lock, then a random choice
+// among those nodes. Other shards allocate concurrently, so a count may be
+// stale; writeChunk then returns ErrNoSpace and the caller tries elsewhere.
 func (sh *shard) pickTargets(want int, exclude map[NodeID]bool) []*target {
-	// Group candidate targets by node. Free-slot counts are snapshotted up
-	// front: they live in the shared ledger and other shards allocate
-	// concurrently (a stale count just makes writeChunk return ErrNoSpace
-	// and the placement loop try elsewhere).
-	free := map[*target]int{}
-	byNode := map[NodeID][]*target{}
-	for _, t := range sh.targets {
-		if !t.live() || exclude[t.key.node] {
+	pack := sh.cfg.Placement == PlacementPack
+	out := make([]*target, 0, len(sh.nodes))
+	sh.led.mu.Lock()
+	for _, n := range sh.nodes {
+		if exclude[n.id] {
 			continue
 		}
-		n := sh.led.freeCount(t.key)
-		if n == 0 {
-			continue
-		}
-		free[t] = n
-		byNode[t.key.node] = append(byNode[t.key.node], t)
-	}
-	nodes := make([]NodeID, 0, len(byNode))
-	for nid := range byNode {
-		nodes = append(nodes, nid)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	sh.rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
-	var out []*target
-	for _, nid := range nodes {
-		if len(out) == want {
-			break
-		}
-		cands := byNode[nid]
-		// Order per the placement policy, breaking ties by ID for
-		// determinism.
-		sort.Slice(cands, func(i, j int) bool {
-			fi, fj := free[cands[i]], free[cands[j]]
-			if fi != fj {
-				if sh.cfg.Placement == PlacementPack {
-					return fi < fj // fullest (but non-full) first
-				}
-				return fi > fj // emptiest first
+		var best *target
+		bestFree := 0
+		for _, t := range n.targets {
+			f := len(t.book.free)
+			if f == 0 || !t.live() {
+				continue
 			}
-			return cands[i].key.md < cands[j].key.md
-		})
-		out = append(out, cands[0])
+			if best == nil || (pack && f < bestFree) || (!pack && f > bestFree) {
+				best, bestFree = t, f
+			}
+		}
+		if best != nil {
+			out = append(out, best)
+		}
 	}
-	return out
+	sh.led.mu.Unlock()
+	sh.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out[:min(want, len(out))]
 }
 
 // writeChunk stores data (exactly ChunkOPages*4KB, already padded) into a
@@ -1180,7 +1187,7 @@ func (sh *shard) releaseDrained(drainingTouched []*target) {
 		// hold replicas, or the disk is already gone), this shard's view of
 		// it is drained: retire the local target.
 		t.state = tDead
-		delete(sh.targets, t.key)
+		sh.unlistTarget(t)
 		sh.bumpEpoch()
 	}
 }

@@ -477,6 +477,11 @@ func (cc *clientConn) readLoop() {
 
 // roundTrip sends one frame and waits for its response or ctx expiry.
 func (cc *clientConn) roundTrip(ctx context.Context, f *wire.Frame) (wire.Frame, error) {
+	if err := ctx.Err(); err != nil {
+		// Already canceled: send nothing, or a fast response could win the
+		// select below and the canceled call would succeed.
+		return wire.Frame{}, err
+	}
 	ch := make(chan wire.Frame, 1)
 	cc.pmu.Lock()
 	if cc.dead {
