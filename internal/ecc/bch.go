@@ -326,7 +326,9 @@ func (c *Code) packParityInto(reg []uint64, out []byte) {
 
 // Check reports whether data+parity form a valid codeword. It is much
 // cheaper than Decode, allocates nothing, and is the fast path for clean
-// reads.
+// reads. The 8·ParityBytes()−R low bits of the last parity byte are
+// padding outside the code: the flash flips them like any other bit, so
+// they are masked out of the comparison.
 func (c *Code) Check(data, parity []byte) bool {
 	if len(data) != c.K/8 || len(parity) != c.ParityBytes() {
 		return false
@@ -334,9 +336,20 @@ func (c *Code) Check(data, parity []byte) bool {
 	s := c.getScratch()
 	c.runLFSR(s.reg, data)
 	c.packParityInto(s.reg, s.parity)
-	ok := bytes.Equal(s.parity, parity)
+	last := len(parity) - 1
+	ok := bytes.Equal(s.parity[:last], parity[:last]) &&
+		(s.parity[last]^parity[last])&c.lastParityMask() == 0
 	c.putScratch(s)
 	return ok
+}
+
+// lastParityMask selects the code's bits in the final parity byte: the top
+// R%8 bits, or the whole byte when R is a multiple of 8.
+func (c *Code) lastParityMask() byte {
+	if c.R%8 == 0 {
+		return 0xff
+	}
+	return 0xff << uint(8-c.R%8)
 }
 
 // --- decoding -------------------------------------------------------------
