@@ -1,7 +1,7 @@
 package ecc
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -25,20 +25,18 @@ type Code struct {
 	N int // codeword bits, K + R
 	T int // designed correction capability in bits
 
-	gLow    []uint64      // generator minus the x^R term, bits 0..R-1
-	topMask uint64        // mask for the top word of an R-bit register
-	tbl     [256][]uint64 // byte-wise LFSR step table
-	nw      int           // words per R-bit register
+	nw    int      // words per left-aligned R-bit register (see runLFSR)
+	gLow  []uint64 // generator minus the x^R term, left-aligned
+	slice []uint64 // 8 slicing tables of 256 rows of nw words (buildTables)
 
 	// Byte-wise syndrome evaluation tables: for the j-th odd syndrome index
 	// i = 2j+1, synTbl[j][b] is the contribution of input byte b to S_i,
-	// synStride[j] = α^{8i} is the per-byte Horner stride, and synAlpha[j]
-	// = α^i steps the tail bits of a partial final parity byte. Together
-	// they turn each odd syndrome into O(N/8) table lookups instead of O(N)
-	// GF multiplies; even syndromes follow from S_2i = S_i².
-	synTbl    [][256]uint32
-	synStride []uint32
-	synAlpha  []uint32
+	// and synUnpad[j] = α^{-i·(8·ParityBytes()−R)} removes the pad bits'
+	// shift from a Horner pass over the packed remainder. Together they turn
+	// each odd syndrome into O(R/8) table lookups; even syndromes follow
+	// from S_2i = S_i².
+	synTbl   [][256]uint32
+	synUnpad []uint32
 
 	// synLo/synHi split the loop-carried multiply acc·α^{8i} of the
 	// syndrome Horner recurrence into two independent table loads
@@ -78,15 +76,14 @@ func NewCode(m, dataBits, t int) (*Code, error) {
 	}
 	c := &Code{F: f, K: dataBits, R: r, N: n, T: t}
 	c.nw = (r + 63) / 64
+	pad := 64*c.nw - r
 	c.gLow = make([]uint64, c.nw)
-	copy(c.gLow, gen) // gen has bit r set; clear it
-	c.gLow[r/64] &^= 1 << uint(r%64)
-	if r%64 == 0 {
-		c.topMask = ^uint64(0)
-	} else {
-		c.topMask = (1 << uint(r%64)) - 1
+	for d := 0; d < r; d++ { // gen's bit r (the x^R term) is dropped
+		if gen[d/64]>>uint(d%64)&1 != 0 {
+			c.gLow[(pad+d)/64] |= 1 << uint((pad+d)%64)
+		}
 	}
-	c.buildTable()
+	c.buildTables()
 	c.buildSyndromeTables()
 	c.buildQuadTable()
 	c.pool.New = func() any { return c.newScratch() }
@@ -192,11 +189,19 @@ func minimalPoly(f *Field, coset []int) ([]uint64, error) {
 }
 
 // --- LFSR encoding --------------------------------------------------------
+//
+// The R-bit division register is kept left-aligned in nw words: the
+// coefficient of x^d sits at bit pad+d of the 64·nw-bit string, pad =
+// 64·nw − R, so x^(R-1) is the top bit of the last word and the low pad
+// bits of word 0 stay zero. The bits about to shift out are then always the
+// top of the last word, and the packed parity is the words written
+// big-endian, last word first.
 
-// stepBit advances the division register by one input bit (0 or 1).
+// stepBit advances the division register by one input bit (0 or 1):
+// reg ← (reg·x + in·x^R) mod g. It is the bit-serial oracle the slicing
+// tables are built from.
 func (c *Code) stepBit(reg []uint64, in uint64) {
-	top := (reg[(c.R-1)/64] >> uint((c.R-1)%64)) & 1
-	fb := top ^ in
+	fb := reg[len(reg)-1]>>63 ^ in
 	for w := len(reg) - 1; w > 0; w-- {
 		reg[w] = reg[w]<<1 | reg[w-1]>>63
 	}
@@ -206,55 +211,95 @@ func (c *Code) stepBit(reg []uint64, in uint64) {
 			reg[w] ^= c.gLow[w]
 		}
 	}
-	reg[len(reg)-1] &= c.topMask
 }
 
-// buildTable precomputes the effect of shifting 8 bits through the register,
-// turning encoding into one table lookup per data byte.
-func (c *Code) buildTable() {
-	for b := 0; b < 256; b++ {
-		reg := make([]uint64, c.nw)
-		for bit := 7; bit >= 0; bit-- {
-			c.stepBit(reg, uint64(b>>uint(bit))&1)
+// buildTables precomputes the eight slicing tables: row (k, b) of c.slice
+// is b·x^{8k}·x^R mod g, left-aligned, so one table lookup per input byte
+// folds eight bytes into the register at once. The rows for single-bit b
+// are x^j·x^R mod g for j = 0..63, read off stepBit; the rest follow by
+// linearity.
+func (c *Code) buildTables() {
+	nw := c.nw
+	c.slice = make([]uint64, 8*256*nw)
+	row := func(k, b int) []uint64 { return c.slice[(k*256+b)*nw : (k*256+b+1)*nw] }
+	e := make([]uint64, nw)
+	c.stepBit(e, 1) // x^R mod g
+	for j := 0; j < 64; j++ {
+		copy(row(j/8, 1<<uint(j%8)), e)
+		c.stepBit(e, 0)
+	}
+	for k := 0; k < 8; k++ {
+		for b := 3; b < 256; b++ {
+			if b&(b-1) == 0 {
+				continue
+			}
+			dst, lo, rest := row(k, b), row(k, b&-b), row(k, b&(b-1))
+			for w := range dst {
+				dst[w] = lo[w] ^ rest[w]
+			}
 		}
-		c.tbl[b] = reg
-	}
-}
-
-// top8 extracts bits R-1..R-8 of the register (the byte about to shift out).
-func (c *Code) top8(reg []uint64) byte {
-	pos := c.R - 8
-	w, off := pos/64, uint(pos%64)
-	v := reg[w] >> off
-	if off > 56 && w+1 < len(reg) {
-		v |= reg[w+1] << (64 - off)
-	}
-	return byte(v)
-}
-
-// stepByte advances the register by one input byte using the table.
-func (c *Code) stepByte(reg []uint64, in byte) {
-	fb := in ^ c.top8(reg)
-	// Shift left by 8.
-	for w := len(reg) - 1; w > 0; w-- {
-		reg[w] = reg[w]<<8 | reg[w-1]>>56
-	}
-	reg[0] <<= 8
-	reg[len(reg)-1] &= c.topMask
-	for w, v := range c.tbl[fb] {
-		reg[w] ^= v
 	}
 }
 
 // runLFSR resets reg and divides the data polynomial by the generator,
-// leaving the remainder (the parity image) in reg.
+// leaving data·x^R mod g (the parity image) in reg. Eight data bytes at a
+// time XOR into the top word; the register shifts up one word and takes
+// the eight table rows that word's bytes select.
 func (c *Code) runLFSR(reg []uint64, data []byte) {
-	for w := range reg {
-		reg[w] = 0
+	nw := c.nw
+	reg = reg[:nw]
+	clear(reg)
+	tb := c.slice
+	for ; len(data) >= 8; data = data[8:] {
+		fb := reg[nw-1] ^ binary.BigEndian.Uint64(data)
+		t0 := tb[(0*256+int(fb&0xff))*nw:][:nw]
+		t1 := tb[(1*256+int(fb>>8&0xff))*nw:][:nw]
+		t2 := tb[(2*256+int(fb>>16&0xff))*nw:][:nw]
+		t3 := tb[(3*256+int(fb>>24&0xff))*nw:][:nw]
+		t4 := tb[(4*256+int(fb>>32&0xff))*nw:][:nw]
+		t5 := tb[(5*256+int(fb>>40&0xff))*nw:][:nw]
+		t6 := tb[(6*256+int(fb>>48&0xff))*nw:][:nw]
+		t7 := tb[(7*256+int(fb>>56))*nw:][:nw]
+		var prev uint64 // reg[w-1] before this step
+		for w := range reg {
+			cur := reg[w]
+			reg[w] = prev ^ t0[w] ^ t1[w] ^ t2[w] ^ t3[w] ^ t4[w] ^ t5[w] ^ t6[w] ^ t7[w]
+			prev = cur
+		}
 	}
-	for _, b := range data {
-		c.stepByte(reg, b)
+	for _, b := range data { // a tail shorter than a word, one byte at a time
+		t0 := tb[int(byte(reg[nw-1]>>56)^b)*nw:][:nw]
+		var prev uint64
+		for w := range reg {
+			cur := reg[w]
+			reg[w] = cur<<8 | prev>>56 ^ t0[w]
+			prev = cur
+		}
 	}
+}
+
+// packInto writes the register's top len(out) bytes over out, MSB first:
+// parity bit R-1 is the MSB of out[0], and the pad bits come out zero.
+func (c *Code) packInto(reg []uint64, out []byte) {
+	for i := range out {
+		out[i] = byte(reg[c.nw-1-i/8] >> (56 - 8*uint(i%8)))
+	}
+}
+
+// remainder leaves in reg the received word's remainder mod g — the
+// computed parity XOR the received parity, pad bits masked — and reports
+// whether it is zero, i.e. whether data+parity is a codeword.
+func (c *Code) remainder(reg []uint64, data, parity []byte) bool {
+	c.runLFSR(reg, data)
+	for i, b := range parity {
+		reg[c.nw-1-i/8] ^= uint64(b) << (56 - 8*uint(i%8))
+	}
+	reg[0] &= ^uint64(0) << uint(64*c.nw-c.R) // the pad bits
+	var or uint64
+	for _, w := range reg {
+		or |= w
+	}
+	return or == 0
 }
 
 // Encode computes the parity for data. data must be exactly K/8 bytes; the
@@ -279,7 +324,7 @@ func (c *Code) EncodeInto(data, parity []byte) error {
 	}
 	s := c.getScratch()
 	c.runLFSR(s.reg, data)
-	c.packParityInto(s.reg, parity)
+	c.packInto(s.reg, parity)
 	c.putScratch(s)
 	return nil
 }
@@ -304,24 +349,10 @@ func (c *Code) EncodeSectors(raw []byte, dataBytes, sectorSize int) error {
 	s := c.getScratch()
 	for sec := 0; sec < sectors; sec++ {
 		c.runLFSR(s.reg, raw[sec*sectorSize:(sec+1)*sectorSize])
-		c.packParityInto(s.reg, raw[dataBytes+sec*pb:dataBytes+(sec+1)*pb])
+		c.packInto(s.reg, raw[dataBytes+sec*pb:dataBytes+(sec+1)*pb])
 	}
 	c.putScratch(s)
 	return nil
-}
-
-// packParityInto converts the register (bit R-1 = highest-degree parity
-// term) into MSB-first bytes written over out.
-func (c *Code) packParityInto(reg []uint64, out []byte) {
-	for i := range out {
-		out[i] = 0
-	}
-	for i := 0; i < c.R; i++ {
-		deg := c.R - 1 - i // emit high-degree bits first
-		if reg[deg/64]&(1<<uint(deg%64)) != 0 {
-			out[i/8] |= 1 << uint(7-i%8)
-		}
-	}
 }
 
 // Check reports whether data+parity form a valid codeword. It is much
@@ -334,22 +365,9 @@ func (c *Code) Check(data, parity []byte) bool {
 		return false
 	}
 	s := c.getScratch()
-	c.runLFSR(s.reg, data)
-	c.packParityInto(s.reg, s.parity)
-	last := len(parity) - 1
-	ok := bytes.Equal(s.parity[:last], parity[:last]) &&
-		(s.parity[last]^parity[last])&c.lastParityMask() == 0
+	ok := c.remainder(s.reg, data, parity)
 	c.putScratch(s)
 	return ok
-}
-
-// lastParityMask selects the code's bits in the final parity byte: the top
-// R%8 bits, or the whole byte when R is a multiple of 8.
-func (c *Code) lastParityMask() byte {
-	if c.R%8 == 0 {
-		return 0xff
-	}
-	return 0xff << uint(8-c.R%8)
 }
 
 // --- decoding -------------------------------------------------------------
@@ -438,7 +456,7 @@ func (c *Code) berlekampMassey(s *Scratch) []uint32 {
 // anyway, preserving the decoding-failure semantics of a full-field scan).
 // Returns nil if the in-window root count does not match deg σ (decoding
 // failure). Dispatches to the specialized kernels in chien.go by degree;
-// chienSearchRef is the retained reference the kernels are tested against.
+// chienSearchRef in export_test.go is the reference they are tested against.
 func (c *Code) chienSearch(s *Scratch, sigma []uint32) []int {
 	switch degS := len(sigma) - 1; {
 	case degS == 0:
@@ -461,7 +479,7 @@ func (c *Code) chienSearch(s *Scratch, sigma []uint32) []int {
 // an uncorrectable-page event.) The clean-read fast path allocates nothing;
 // the correction path draws all working state from the scratch pool.
 func (c *Code) Decode(data, parity []byte) (int, error) {
-	return c.DecodeInPlace(data, parity)
+	return c.decode(data, parity, nil)
 }
 
 // DecodeInPlace is Decode under its precise name: corrections are written
@@ -469,38 +487,7 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 // allocations, so callers layering buffer reuse on top (ssd, core) keep
 // ownership of every byte on the read path.
 func (c *Code) DecodeInPlace(data, parity []byte) (int, error) {
-	if len(data) != c.K/8 {
-		return 0, fmt.Errorf("ecc: Decode wants %d data bytes, got %d", c.K/8, len(data))
-	}
-	if len(parity) != c.ParityBytes() {
-		return 0, fmt.Errorf("ecc: Decode wants %d parity bytes, got %d", c.ParityBytes(), len(parity))
-	}
-	if c.Check(data, parity) {
-		return 0, nil
-	}
-	s := c.getScratch()
-	defer c.putScratch(s)
-	if c.syndromesInto(s.syn, data, parity) {
-		// Check failed but syndromes are zero: the error is a multiple of
-		// g(x) outside the BCH bound — undetectable miscorrection risk; in
-		// practice unreachable because Check uses the same g(x).
-		return 0, nil
-	}
-	sigma := c.berlekampMassey(s)
-	if len(sigma)-1 > c.T {
-		return 0, ErrUncorrectable
-	}
-	pos := c.chienSearch(s, sigma)
-	if pos == nil {
-		return 0, ErrUncorrectable
-	}
-	for _, p := range pos {
-		flipBit(data, parity, p, c.K)
-	}
-	if !c.Check(data, parity) {
-		return 0, ErrUncorrectable
-	}
-	return len(pos), nil
+	return c.decode(data, parity, nil)
 }
 
 // DecodeWithErasures corrects data and parity in place like Decode, but
@@ -514,20 +501,26 @@ func (c *Code) DecodeInPlace(data, parity []byte) (int, error) {
 // so a wrong or stale hint costs nothing but the probe. Candidates must be
 // distinct; out-of-range entries are ignored.
 func (c *Code) DecodeWithErasures(data, parity []byte, erasures []int) (int, error) {
+	return c.decode(data, parity, erasures)
+}
+
+// decode is the one decode body. It walks the codeword once: the sliced
+// LFSR yields the remainder, which is either zero (a clean read) or the
+// source of the syndromes; the corrected word is verified from the
+// syndromes and the error degrees, without a second pass.
+func (c *Code) decode(data, parity []byte, erasures []int) (int, error) {
 	if len(data) != c.K/8 {
 		return 0, fmt.Errorf("ecc: Decode wants %d data bytes, got %d", c.K/8, len(data))
 	}
 	if len(parity) != c.ParityBytes() {
 		return 0, fmt.Errorf("ecc: Decode wants %d parity bytes, got %d", c.ParityBytes(), len(parity))
 	}
-	if c.Check(data, parity) {
-		return 0, nil
-	}
 	s := c.getScratch()
 	defer c.putScratch(s)
-	if c.syndromesInto(s.syn, data, parity) {
+	if c.remainder(s.reg, data, parity) {
 		return 0, nil
 	}
+	c.syndromesInto(s.syn, s)
 	sigma := c.berlekampMassey(s)
 	degS := len(sigma) - 1
 	if degS > c.T {
@@ -551,7 +544,7 @@ func (c *Code) DecodeWithErasures(data, parity []byte, erasures []int) (int, err
 		}
 	}
 	if len(pos) != degS {
-		// Errors not confined to the candidates: full root search.
+		// No hint, or errors not confined to the candidates: full root search.
 		pos = c.chienSearch(s, sigma)
 		if pos == nil {
 			return 0, ErrUncorrectable
@@ -560,8 +553,37 @@ func (c *Code) DecodeWithErasures(data, parity []byte, erasures []int) (int, err
 	for _, p := range pos {
 		flipBit(data, parity, p, c.K)
 	}
-	if !c.Check(data, parity) {
+	if !c.corrected(s, pos) {
 		return 0, ErrUncorrectable
 	}
 	return len(pos), nil
+}
+
+// corrected reports whether flipping the bits at pos turned the received
+// word into a codeword. g is the product of the distinct minimal
+// polynomials of α^i for odd i < 2T, so a binary word is a codeword
+// exactly when it vanishes at every such α^i: S_i ⊕ Σ_k α^{i·d_k} = 0,
+// d_k the degree of flipped bit k. Each term walks i in the log domain,
+// T·len(pos) steps in all, instead of a second pass over the codeword.
+func (c *Code) corrected(s *Scratch, pos []int) bool {
+	f := c.F
+	nf := int32(f.N)
+	lt, st := s.chienLT[:len(pos)], s.chienST[:len(pos)]
+	for k, p := range pos {
+		d := int32(c.N - 1 - p) // < N <= |F*|
+		lt[k], st[k] = d, (2*d)%nf
+	}
+	for j := 0; j < c.T; j++ {
+		v := s.syn[2*j+1]
+		for k := range lt {
+			v ^= f.exp[lt[k]]
+			if lt[k] += st[k]; lt[k] >= nf {
+				lt[k] -= nf
+			}
+		}
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -4,9 +4,9 @@ package ecc
 //
 // The error locator σ(x) from Berlekamp–Massey has roots α^{-d} where d is
 // the degree of an errored codeword term. The reference search
-// (chienSearchRef) evaluates σ at every candidate root with PolyEval —
-// O(N·deg σ) full GF multiplies, each a dependent log/exp chain. The
-// kernels below replace it on the decode hot path:
+// (chienSearchRef, kept in export_test.go) evaluates σ at every candidate
+// root with PolyEval — O(N·deg σ) full GF multiplies, each a dependent
+// log/exp chain. The kernels below replace it on the decode hot path:
 //
 //   - deg σ == 1: solved directly from log σ₁ (no scan).
 //   - deg σ == 2: solved algebraically via the affine substitution
@@ -185,39 +185,6 @@ func (c *Code) chienLarge(s *Scratch, sigma []uint32) []int {
 			pos = append(pos, c.degToBit(d))
 			if len(pos) == degS {
 				break
-			}
-		}
-	}
-	if len(pos) != degS {
-		return nil
-	}
-	return pos
-}
-
-// chienSearchRef is the retained reference search: per-candidate PolyEval
-// over the shortened window, exactly the pre-kernel implementation. The
-// differential battery and fuzz targets compare every kernel against it —
-// byte-identical corrections, identical failure verdicts.
-func (c *Code) chienSearchRef(s *Scratch, sigma []uint32) []int {
-	f := c.F
-	degS := len(sigma) - 1
-	pos := s.pos[:0]
-	if degS == 0 {
-		return pos
-	}
-	if degS == 1 {
-		bit := c.degToBit(f.Log(sigma[1]))
-		if bit < 0 {
-			return nil
-		}
-		return append(pos, bit)
-	}
-	for d := 0; d < c.N; d++ {
-		l := (f.N - d) % f.N
-		if f.PolyEval(sigma, f.Alpha(l)) == 0 {
-			pos = append(pos, c.degToBit(d))
-			if len(pos) == degS {
-				break // deg σ roots found; σ has no more
 			}
 		}
 	}

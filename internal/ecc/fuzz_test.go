@@ -91,10 +91,11 @@ func requireSyndromeAgreement(t *testing.T, code *ecc.Code, data, parity []byte,
 }
 
 // FuzzBCHRoundTrip: any payload encoded then corrupted with up to t bit
-// flips must decode back to the exact original; t+1 flips must never
-// miscorrect silently into a "clean" wrong codeword that Check accepts as
-// the original. At every stage the table-driven syndrome path must agree
-// with the bit-serial reference.
+// flips (and, on half the inputs, a flipped pad bit) must decode back to
+// the exact original; t+1 flips must never miscorrect silently into a
+// "clean" wrong codeword that Check accepts as the original. At every stage
+// the syndromes must agree with the bit-serial oracle, and encode, Check
+// and decode with the reference kernels of export_test.go.
 func FuzzBCHRoundTrip(f *testing.F) {
 	f.Add([]byte("salamander"), uint64(1), byte(0))
 	f.Add([]byte{0xff, 0x00, 0xa5}, uint64(42), byte(3))
@@ -110,6 +111,9 @@ func FuzzBCHRoundTrip(f *testing.F) {
 			t.Fatalf("encode: %v", err)
 		}
 		origParity := append([]byte(nil), parity...)
+		if !bytes.Equal(parity, code.EncodeReference(data)) {
+			t.Fatal("sliced parity differs from the byte-wise reference")
+		}
 		if !code.Check(data, parity) {
 			t.Fatal("fresh codeword fails Check")
 		}
@@ -117,22 +121,24 @@ func FuzzBCHRoundTrip(f *testing.F) {
 
 		n := int(nFlips) % (code.T + 1) // within correction capability
 		flipped := flipDistinct(code, data, parity, n, flipSeed)
+		if nFlips&0x80 != 0 {
+			parity[len(parity)-1] ^= 1 // a pad bit: outside the code
+		}
 		requireSyndromeAgreement(t, code, data, parity, "corrupted")
-		// The specialized Chien kernels, the retained reference search, and
-		// the erasure fast path (hinted with the exact flipped bits) must
-		// all produce the same corrected codeword.
-		refData := append([]byte(nil), data...)
-		refParity := append([]byte(nil), parity...)
-		refN, refErr := code.DecodeReferenceChien(refData, refParity)
+		requireSameCheck(t, code, data, parity, "corrupted")
+		// Decode and the erasure fast path (hinted with the exact flipped
+		// bits) must each match the reference kernels byte for byte.
+		requireSameDecode(t, code, data, parity, nil, "corrupted")
+		requireSameDecode(t, code, data, parity, flipped, "corrupted, exact hint")
 		eraData := append([]byte(nil), data...)
 		eraParity := append([]byte(nil), parity...)
 		eraN, eraErr := code.DecodeWithErasures(eraData, eraParity, flipped)
 		corrected, err := code.Decode(data, parity)
-		if refErr != err || refN != corrected || !bytes.Equal(refData, data) || !bytes.Equal(refParity, parity) {
-			t.Fatalf("kernel decode (n=%d, err=%v) disagrees with reference Chien (n=%d, err=%v)", corrected, err, refN, refErr)
-		}
 		if eraErr != err || eraN != corrected || !bytes.Equal(eraData, data) || !bytes.Equal(eraParity, parity) {
 			t.Fatalf("erasure decode (n=%d, err=%v) disagrees with Decode (n=%d, err=%v)", eraN, eraErr, corrected, err)
+		}
+		if nFlips&0x80 != 0 {
+			parity[len(parity)-1] ^= 1 // decode leaves pad bits alone
 		}
 		if err != nil {
 			t.Fatalf("decode with %d <= t=%d flips: %v", n, code.T, err)
@@ -149,13 +155,8 @@ func FuzzBCHRoundTrip(f *testing.F) {
 		// claimed-clean return of a corrupted one.
 		flipDistinct(code, data, parity, code.T+1, flipSeed^0xdeadbeef)
 		requireSyndromeAgreement(t, code, data, parity, "beyond capability")
-		refData = append(refData[:0], data...)
-		refParity = append(refParity[:0], parity...)
-		_, refErr = code.DecodeReferenceChien(refData, refParity)
+		requireSameDecode(t, code, data, parity, nil, "beyond capability")
 		_, err = code.Decode(data, parity)
-		if (refErr != nil) != (err != nil) || !bytes.Equal(refData, data) || !bytes.Equal(refParity, parity) {
-			t.Fatalf("beyond capability: kernel verdict %v disagrees with reference %v", err, refErr)
-		}
 		if err == nil {
 			if !code.Check(data, parity) {
 				t.Fatal("decode reported success but codeword is dirty")

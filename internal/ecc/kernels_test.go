@@ -44,7 +44,7 @@ func decodeBoth(t *testing.T, code *ecc.Code, data, parity []byte, stage string)
 	refData := append([]byte(nil), data...)
 	refParity := append([]byte(nil), parity...)
 	n, err := code.Decode(data, parity)
-	refN, refErr := code.DecodeReferenceChien(refData, refParity)
+	refN, refErr := code.DecodeReference(refData, refParity, nil)
 	if n != refN || err != refErr {
 		t.Fatalf("%s: kernels (n=%d, err=%v) vs reference (n=%d, err=%v)", stage, n, err, refN, refErr)
 	}

@@ -4,7 +4,9 @@ import "math/bits"
 
 // Byte-wise syndrome evaluation.
 //
-// The bit-serial form of syndrome S_i is Horner over all N codeword bits:
+// The bit-serial form of syndrome S_i is Horner over a polynomial's bits,
+// highest degree first (SyndromesBitSerial runs it over all N codeword
+// bits; Decode runs it over the R-bit remainder, see syndromesInto):
 //
 //	acc ← acc·α^i ⊕ bit
 //
@@ -16,18 +18,17 @@ import "math/bits"
 // where p counts from the byte's LSB (processed last, so the MSB picks up
 // α^{7i}). T_i is a 256-entry table per odd syndrome, built from each
 // value's lowest set bit, so evaluation is one GF multiply and one table
-// lookup per byte instead of eight multiplies — the O(N/8) fast path that
-// Decode's syndrome stage rides.
+// lookup per byte instead of eight multiplies.
 
-// buildSyndromeTables precomputes synTbl/synStride/synAlpha plus the
-// synLo/synHi stride-multiply split tables for the T odd syndromes. Cost
-// is T×3 KiB of tables per code (≈120 KiB at tiredness level 0, ≈3 MiB at
-// level 3), paid once in NewCode.
+// buildSyndromeTables precomputes synTbl/synUnpad plus the synLo/synHi
+// stride-multiply split tables for the T odd syndromes: 3 KiB per odd
+// syndrome (≈117 KiB at tiredness level 0, ≈1.1 MiB at level 2, ≈2.8 MiB
+// at level 3), paid once in NewCode.
 func (c *Code) buildSyndromeTables() {
 	f := c.F
+	pad := 8*c.ParityBytes() - c.R
 	c.synTbl = make([][256]uint32, c.T)
-	c.synStride = make([]uint32, c.T)
-	c.synAlpha = make([]uint32, c.T)
+	c.synUnpad = make([]uint32, c.T)
 	c.synLo = make([][256]uint32, c.T)
 	c.synHi = make([][256]uint32, c.T)
 	for j := 0; j < c.T; j++ {
@@ -46,8 +47,7 @@ func (c *Code) buildSyndromeTables() {
 			tbl[b] = tbl[b&(b-1)] ^ pw[p]
 		}
 		stride := f.Alpha(8 * i)
-		c.synStride[j] = stride
-		c.synAlpha[j] = f.Alpha(i)
+		c.synUnpad[j] = f.Alpha(-i * pad)
 		// Multiplication by the constant stride is linear over GF(2), so
 		// acc·stride = synLo[acc&0xff] ^ synHi[acc>>8]. loBase/hiBase hold
 		// the per-bit products; bits at or above m are not field elements
@@ -73,16 +73,18 @@ func (c *Code) buildSyndromeTables() {
 	}
 }
 
-// syndromesInto evaluates S_1..S_2T into S (length 2T+1, 1-indexed) using
-// the byte-wise tables, walking data then parity in codeword order. The
-// final R%8 parity bits are handled bit-serially; even syndromes follow
-// from S_2i = S_i² (binary BCH). Reports whether every syndrome is zero.
-func (c *Code) syndromesInto(S []uint32, data, parity []byte) bool {
+// syndromesInto evaluates S_1..S_2T into S (length 2T+1, 1-indexed) from
+// the remainder that remainder() left in s.reg. The received word is
+// q·g + rem and g(α^i) = 0 for i <= 2T, so S_i = rem(α^i): a Horner pass
+// over the ParityBytes() packed remainder bytes, not the N-bit codeword.
+// The pass also runs over the zero pad bits at the end of the last byte,
+// which multiplies each S_i by α^{i·pad}; synUnpad takes it back out. Even
+// syndromes follow from S_2i = S_i² (binary BCH).
+func (c *Code) syndromesInto(S []uint32, s *Scratch) {
 	f := c.F
-	pbFull := c.R / 8
-	rem := c.R % 8
-	pFull := parity[:pbFull]
-	// Four odd syndromes advance together per pass over the codeword: the
+	rem := s.rem
+	c.packInto(s.reg, rem)
+	// Four odd syndromes advance together per pass over the remainder: the
 	// split tables turn each acc·α^{8i} into two independent loads, and the
 	// four accumulator chains are independent of each other, so the loads
 	// pipeline instead of serializing on one log/exp multiply chain. The
@@ -94,13 +96,7 @@ func (c *Code) syndromesInto(S []uint32, data, parity []byte) bool {
 		l0, l1, l2, l3 := &c.synLo[j], &c.synLo[j+1], &c.synLo[j+2], &c.synLo[j+3]
 		h0, h1, h2, h3 := &c.synHi[j], &c.synHi[j+1], &c.synHi[j+2], &c.synHi[j+3]
 		var a0, a1, a2, a3 uint32
-		for _, b := range data {
-			a0 = l0[a0&0xff] ^ h0[(a0>>8)&0xff] ^ t0[b]
-			a1 = l1[a1&0xff] ^ h1[(a1>>8)&0xff] ^ t1[b]
-			a2 = l2[a2&0xff] ^ h2[(a2>>8)&0xff] ^ t2[b]
-			a3 = l3[a3&0xff] ^ h3[(a3>>8)&0xff] ^ t3[b]
-		}
-		for _, b := range pFull {
+		for _, b := range rem {
 			a0 = l0[a0&0xff] ^ h0[(a0>>8)&0xff] ^ t0[b]
 			a1 = l1[a1&0xff] ^ h1[(a1>>8)&0xff] ^ t1[b]
 			a2 = l2[a2&0xff] ^ h2[(a2>>8)&0xff] ^ t2[b]
@@ -111,25 +107,13 @@ func (c *Code) syndromesInto(S []uint32, data, parity []byte) bool {
 	for ; j < c.T; j++ {
 		tbl, lo, hi := &c.synTbl[j], &c.synLo[j], &c.synHi[j]
 		var acc uint32
-		for _, b := range data {
-			acc = lo[acc&0xff] ^ hi[(acc>>8)&0xff] ^ tbl[b]
-		}
-		for _, b := range pFull {
+		for _, b := range rem {
 			acc = lo[acc&0xff] ^ hi[(acc>>8)&0xff] ^ tbl[b]
 		}
 		S[2*j+1] = acc
 	}
-	if rem > 0 {
-		// The final partial parity byte advances bit-serially, per syndrome.
-		last := parity[pbFull]
-		for j := 0; j < c.T; j++ {
-			alphaI := c.synAlpha[j]
-			acc := S[2*j+1]
-			for k := 0; k < rem; k++ {
-				acc = f.Mul(acc, alphaI) ^ uint32(last>>uint(7-k))&1
-			}
-			S[2*j+1] = acc
-		}
+	for j := 0; j < c.T; j++ {
+		S[2*j+1] = f.Mul(S[2*j+1], c.synUnpad[j])
 	}
 	// S_{2j} = S_j² for binary codes; increasing order guarantees S_{i/2}
 	// is final before S_i is derived.
@@ -137,20 +121,21 @@ func (c *Code) syndromesInto(S []uint32, data, parity []byte) bool {
 		half := S[i/2]
 		S[i] = f.Mul(half, half)
 	}
-	for i := 1; i <= 2*c.T; i++ {
-		if S[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
-// Syndromes computes S_1..S_2T with the table-driven fast path and reports
-// whether all are zero. The returned slice is 1-indexed (slot 0 unused).
-// data must be K/8 bytes and parity ParityBytes() bytes, as for Decode.
+// Syndromes computes S_1..S_2T with the decoder's own path (sliced LFSR
+// remainder, then syndromesInto) and reports whether all are zero, which
+// holds exactly when data+parity is a codeword. The returned slice is
+// 1-indexed (slot 0 unused). data must be K/8 bytes and parity
+// ParityBytes() bytes, as for Decode.
 func (c *Code) Syndromes(data, parity []byte) ([]uint32, bool) {
 	S := make([]uint32, 2*c.T+1)
-	zero := c.syndromesInto(S, data, parity)
+	s := c.getScratch()
+	zero := c.remainder(s.reg, data, parity)
+	if !zero {
+		c.syndromesInto(S, s)
+	}
+	c.putScratch(s)
 	return S, zero
 }
 
