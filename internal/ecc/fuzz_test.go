@@ -6,30 +6,21 @@ package ecc_test
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"salamander/internal/ecc"
 	"salamander/internal/rber"
 )
 
-// levelCode caches the real BCH code per tiredness level: code construction
-// (generator polynomial over GF(2^m)) is far too slow to repeat per fuzz
-// iteration.
-var levelCode = func() func(level int) *ecc.Code {
-	var once [rber.MaxUsableLevel + 1]sync.Once
-	var codes [rber.MaxUsableLevel + 1]*ecc.Code
-	return func(level int) *ecc.Code {
-		once[level].Do(func() {
-			c, err := rber.LevelGeometry(level).Build()
-			if err != nil {
-				panic(err)
-			}
-			codes[level] = c
-		})
-		return codes[level]
+// levelCode returns the real BCH code of a tiredness level. Build shares
+// one code per geometry, so fuzz iterations never rebuild the generator.
+func levelCode(level int) *ecc.Code {
+	c, err := rber.LevelGeometry(level).Build()
+	if err != nil {
+		panic(err)
 	}
-}()
+	return c
+}
 
 // xorshift is the deterministic bit-position source for injected errors.
 func xorshift(s *uint64) uint64 {

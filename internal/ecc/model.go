@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"fmt"
+	"sync"
 
 	"salamander/internal/stats"
 )
@@ -44,8 +45,19 @@ func (g SectorGeometry) UncorrectableProb(rber float64) float64 {
 	return stats.BinomTailGT(int64(g.CodewordBits()), int64(g.T()), rber)
 }
 
-// Build constructs the real BCH code matching this geometry.
+// built memoizes Build: SectorGeometry → a sync.OnceValues of build.
+var built sync.Map
+
+// Build returns the real BCH code matching this geometry. The code is
+// built once per geometry per process and shared by every caller: a Code
+// is safe for concurrent use, and its tables (≈0.4 MiB at tiredness level
+// 0 to ≈6.5 MiB at level 3) are too large to hold once per device.
 func (g SectorGeometry) Build() (*Code, error) {
+	once, _ := built.LoadOrStore(g, sync.OnceValues(g.build))
+	return once.(func() (*Code, error))()
+}
+
+func (g SectorGeometry) build() (*Code, error) {
 	c, err := NewCode(g.M, g.DataBytes*8, g.T())
 	if err != nil {
 		return nil, err

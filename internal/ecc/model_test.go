@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"salamander/internal/stats"
@@ -101,6 +102,39 @@ func TestBuildRejectsOverBudget(t *testing.T) {
 	g := SectorGeometry{M: 13, DataBytes: 512, SpareBytes: 1}
 	if _, err := g.Build(); err == nil {
 		t.Error("t=0 geometry built successfully")
+	}
+}
+
+// TestBuildSharesOneCodePerGeometry pins Build's memoization: every caller
+// of one geometry, concurrent ones included, gets the same *Code, and a
+// different geometry gets its own.
+func TestBuildSharesOneCodePerGeometry(t *testing.T) {
+	g := SectorGeometry{M: 10, DataBytes: 32, SpareBytes: 5}
+	codes := make([]*Code, 8)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := g.Build()
+			if err != nil {
+				t.Error(err)
+			}
+			codes[i] = c
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range codes {
+		if c == nil || c != codes[0] {
+			t.Fatalf("Build call %d returned %p, call 0 returned %p", i, c, codes[0])
+		}
+	}
+	other, err := SectorGeometry{M: 10, DataBytes: 32, SpareBytes: 6}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == codes[0] {
+		t.Fatal("two geometries share one code")
 	}
 }
 
