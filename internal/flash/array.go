@@ -3,6 +3,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -105,7 +106,7 @@ type page struct {
 	state      pageState
 	wearAtProg float64 // block PEC when this page was programmed
 	scale      float32 // page endurance scale (incl. block scale)
-	data       []byte  // nil unless StoreData
+	data       []byte  // the page's slot in Array.arena while written; nil otherwise
 }
 
 type block struct {
@@ -128,6 +129,12 @@ type Array struct {
 	cfg    Config
 	model  *rber.Model
 	blocks []block
+
+	// arena holds the payloads of written pages, RawPageBytes per page in
+	// block-major order (StoreData only). It is mapped outside the Go heap
+	// where the platform allows (mapArena) and unmapped when the Array is
+	// collected; page data never escapes the Array, only copies of it.
+	arena []byte
 
 	// Per-channel state. readRNG streams are split deterministically from
 	// the seed at construction, so the flip sequence on each channel is a
@@ -239,7 +246,20 @@ func New(cfg Config) (*Array, error) {
 	for ch := range a.readRNG {
 		a.readRNG[ch] = rng.Split()
 	}
+	if cfg.StoreData {
+		var unmap func()
+		a.arena, unmap = mapArena(cfg.Geometry.TotalPages() * cfg.Geometry.RawPageBytes())
+		if unmap != nil {
+			runtime.AddCleanup(a, func(unmap func()) { unmap() }, unmap)
+		}
+	}
 	return a, nil
+}
+
+// blockArena returns the arena bytes behind a block's pages.
+func (a *Array) blockArena(blockID int) []byte {
+	size := a.cfg.Geometry.PagesPerBlock * a.cfg.Geometry.RawPageBytes()
+	return a.arena[blockID*size : (blockID+1)*size]
 }
 
 // Geometry returns the array's layout.
@@ -282,7 +302,9 @@ func (a *Array) Program(ppa PPA, data []byte) (sim.Time, error) {
 		if len(data) != a.cfg.Geometry.RawPageBytes() {
 			return 0, fmt.Errorf("%w: got %d, want %d", ErrWrongPageLen, len(data), a.cfg.Geometry.RawPageBytes())
 		}
-		pg.data = append(pg.data[:0], data...)
+		raw := len(data)
+		pg.data = a.blockArena(ppa.Block)[ppa.Page*raw : (ppa.Page+1)*raw : (ppa.Page+1)*raw]
+		copy(pg.data, data)
 	}
 	if a.fiProgram.Fire() {
 		// Program failure: the pulse consumed the page but did not verify.
@@ -582,6 +604,9 @@ func (a *Array) Erase(blockID int) (sim.Time, error) {
 	for p := range blk.pages {
 		blk.pages[p].state = pageErased
 		blk.pages[p].data = nil
+	}
+	if a.cfg.StoreData {
+		releaseArena(a.blockArena(blockID))
 	}
 	a.eraseOps.Add(1)
 	if t := a.tele; t != nil {

@@ -190,6 +190,51 @@ func TestEraseResetsBlock(t *testing.T) {
 	}
 }
 
+// TestArenaPagesStayApart pins the page-payload arena: every page keeps
+// its own bytes, Program copies its input, and erasing (which hands a
+// block's arena memory back) touches neither the other blocks nor the
+// block's next contents.
+func TestArenaPagesStayApart(t *testing.T) {
+	cfg := smallConfig()
+	cfg.PristineReads = true
+	a := mustArray(t, cfg)
+	g := a.Geometry()
+	fill := func(b, p, gen int) byte { return byte(b*g.PagesPerBlock + p + 64*gen + 1) }
+	for b := 0; b < 2; b++ {
+		for p := 0; p < g.PagesPerBlock; p++ {
+			buf := rawPage(g, fill(b, p, 0))
+			if _, err := a.Program(PPA{b, p}, buf); err != nil {
+				t.Fatal(err)
+			}
+			buf[0] ^= 0xff // the array holds a copy
+		}
+	}
+	if _, err := a.Erase(0); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 3; p++ {
+		if _, err := a.Program(PPA{0, p}, rawPage(g, fill(0, p, 1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(ppa PPA, want byte) {
+		t.Helper()
+		res, err := a.Read(ppa, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, rawPage(g, want)) {
+			t.Fatalf("%v does not hold its own bytes", ppa)
+		}
+	}
+	for p := 0; p < 3; p++ {
+		check(PPA{0, p}, fill(0, p, 1))
+	}
+	for p := 0; p < g.PagesPerBlock; p++ {
+		check(PPA{1, p}, fill(1, p, 0))
+	}
+}
+
 func TestEraseBadAddress(t *testing.T) {
 	a := mustArray(t, smallConfig())
 	if _, err := a.Erase(-1); !errors.Is(err, ErrBadAddress) {
