@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"salamander/internal/stats"
@@ -341,5 +342,103 @@ func TestBitHelpers(t *testing.T) {
 	flipBit(data, parity, 17, k)
 	if parity[0] != 0 {
 		t.Error("flip of parity bit failed")
+	}
+}
+
+// TestSlicedLFSRShapes covers the register shapes the level geometries do
+// not reach: a data length that is not a whole number of 8-byte words (the
+// byte-at-a-time tail of runLFSR), a register shorter than one word, and a
+// multi-word register whose parity ends mid-word.
+func TestSlicedLFSRShapes(t *testing.T) {
+	rng := stats.NewRNG(11)
+	for _, geo := range []struct{ m, dataBytes, t int }{
+		{8, 3, 2}, {10, 13, 4}, {10, 21, 9}, {13, 70, 8},
+	} {
+		c, err := NewCode(geo.m, geo.dataBytes*8, geo.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 20; trial++ {
+			data := make([]byte, geo.dataBytes)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			parity, err := c.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(parity, c.EncodeBitSerial(data)) || !bytes.Equal(parity, c.EncodeReference(data)) {
+				t.Fatalf("%+v: sliced parity differs from the references", geo)
+			}
+			p := rng.Intn(c.N)
+			flipBit(data, parity, p, c.K)
+			if c.Check(data, parity) {
+				t.Fatalf("%+v: Check accepts a flipped bit %d", geo, p)
+			}
+			if n, err := c.Decode(data, parity); n != 1 || err != nil || !c.Check(data, parity) {
+				t.Fatalf("%+v: one flipped bit decoded to n=%d err=%v", geo, n, err)
+			}
+		}
+	}
+}
+
+// TestCorrectedVerifiesTheWord drives the syndrome check of a corrected
+// word directly: Berlekamp–Massey plus a root count already reject nearly
+// every pattern it would, so the decode tests alone cannot show it
+// rejects. Flipping exactly the injected positions must verify; one fewer,
+// one more, or one moved must not.
+func TestCorrectedVerifiesTheWord(t *testing.T) {
+	c := smallCode(t)
+	rng := stats.NewRNG(21)
+	s := c.getScratch()
+	defer c.putScratch(s)
+	for trial := 0; trial < 50; trial++ {
+		data := make([]byte, c.K/8)
+		for i := range data {
+			data[i] = byte(rng.Uint64())
+		}
+		parity, err := c.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := []int{}
+		for len(pos) < 1+trial%(c.T-3) { // room for the triple: corrected takes <= T
+			if p := rng.Intn(c.N); !slices.Contains(pos, p) {
+				pos = append(pos, p)
+				flipBit(data, parity, p, c.K)
+			}
+		}
+		if c.remainder(s.reg, data, parity) {
+			t.Fatal("corrupted word has a zero remainder")
+		}
+		c.syndromesInto(s.syn, s)
+		other := (pos[0] + 1) % c.N
+		for slices.Contains(pos, other) {
+			other = (other + 1) % c.N
+		}
+		moved := append([]int{other}, pos[1:]...)
+		// Three more flips whose α^d sum to zero leave S_1 alone, so only
+		// the higher syndromes can reject them.
+		var triple []int
+		for triple == nil {
+			a, b := rng.Intn(c.N), rng.Intn(c.N)
+			x := c.F.Alpha(c.N-1-a) ^ c.F.Alpha(c.N-1-b)
+			if a == b || x == 0 {
+				continue
+			}
+			if d := c.F.Log(x); d < c.N {
+				if p := c.N - 1 - d; !slices.Contains(pos, a) && !slices.Contains(pos, b) && !slices.Contains(pos, p) {
+					triple = append(slices.Clone(pos), a, b, p)
+				}
+			}
+		}
+		for name, try := range map[string][]int{
+			"exact": pos, "one fewer": pos[1:], "one more": append(slices.Clone(pos), other), "one moved": moved,
+			"zero-sum triple more": triple,
+		} {
+			if got := c.corrected(s, try); got != (name == "exact") {
+				t.Fatalf("trial %d, %s: corrected = %v", trial, name, got)
+			}
+		}
 	}
 }
