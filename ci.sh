@@ -27,8 +27,9 @@
 #    policy-parameterised device suite in internal/ftl runs under -race.
 #  - go test ./..., which includes the 33 pinned chaos report digests and
 #    the 60 pinned device digests.
-#  - BenchmarkPickTargets once at -benchtime 100x, so the placement
-#    micro-benchmark keeps compiling and running (its time is not checked).
+#  - BenchmarkPickTargets and BenchmarkSectorKernels once at -benchtime
+#    100x, so the placement and BCH sector micro-benchmarks keep compiling
+#    and running (their times are not checked).
 #  - Sharded-cluster conformance: the difs corpus again at DIFS_SHARDS=4 and
 #    16, and go test -race over the whole module (the stress battery in
 #    blockdev/ftl/core/difs hammers each layer from many goroutines) plus
@@ -140,6 +141,9 @@ go test ./...
 
 echo "== placement micro-benchmark (runs once; time not checked) =="
 go test -run '^$' -bench PickTargets -benchtime 100x ./internal/difs/
+
+echo "== BCH sector micro-benchmark (runs once; time not checked) =="
+go test -run '^$' -bench SectorKernels -benchtime 100x ./internal/ecc/
 
 echo "== sharded-cluster conformance (difs corpus at DIFS_SHARDS=4 and 16) =="
 # The whole difs test corpus doubles as the shard conformance battery: every

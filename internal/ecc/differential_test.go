@@ -8,6 +8,7 @@ package ecc_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"salamander/internal/ecc"
@@ -121,7 +122,7 @@ func TestOnePassCodecMatchesReference(t *testing.T) {
 					requireSameCheck(t, code, data, parity, stage)
 					wrong := []int{}
 					for bit := 0; len(wrong) < w+1 && bit < code.N; bit += 97 {
-						if !contains(flipped, bit) {
+						if !slices.Contains(flipped, bit) {
 							wrong = append(wrong, bit)
 						}
 					}
@@ -145,13 +146,4 @@ func TestOnePassCodecMatchesReference(t *testing.T) {
 			}
 		})
 	}
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
