@@ -2,12 +2,12 @@ package ecc
 
 // Scratch holds every mutable buffer the codec needs during encode, check,
 // and decode: the LFSR division register, the packed remainder the
-// syndromes are evaluated over, the syndrome vector, the Berlekamp–Massey sigma double
-// buffer and B polynomial, and the Chien-search position list. Scratches
-// are owned by a per-Code sync.Pool and sized at construction from the
-// code's geometry, so the public entry points (Check, EncodeInto,
-// EncodeSectors, Decode) run without heap allocations; callers never see a
-// Scratch directly.
+// syndromes are evaluated over, the syndrome vector, the Berlekamp–Massey
+// sigma double buffer and B polynomial, and the Chien-search position
+// list. Scratches are owned by a per-Code sync.Pool and sized at
+// construction from the code's geometry, so the public entry points (Check,
+// EncodeInto, EncodeSectors, Decode) run without heap allocations; callers
+// never see a Scratch directly.
 type Scratch struct {
 	reg   []uint64 // LFSR division register, nw words
 	rem   []byte   // packed remainder, ParityBytes() long
