@@ -19,7 +19,7 @@ import (
 // weight 0..t+3 where t is small, otherwise weights landing in each Chien
 // kernel (0, 1, 2, 3..8, 9+) plus the band around t/2 and t. Deep weights
 // at level 3 (t=955) cost the reference Chien scan ~0.1 s each and are
-// left to the full, non-race run.
+// skipped under -short.
 func differentialWeights(code *ecc.Code, level int) []int {
 	if code.T <= 40 {
 		w := make([]int, code.T+4)
@@ -29,7 +29,7 @@ func differentialWeights(code *ecc.Code, level int) []int {
 		return w
 	}
 	w := []int{0, 1, 2, 3, 5, ecc.ChienSmallMaxForTest, ecc.ChienSmallMaxForTest + 1, 12}
-	if level == 3 && (testing.Short() || raceEnabled) {
+	if level == 3 && testing.Short() {
 		return w
 	}
 	return append(w, code.T/2, code.T-1, code.T, code.T+1, code.T+2, code.T+3)
@@ -82,6 +82,9 @@ func requireSameCheck(t *testing.T, code *ecc.Code, data, parity []byte, stage s
 // 0..t+3, with and without a flipped pad bit, decoded with no hint and with
 // right, wrong and partial erasure hints.
 func TestOnePassCodecMatchesReference(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine arithmetic; runs in the non-race pass")
+	}
 	for level := 0; level <= rber.MaxUsableLevel; level++ {
 		level := level
 		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
