@@ -479,10 +479,11 @@ func BenchmarkBCHEncode(b *testing.B) {
 	for i := range data {
 		data[i] = byte(i)
 	}
+	parity := make([]byte, code.ParityBytes())
 	b.SetBytes(512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.Encode(data); err != nil {
+		if err := code.EncodeInto(data, parity); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,8 +495,8 @@ func BenchmarkBCHDecodeClean(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := make([]byte, 512)
-	parity, err := code.Encode(data)
-	if err != nil {
+	parity := make([]byte, code.ParityBytes())
+	if err := code.EncodeInto(data, parity); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(512)
@@ -513,8 +514,8 @@ func BenchmarkBCHDecodeCorrupted(b *testing.B) {
 		b.Fatal(err)
 	}
 	clean := make([]byte, 512)
-	parity, err := code.Encode(clean)
-	if err != nil {
+	parity := make([]byte, code.ParityBytes())
+	if err := code.EncodeInto(clean, parity); err != nil {
 		b.Fatal(err)
 	}
 	rng := stats.NewRNG(1)

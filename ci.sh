@@ -7,24 +7,20 @@
 # Performance evidence. Wall-clock performance is judged in one place only:
 # alternating `go run ./benchmark` pairs compared with -compare (see
 # benchmark/README.md). A wall-clock figure recorded on one machine does not
-# gate another, so this script keeps exactly two perf checks, each immune to
-# host speed: salperf -ecc -degraded fails unless the level-0 table-driven
-# syndrome path runs >= 4x the bit-serial reference measured in the same
-# process (minSpeedupL0), and salperf -parallel, which runs on the virtual
-# clock, must reproduce BENCH_parallel.json byte for byte (cmp).
+# gate another, so this script keeps exactly one perf check, immune to host
+# speed: salperf -ecc -degraded fails unless the level-0 table-driven
+# syndrome path runs >= 140x the bit-serial reference measured in the same
+# process (minSpeedupL0).
 #
 # In order:
 #  - gofmt, go vet, go build.
-#  - Structure gate: each FTL data-path function (readOPageOnce ... collect)
-#    is defined exactly once across non-test internal/ (ssd.Device and
-#    core.Device share internal/ftl's engine), the deleted parallel-flush
-#    fork stays gone, the retired perf gates (sleep-paced service time,
-#    shard-scaling model, baseline tolerance comparators) stay gone, the
-#    durable page key format (pg/<md>/<lba>) is written once in non-test
-#    internal/ (blockdev.Persister) and core's retired durable options and
-#    replay stats stay gone, and
-#    BENCH_parallel.json is the only BENCH_*.json at the root; then the
-#    policy-parameterised device suite in internal/ftl runs under -race.
+#  - Structure gate (TestReachability and TestStructure in structure_test.go,
+#    which go test ./... runs too): no exported identifier in non-test
+#    internal/ that nothing uses and no unset config field beyond
+#    testdata/reachability_allow.txt; each FTL data-path function defined
+#    once; one durable page key format; the retired forks, perf gates and
+#    durable options gone; no BENCH_*.json. Then the policy-parameterised
+#    device suite in internal/ftl runs under -race.
 #  - go test ./..., which includes the 33 pinned chaos report digests and
 #    the 60 pinned device digests.
 #  - BenchmarkPickTargets and BenchmarkSectorKernels once at -benchtime
@@ -36,7 +32,7 @@
 #    the 16-shard difs corpus under -race.
 #  - salchaos: a fixed-seed smoke (cross-layer invariants end to end) and
 #    two 16-shard runs that must render byte-identical reports.
-#  - The two perf checks above, then the benchmark's -quick smoke (all four
+#  - The perf check above, then the benchmark's -quick smoke (all four
 #    workloads once; exit status only).
 #  - salchaos -net: the fixed seed through the loopback serving layer with
 #    its network failpoints armed.
@@ -78,62 +74,8 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== structure gate (one FTL engine, one durable page path, no ParallelFlush fork, no retired perf gates) =="
-# ssd.Device and core.Device run on internal/ftl's engine; a second copy of
-# any data-path function is the fork growing back.
-nontest=$(find internal -name '*.go' ! -name '*_test.go')
-for fn in readOPageOnce readOPageInto sectorErasures composePageInto \
-    programPage ensureActive pickVictim collect; do
-    # shellcheck disable=SC2086
-    n=$(cat $nontest | grep -c "^func (.*) $fn(" || true)
-    if [ "$n" -ne 1 ]; then
-        echo "structure gate: $fn is defined $n times in non-test internal/ (want 1)" >&2
-        exit 1
-    fi
-done
-if grep -rn 'ParallelFlush\|drainParallel\|flushStripe\|inGC' --include='*.go' .; then
-    echo "structure gate: the deleted parallel-flush fork is back" >&2
-    exit 1
-fi
-if [ -e internal/ssd/parallel.go ]; then
-    echo "structure gate: internal/ssd/parallel.go exists" >&2
-    exit 1
-fi
-# The retired perf gates: a sleep-paced server, the shard-scaling queueing
-# model and the wall-clock baseline comparators. Each pattern brackets one
-# letter so this list does not match itself.
-if grep -n -e 'Service[T]ime' -e 'service-[t]ime' -e 'MeasureShard[S]caling' \
-    -e 'shard[b]ench' -e 'compareECC[B]aseline' -e 'ecc-[b]aseline' \
-    -e 'parallel-[b]aseline' -e 'p99-[t]olerance' -e 'regression[T]olerance' \
-    ci.sh $(find . -name '*.go'); then
-    echo "structure gate: a retired perf gate is back" >&2
-    exit 1
-fi
-# One durable page path: blockdev.DurableDevice and core.Durable share
-# blockdev.Persister, so the page key format is written once and the
-# retired durable options stay gone. Each pattern brackets one letter so
-# this list does not match itself.
-# shellcheck disable=SC2086
-n=$(cat $nontest | grep -c 'pg/%d/%d' || true)
-if [ "$n" -ne 1 ]; then
-    echo "structure gate: the pg/%d/%d key format is written $n times in non-test internal/ (want 1)" >&2
-    exit 1
-fi
-if grep -n -e 'Durable[O]ptions' -e 'Replay[S]tats' -e 'Checkpoint[E]very' \
-    ci.sh $(find . -name '*.go'); then
-    echo "structure gate: a retired durable option is back" >&2
-    exit 1
-fi
-for f in BENCH_*.json; do
-    if [ "$f" != BENCH_parallel.json ]; then
-        echo "structure gate: $f (BENCH_parallel.json is the only BENCH file)" >&2
-        exit 1
-    fi
-done
-[ -f BENCH_parallel.json ] || {
-    echo "structure gate: BENCH_parallel.json is missing" >&2
-    exit 1
-}
+echo "== structure gate (reachability, one FTL engine, one durable page path, retired code gone) =="
+go test -count=1 -run '^(TestReachability|TestStructure)$' .
 go test -race -count=1 ./internal/ftl/
 
 echo "== go test =="
@@ -177,19 +119,8 @@ grep -q "shards=16" "$chaostmp/run1.txt" || {
 }
 rm -rf "$chaostmp"
 
-echo "== salperf -ecc -degraded (level-0 syndrome speedup >= 4x, same process) =="
+echo "== salperf -ecc -degraded (level-0 syndrome speedup >= 140x, same process) =="
 go run ./cmd/salperf -ecc -degraded
-
-echo "== salperf -parallel (byte-identical BENCH_parallel.json) =="
-# Virtual-time, so a fixed build reproduces the checked-in points exactly.
-partmp=$(mktemp)
-go run ./cmd/salperf -parallel 4 -data 8 -parallel-out "$partmp"
-cmp "$partmp" BENCH_parallel.json || {
-    echo "salperf -parallel points differ from BENCH_parallel.json" >&2
-    diff "$partmp" BENCH_parallel.json >&2 || true
-    exit 1
-}
-rm -f "$partmp"
 
 echo "== benchmark smoke (go run ./benchmark -quick -trace 1) =="
 # Exit status only: every workload's quick run drives the 16-shard cluster

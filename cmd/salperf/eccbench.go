@@ -14,8 +14,10 @@ import (
 // table-driven syndrome path: at the level-0 geometry it must run at least
 // this many times faster than the bit-serial reference. A ratio of two rates
 // measured in the same process does not drift with the host, so it is
-// enforced on every -ecc run.
-const minSpeedupL0 = 4.0
+// enforced on every -ecc run. Twelve runs on a 2-core x86-64 VM measured
+// 446x to 625x; the floor sits under a third of the lowest, and a 5x
+// slower syndrome path lands below it even on the fastest run.
+const minSpeedupL0 = 140.0
 
 // eccPoint is one tiredness level's codec throughput measurement. MB/s is
 // payload (sector data) bytes per wall-clock second.

@@ -129,9 +129,6 @@ func TestMemDeviceBrick(t *testing.T) {
 	var events []Event
 	d.Notify(func(e Event) { events = append(events, e) })
 	d.Brick()
-	if !d.Bricked() {
-		t.Fatal("not bricked")
-	}
 	if len(events) != 1 || events[0].Kind != EventBrick {
 		t.Fatalf("events = %v", events)
 	}

@@ -137,13 +137,6 @@ func (d *MemDevice) Brick() {
 	}
 }
 
-// Bricked reports whether the device has failed.
-func (d *MemDevice) Bricked() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.brick
-}
-
 // Minidisks implements Device, returning non-draining disks in ID order.
 func (d *MemDevice) Minidisks() []MinidiskInfo {
 	d.mu.Lock()

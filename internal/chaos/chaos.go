@@ -39,9 +39,6 @@ type Config struct {
 	// Nodes is the cluster size (one Salamander device each); minimum 4 so
 	// 3-way replication survives one crashed node. Default 6.
 	Nodes int
-	// CheckEvery runs the cross-layer invariant sweep after every this many
-	// ops (and always at the end). Default 100.
-	CheckEvery int
 	// Net routes every put/get/delete through a loopback salnet server and
 	// pooled client with the network failpoints (conn drop, injected latency,
 	// truncated frame) armed, so the schedule also exercises the serving
@@ -63,9 +60,13 @@ type Config struct {
 	noCrash bool
 }
 
+// checkEvery runs the cross-layer invariant sweep after every this many ops
+// (and always at the end).
+const checkEvery = 100
+
 // DefaultConfig returns the standard small-fleet chaos setup.
 func DefaultConfig() Config {
-	return Config{Seed: 1, Ops: 20000, Nodes: 6, CheckEvery: 100}
+	return Config{Seed: 1, Ops: 20000, Nodes: 6}
 }
 
 // Report is the deterministic outcome of a run. Two runs with the same
@@ -188,9 +189,6 @@ func Run(cfg Config, tr *telemetry.Tracer) (*Report, error) {
 	}
 	if cfg.Nodes < 4 {
 		return nil, fmt.Errorf("chaos: need >= 4 nodes for R=3 plus one crashed, got %d", cfg.Nodes)
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 100
 	}
 	reg := telemetry.NewRegistry()
 
@@ -451,7 +449,7 @@ func (r *runner) run() {
 				}
 			}
 		}
-		if (op+1)%r.cfg.CheckEvery == 0 {
+		if (op+1)%checkEvery == 0 {
 			r.checkInvariants(fmt.Sprintf("op %d", op))
 		}
 	}

@@ -130,14 +130,6 @@ type Counters struct {
 	WearLevelMoves          uint64 // cold blocks recycled by static WL
 }
 
-// WriteAmplification returns flash oPage-slot programs per host oPage write.
-func (c Counters) WriteAmplification() float64 {
-	if c.HostWrites == 0 {
-		return 0
-	}
-	return float64(c.FlashWrites*uint64(rber.OPagesPerFPage)) / float64(c.HostWrites)
-}
-
 // devTele holds the registry-backed handles of the instruments only a
 // Salamander device has; the engine owns the ones every device counts.
 type devTele struct {
@@ -238,6 +230,9 @@ func packKey(md blockdev.MinidiskID, lba int) int64 {
 // Engine returns the simulation engine the device advances.
 func (d *Device) Engine() *sim.Engine { return d.e.Clock() }
 
+// Delay advances the device clock by dt under the device lock.
+func (d *Device) Delay(dt sim.Time) { d.e.Delay(dt) }
+
 // Array exposes the underlying flash for inspection.
 func (d *Device) Array() *flash.Array { return d.e.Array() }
 
@@ -335,76 +330,31 @@ func (d *Device) LimboPages() [rber.MaxUsableLevel + 1]int {
 	return d.e.Limbo()
 }
 
-// Health is a SMART-style device self-report: the signals a fleet manager
-// would watch to anticipate shrinking (§2 discusses how operators retire on
-// far coarser signals today).
-type Health struct {
-	LiveMinidisks     int
-	DrainingMinidisks int
-	LiveLBAs          int
-	ServingSlots      int
-	Reserve           int
-	Limbo             [rber.MaxUsableLevel + 1]int
-	DeadPages         int
-	MeanPEC           float64
-	MaxPEC            uint32
-	// CapacityFrac is serving capacity relative to the pristine device —
-	// the device's remaining-life signal.
-	CapacityFrac float64
-	Retired      bool
-}
-
-// Health returns the current self-report.
-func (d *Device) Health() Health {
+// Wear implements blockdev.WearReporter: the Salamander device's media-wear
+// self-report for the fleet ops surface. Correction tallies are per device
+// (registry counters are fleet-shared once the device is instrumented).
+func (d *Device) Wear() blockdev.WearInfo {
 	d.e.Lock()
 	defer d.e.Unlock()
-	return d.health()
-}
-
-func (d *Device) health() Health {
-	h := Health{
-		LiveLBAs:     d.liveLBAs,
-		ServingSlots: d.e.ServingSlots(),
-		Reserve:      d.reserve,
-		Limbo:        d.e.Limbo(),
-		CapacityFrac: d.e.CapacityFrac(),
-		Retired:      d.e.Dead(),
-	}
+	w := d.e.Wear()
+	limbo := d.e.Limbo()
+	w.LimboPages = append([]int(nil), limbo[:]...)
 	for _, m := range d.mdisks {
 		switch m.state {
 		case mdLive:
-			h.LiveMinidisks++
+			w.LiveMinidisks++
 		case mdDraining:
-			h.DrainingMinidisks++
+			w.DrainingMinidisks++
 		}
 	}
 	g := d.e.Array().Geometry()
 	for b := 0; b < g.TotalBlocks(); b++ {
 		for p := 0; p < g.PagesPerBlock; p++ {
 			if d.e.Page(flash.PPA{Block: b, Page: p}).Status == ftl.PageDead {
-				h.DeadPages++
+				w.DeadPages++
 			}
 		}
 	}
-	st := d.e.Array().Stats()
-	h.MeanPEC = st.MeanPEC
-	h.MaxPEC = st.MaxPEC
-	return h
-}
-
-// Wear implements blockdev.WearReporter: the Salamander device's media-wear
-// self-report for the fleet ops surface. Correction tallies are per device
-// (registry counters are fleet-shared once the device is instrumented);
-// everything else is derived from Health and flash stats.
-func (d *Device) Wear() blockdev.WearInfo {
-	d.e.Lock()
-	defer d.e.Unlock()
-	h := d.health()
-	w := d.e.Wear()
-	w.DeadPages = h.DeadPages
-	w.LimboPages = append([]int(nil), h.Limbo[:]...)
-	w.LiveMinidisks = h.LiveMinidisks
-	w.DrainingMinidisks = h.DrainingMinidisks
 	// Barren blocks are this device's retired-block analogue: erased blocks
 	// with zero serving capacity, parked out of the free pool.
 	w.RetiredBlocks = len(d.barren)

@@ -195,7 +195,7 @@ func TestGraceCapacityInvariant(t *testing.T) {
 
 func TestHealthReport(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
-	h := d.Health()
+	h := d.Wear()
 	if h.LiveMinidisks != len(d.Minidisks()) {
 		t.Errorf("live minidisks = %d", h.LiveMinidisks)
 	}
@@ -204,9 +204,6 @@ func TestHealthReport(t *testing.T) {
 	}
 	if h.Retired || h.DeadPages != 0 || h.DrainingMinidisks != 0 {
 		t.Errorf("fresh health: %+v", h)
-	}
-	if h.LiveLBAs != d.LiveLBAs() || h.Reserve != d.Reserve() {
-		t.Errorf("health fields inconsistent: %+v", h)
 	}
 	// After aging, capacity fraction drops and limbo/dead appear.
 	aged, _ := mustDevice(t, agingConfig(8, 1))
@@ -220,7 +217,7 @@ func TestHealthReport(t *testing.T) {
 			}
 		}
 	}
-	ah := aged.Health()
+	ah := aged.Wear()
 	if ah.CapacityFrac >= 1 {
 		t.Errorf("aged capacity frac = %v, want < 1", ah.CapacityFrac)
 	}

@@ -149,14 +149,15 @@ func TestRegenSOutlivesShrinkSOutlivesBaseline(t *testing.T) {
 	}
 	var baseWritten int64
 	buf := make([]byte, blockdev.OPageSize)
-	for round := 0; round < 600 && !base.Bricked(); round++ {
-		for lba := 0; lba < base.LBAs() && !base.Bricked(); lba++ {
+	lbas := base.Minidisks()[0].LBAs
+	for round := 0; round < 600 && !base.Wear().Retired; round++ {
+		for lba := 0; lba < lbas && !base.Wear().Retired; lba++ {
 			if base.Write(0, lba, buf) == nil {
 				baseWritten++
 			}
 		}
 	}
-	if !base.Bricked() {
+	if !base.Wear().Retired {
 		t.Fatal("baseline never bricked; raise the aging budget")
 	}
 

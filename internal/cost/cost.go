@@ -4,8 +4,6 @@
 // to offset shrunken capacity.
 package cost
 
-import "fmt"
-
 // Params are Eq. 4's inputs.
 type Params struct {
 	// FOpex is the operational fraction of TCO (Seagate: acquisition is
@@ -20,19 +18,6 @@ type Params struct {
 	// CapNew is the fraction of reduced capacity purchased as new baseline
 	// SSDs (the paper derives 0.4 from the 60% average shrunk capacity).
 	CapNew float64
-}
-
-// Validate checks parameter sanity.
-func (p Params) Validate() error {
-	switch {
-	case p.FOpex < 0 || p.FOpex > 1:
-		return fmt.Errorf("cost: FOpex %v out of [0,1]", p.FOpex)
-	case p.Ru <= 0 || p.Ru > 1:
-		return fmt.Errorf("cost: Ru %v out of (0,1]", p.Ru)
-	case p.CENew < 0 || p.CapNew < 0 || p.CapNew > 1:
-		return fmt.Errorf("cost: CENew %v / CapNew %v out of range", p.CENew, p.CapNew)
-	}
-	return nil
 }
 
 // CRu returns the cost upgrade rate:

@@ -45,22 +45,6 @@ func TestCRu(t *testing.T) {
 	}
 }
 
-func TestValidation(t *testing.T) {
-	bad := []Params{
-		{FOpex: -1, Ru: 0.8, CENew: 0.25, CapNew: 0.4},
-		{FOpex: 2, Ru: 0.8, CENew: 0.25, CapNew: 0.4},
-		{FOpex: 0.14, Ru: 0, CENew: 0.25, CapNew: 0.4},
-		{FOpex: 0.14, Ru: 1.5, CENew: 0.25, CapNew: 0.4},
-		{FOpex: 0.14, Ru: 0.8, CENew: -1, CapNew: 0.4},
-		{FOpex: 0.14, Ru: 0.8, CENew: 0.25, CapNew: 1.4},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d validated: %+v", i, p)
-		}
-	}
-}
-
 func TestSavingsMonotoneInLifetime(t *testing.T) {
 	prev := -1.0
 	for _, ru := range []float64{1.0, 0.9, 0.8, 0.7, 0.6} {
@@ -79,9 +63,6 @@ func TestTable(t *testing.T) {
 		t.Fatalf("table has %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if err := r.Params.Validate(); err != nil {
-			t.Errorf("%s: invalid params: %v", r.Name, err)
-		}
 		if r.Savings <= 0 || r.Savings >= 0.5 {
 			t.Errorf("%s: savings %v implausible", r.Name, r.Savings)
 		}

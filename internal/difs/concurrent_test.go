@@ -147,10 +147,10 @@ func TestRepairParallelRestoresReplication(t *testing.T) {
 	c, _ := memCluster(t, cfg, 8, 4, 64)
 	objs := fillCluster(t, c, 42, 30)
 
-	if n := c.DecommissionNode(0); n == 0 {
+	if n := decommissionNode(c, 0); n == 0 {
 		t.Fatal("node 0 had no live targets")
 	}
-	c.DecommissionNode(1)
+	decommissionNode(c, 1)
 	copies := repairUntilQuiet(t, c, func() (int, error) { return c.RepairParallel(4) })
 	if copies == 0 {
 		t.Fatal("parallel repair created no copies")
@@ -178,7 +178,7 @@ func TestRepairParallelDeterministic(t *testing.T) {
 		cfg.ChunkOPages = 4
 		c, _ := memCluster(t, cfg, 8, 4, 64)
 		fillCluster(t, c, 99, 25)
-		c.DecommissionNode(2)
+		decommissionNode(c, 2)
 		c.CrashNode(5)
 		repairUntilQuiet(t, c, func() (int, error) { return c.RepairParallel(8) })
 		return c.Stats(), c.PendingRepairs(), c.Objects()
@@ -206,7 +206,7 @@ func TestRepairParallelFallbackMatchesSerial(t *testing.T) {
 		cfg.ChunkOPages = 4
 		c, _ := memCluster(t, cfg, 6, 4, 64)
 		fillCluster(t, c, 7, 20)
-		c.DecommissionNode(3)
+		decommissionNode(c, 3)
 		return c
 	}
 	cs, cp := build(), build()
@@ -215,4 +215,33 @@ func TestRepairParallelFallbackMatchesSerial(t *testing.T) {
 	if s, p := cs.Stats(), cp.Stats(); !reflect.DeepEqual(s, p) {
 		t.Fatalf("serial vs workers=1 stats diverged:\n%+v\nvs\n%+v", s, p)
 	}
+}
+
+// decommissionNode retires every live minidisk of a node from placement and
+// queues all of its chunks for repair, the way a grace-period drain treats
+// one minidisk. The node's replicas stay readable as repair sources until
+// Repair moves their chunks. It returns the first shard's count of
+// retired minidisks.
+func decommissionNode(c *Cluster, id NodeID) int {
+	return c.mirrored(func(sh *shard) int {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		sh.settleLocked()
+		defer func() { _ = sh.flushMeta() }()
+		n := 0
+		for _, t := range sh.targetsOfNode(id) {
+			if !t.live() {
+				continue
+			}
+			t.state = tDraining
+			for _, ch := range t.chunksInSlotOrder() {
+				sh.enqueueRepair(ch)
+			}
+			n++
+		}
+		if n > 0 {
+			sh.bumpEpoch()
+		}
+		return n
+	})
 }

@@ -101,7 +101,7 @@ func TestReplaceAtomicSwap(t *testing.T) {
 
 	// Replace also creates: a fresh name works without a prior Put.
 	fresh := objData(rng, 5000)
-	if err := c.Replace("new", fresh); err != nil {
+	if err := c.ReplaceCtx(context.Background(), "new", fresh); err != nil {
 		t.Fatalf("replace of a fresh name: %v", err)
 	}
 	if got, err := c.Get("new"); err != nil || !bytes.Equal(got, fresh) {
@@ -110,7 +110,7 @@ func TestReplaceAtomicSwap(t *testing.T) {
 
 	// A successful replace swaps the content and frees the old slots.
 	next := objData(rng, 60000)
-	if err := c.Replace("obj", next); err != nil {
+	if err := c.ReplaceCtx(context.Background(), "obj", next); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
 	if got, err := c.Get("obj"); err != nil || !bytes.Equal(got, next) {
@@ -149,7 +149,7 @@ func TestReplaceNoSpaceKeepsOldObjectEC(t *testing.T) {
 	if err := c.Put("obj", old); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Replace("obj", objData(rng, 5*4*blockdev.OPageSize))
+	err := c.ReplaceCtx(context.Background(), "obj", objData(rng, 5*4*blockdev.OPageSize))
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}

@@ -352,11 +352,6 @@ func (c *Cluster) OwnedShards() []int {
 	return out
 }
 
-// Owns reports whether this cluster serves the given metadata shard.
-func (c *Cluster) Owns(shard int) bool {
-	return shard >= 0 && shard < len(c.shards) && c.shards[shard] != nil
-}
-
 // shardFor routes a name to its shard; nil means the shard belongs to
 // another process (see notOwnerErr).
 func (c *Cluster) shardFor(name string) *shard {
@@ -513,11 +508,6 @@ func (c *Cluster) PutCtx(ctx context.Context, name string, data []byte) error {
 		return c.notOwnerErr(name)
 	}
 	return sh.put(ctx, name, data)
-}
-
-// Replace atomically stores data under name, replacing any existing object.
-func (c *Cluster) Replace(name string, data []byte) error {
-	return c.ReplaceCtx(context.Background(), name, data)
 }
 
 // ReplaceCtx is an atomic upsert: the new object's chunks are fully placed
@@ -692,28 +682,6 @@ func (c *Cluster) VerifyAll(check func(name string, data []byte) error) (bad []s
 	}
 	sort.Strings(bad)
 	return bad
-}
-
-// ShardInfo is one shard's control-plane summary for the ops surface.
-type ShardInfo struct {
-	ID             int `json:"id"`
-	Objects        int `json:"objects"`
-	PendingRepairs int `json:"pending_repairs"`
-	// Epoch is the shard's placement epoch: it advances on every membership
-	// change the shard observes (target added, drained, lost, node
-	// crash/restart), so a changed epoch means cached placement knowledge
-	// about this shard is stale.
-	Epoch uint64 `json:"epoch"`
-}
-
-// ShardInfos summarizes every owned shard in shard order, reporting real
-// shard indices (a subset-scoped cluster reports only its subset).
-func (c *Cluster) ShardInfos() []ShardInfo {
-	out := make([]ShardInfo, len(c.owned))
-	for i, sh := range c.owned {
-		out[i] = sh.info()
-	}
-	return out
 }
 
 // ShardOf maps an object name to its metadata shard: 64-bit FNV-1a over the

@@ -182,35 +182,3 @@ func (sh *shard) repairShard(ch *chunk) bool {
 	}
 	return false
 }
-
-// DecommissionNode gracefully retires every minidisk of a node from
-// placement and queues all of its chunks for repair — the operator-initiated
-// "replace this old drive" flow (§2's preemptive replacement, done with
-// redundancy instead of downtime). The node's replicas remain readable as
-// repair sources until Repair moves their chunks; call Repair (repeatedly,
-// if capacity is tight) to complete the migration.
-func (c *Cluster) DecommissionNode(id NodeID) int {
-	return c.mirrored(func(sh *shard) int { return sh.decommissionNode(id) })
-}
-
-func (sh *shard) decommissionNode(id NodeID) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.settleLocked()
-	defer func() { _ = sh.flushMeta() }()
-	n := 0
-	for _, t := range sh.targetsOfNode(id) {
-		if !t.live() {
-			continue
-		}
-		t.state = tDraining
-		for _, ch := range t.chunksInSlotOrder() {
-			sh.enqueueRepair(ch)
-		}
-		n++
-	}
-	if n > 0 {
-		sh.bumpEpoch()
-	}
-	return n
-}

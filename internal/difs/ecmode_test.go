@@ -250,7 +250,7 @@ func TestDecommissionNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drained := c.DecommissionNode(1)
+	drained := decommissionNode(c, 1)
 	if drained == 0 {
 		t.Fatal("node had no live targets")
 	}

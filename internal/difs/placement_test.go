@@ -79,7 +79,7 @@ func randomTargets(sh *shard, rng *stats.RNG, perDev int) {
 	var keys []targetKey
 	for _, n := range sh.nodes {
 		for dev := range n.devices {
-			ids := rng.Perm(perDev + 2)[:rng.Intn(perDev+1)]
+			ids := perm(rng, perDev+2)[:rng.Intn(perDev+1)]
 			for _, md := range ids {
 				keys = append(keys, targetKey{n.id, dev, blockdev.MinidiskID(md)})
 			}
@@ -272,4 +272,15 @@ func BenchmarkPickTargets(b *testing.B) {
 			})
 		}
 	}
+}
+
+// perm returns a random permutation of [0, n).
+func perm(rng *stats.RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
 }

@@ -2,6 +2,7 @@ package difs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -61,7 +62,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 	// Exercise every manifest-mutating verb, not just Put.
 	want["o1"] = objData(rng, 7000)
-	if err := c1.Replace("o1", want["o1"]); err != nil {
+	if err := c1.ReplaceCtx(context.Background(), "o1", want["o1"]); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.Delete("o4"); err != nil {
@@ -551,7 +552,7 @@ func TestFailedPlacementLeavesStoreUntouched(t *testing.T) {
 	// and fails on the third.
 	big := objData(rng, 3*c.chunkBytes())
 	st.puts, st.deletes = 0, 0
-	if err := c.Replace("a", big); !errors.Is(err, ErrNoSpace) {
+	if err := c.ReplaceCtx(context.Background(), "a", big); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("oversized replace: %v, want ErrNoSpace", err)
 	}
 	if err := c.Put("b", big); !errors.Is(err, ErrNoSpace) {

@@ -501,13 +501,6 @@ func (sh *shard) pendingRepairs() int {
 	return len(sh.repairQ)
 }
 
-func (sh *shard) info() ShardInfo {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.settleLocked()
-	return ShardInfo{ID: sh.id, Objects: len(sh.objects), PendingRepairs: len(sh.repairQ), Epoch: sh.epoch}
-}
-
 func (sh *shard) nodeInfos() []NodeInfo {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -670,22 +663,16 @@ func (sh *shard) readChunk(r replica, buf []byte) error {
 
 // backoff advances the replica device's virtual clock before a retry
 // (RetryBackoff doubling per attempt) — the cluster-scope analogue of §2's
-// voltage-adjustment delay. Only devices exposing an idle simulation engine
-// are advanced; others retry immediately.
+// voltage-adjustment delay. The device takes the delay under its own lock,
+// since other shards may be using it; devices without a clock retry
+// immediately.
 func (sh *shard) backoff(dev blockdev.Device, attempt int) {
 	if sh.cfg.RetryBackoff <= 0 {
 		return
 	}
-	type enginer interface{ Engine() *sim.Engine }
-	e, ok := dev.(enginer)
-	if !ok {
-		return
+	if d, ok := dev.(interface{ Delay(sim.Time) }); ok {
+		d.Delay(sh.cfg.RetryBackoff << uint(attempt-1))
 	}
-	eng := e.Engine()
-	if eng == nil || eng.Pending() > 0 {
-		return
-	}
-	eng.Advance(sh.cfg.RetryBackoff << uint(attempt-1))
 }
 
 // noteDeviceError reacts to authoritative device errors that reveal a stale

@@ -101,7 +101,7 @@ func TestShardConformanceAcrossCounts(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0, 1:
 				data := objData(rng, rng.Intn(30000))
-				if err := c.Replace(name, data); err == nil {
+				if err := c.ReplaceCtx(context.Background(), name, data); err == nil {
 					model[name] = data
 				}
 			case 2:
@@ -133,7 +133,7 @@ func TestShardConformanceAcrossCounts(t *testing.T) {
 			}
 			got[name] = data
 		}
-		return result{objects: got, infos: len(c.ShardInfos())}
+		return result{objects: got, infos: len(shardInfos(c))}
 	}
 	base := run(t, 1)
 	if base.infos != 1 {
@@ -260,7 +260,7 @@ func TestShardedMixedOpsRace(t *testing.T) {
 				switch rng.Intn(6) {
 				case 0, 1:
 					data := objData(rng, rng.Intn(12000))
-					if err := c.Replace(name, data); err == nil {
+					if err := c.ReplaceCtx(context.Background(), name, data); err == nil {
 						model[name] = data
 					}
 				case 2:
@@ -406,7 +406,7 @@ func TestManifestLayouts(t *testing.T) {
 				}
 			}
 			content["o1"] = objData(rng, 5000)
-			if err := c.Replace("o1", content["o1"]); err != nil {
+			if err := c.ReplaceCtx(context.Background(), "o1", content["o1"]); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Delete("o2"); err != nil {
@@ -492,7 +492,7 @@ func TestShardInfosAndEpochs(t *testing.T) {
 	cfg.Shards = 8
 	cfg.ChunkOPages = 4
 	c, _ := memCluster(t, cfg, 4, 2, 64)
-	infos := c.ShardInfos()
+	infos := shardInfos(c)
 	if len(infos) != 8 {
 		t.Fatalf("%d shard infos, want 8", len(infos))
 	}
@@ -511,17 +511,17 @@ func TestShardInfosAndEpochs(t *testing.T) {
 		}
 	}
 	sum := 0
-	for _, si := range c.ShardInfos() {
+	for _, si := range shardInfos(c) {
 		sum += si.Objects
 	}
 	if sum != 12 {
 		t.Fatalf("shard infos count %d objects, want 12", sum)
 	}
-	before := c.ShardInfos()
+	before := shardInfos(c)
 	if c.CrashNode(0) == 0 {
 		t.Fatal("crash touched nothing")
 	}
-	after := c.ShardInfos()
+	after := shardInfos(c)
 	bumped := false
 	for i := range after {
 		if after[i].Epoch > before[i].Epoch {
@@ -575,4 +575,23 @@ func TestShardConfigValidation(t *testing.T) {
 	if _, err := NewCluster(cfg); err == nil {
 		t.Error("garbage DIFS_SHARDS accepted")
 	}
+}
+
+// shardInfo is one owned shard's control-plane summary.
+type shardInfo struct {
+	ID, Objects, PendingRepairs int
+	Epoch                       uint64
+}
+
+// shardInfos summarizes every owned shard in shard order, with real shard
+// indices (a subset-scoped cluster reports only its subset).
+func shardInfos(c *Cluster) []shardInfo {
+	out := make([]shardInfo, len(c.owned))
+	for i, sh := range c.owned {
+		sh.mu.Lock()
+		sh.settleLocked()
+		out[i] = shardInfo{ID: sh.id, Objects: len(sh.objects), PendingRepairs: len(sh.repairQ), Epoch: sh.epoch}
+		sh.mu.Unlock()
+	}
+	return out
 }

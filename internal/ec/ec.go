@@ -243,34 +243,3 @@ func (c *Code) invert(m [][]uint32) ([][]uint32, error) {
 	}
 	return out, nil
 }
-
-// Split slices data into k equal shards (zero-padded) of shardSize =
-// ceil(len/k) bytes.
-func (c *Code) Split(data []byte) [][]byte {
-	shardSize := (len(data) + c.K - 1) / c.K
-	if shardSize == 0 {
-		shardSize = 1
-	}
-	out := make([][]byte, c.K)
-	for i := 0; i < c.K; i++ {
-		s := make([]byte, shardSize)
-		lo := i * shardSize
-		if lo < len(data) {
-			copy(s, data[lo:min(lo+shardSize, len(data))])
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Join reassembles the original data (of length size) from k data shards.
-func (c *Code) Join(data [][]byte, size int) []byte {
-	out := make([]byte, 0, size)
-	for _, s := range data {
-		out = append(out, s...)
-	}
-	if len(out) > size {
-		out = out[:size]
-	}
-	return out
-}

@@ -129,29 +129,6 @@ func TestReconstructTooFewFails(t *testing.T) {
 	}
 }
 
-func TestSplitJoin(t *testing.T) {
-	c := mustCode(t, 4, 2)
-	for _, size := range []int{0, 1, 3, 100, 1024, 1027} {
-		data := make([]byte, size)
-		for i := range data {
-			data[i] = byte(i * 7)
-		}
-		shards := c.Split(data)
-		if len(shards) != 4 {
-			t.Fatalf("split produced %d shards", len(shards))
-		}
-		for i := 1; i < len(shards); i++ {
-			if len(shards[i]) != len(shards[0]) {
-				t.Fatalf("ragged split at size %d", size)
-			}
-		}
-		got := c.Join(shards, size)
-		if !bytes.Equal(got, data) {
-			t.Fatalf("join mismatch at size %d", size)
-		}
-	}
-}
-
 // Property: for random data, shard sizes, and any erasure pattern leaving
 // >= k shards, reconstruction is exact.
 func TestQuickReconstruct(t *testing.T) {

@@ -90,9 +90,6 @@ func NewCode(m, dataBits, t int) (*Code, error) {
 	return c, nil
 }
 
-// Rate returns the code rate K/N.
-func (c *Code) Rate() float64 { return float64(c.K) / float64(c.N) }
-
 // ParityBytes returns the number of bytes needed to store the parity.
 func (c *Code) ParityBytes() int { return (c.R + 7) / 8 }
 
@@ -302,18 +299,9 @@ func (c *Code) remainder(reg []uint64, data, parity []byte) bool {
 	return or == 0
 }
 
-// Encode computes the parity for data. data must be exactly K/8 bytes; the
-// returned slice is ParityBytes() long, parity bit R-1 first (MSB of byte 0).
-func (c *Code) Encode(data []byte) ([]byte, error) {
-	parity := make([]byte, c.ParityBytes())
-	if err := c.EncodeInto(data, parity); err != nil {
-		return nil, err
-	}
-	return parity, nil
-}
-
 // EncodeInto computes the parity for data into the caller-supplied parity
-// buffer, which must be exactly ParityBytes() long. It allocates nothing:
+// buffer. data must be exactly K/8 bytes and parity exactly ParityBytes()
+// long; parity bit R-1 lands first (MSB of byte 0). It allocates nothing:
 // the division register comes from the code's scratch pool.
 func (c *Code) EncodeInto(data, parity []byte) error {
 	if len(data) != c.K/8 {
@@ -479,14 +467,6 @@ func (c *Code) chienSearch(s *Scratch, sigma []uint32) []int {
 // an uncorrectable-page event.) The clean-read fast path allocates nothing;
 // the correction path draws all working state from the scratch pool.
 func (c *Code) Decode(data, parity []byte) (int, error) {
-	return c.decode(data, parity, nil)
-}
-
-// DecodeInPlace is Decode under its precise name: corrections are written
-// back into the caller's data and parity buffers, never into fresh
-// allocations, so callers layering buffer reuse on top (ssd, core) keep
-// ownership of every byte on the read path.
-func (c *Code) DecodeInPlace(data, parity []byte) (int, error) {
 	return c.decode(data, parity, nil)
 }
 

@@ -46,9 +46,6 @@ func TestCodeParameters(t *testing.T) {
 	if c.N != c.K+c.R {
 		t.Errorf("N = %d != K+R", c.N)
 	}
-	if r := c.Rate(); r <= 0 || r >= 1 {
-		t.Errorf("rate = %v", r)
-	}
 }
 
 func TestEncodeRejectsWrongLength(t *testing.T) {

@@ -206,3 +206,12 @@ func (c *Code) DecodeReference(data, parity []byte, erasures []int) (int, error)
 	}
 	return len(pos), nil
 }
+
+// Encode is EncodeInto into a fresh parity buffer, for tests.
+func (c *Code) Encode(data []byte) ([]byte, error) {
+	parity := make([]byte, c.ParityBytes())
+	if err := c.EncodeInto(data, parity); err != nil {
+		return nil, err
+	}
+	return parity, nil
+}

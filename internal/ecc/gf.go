@@ -68,9 +68,6 @@ func NewField(m int) *Field {
 	return f
 }
 
-// Add returns a+b (= a-b) in GF(2^m).
-func (f *Field) Add(a, b uint32) uint32 { return a ^ b }
-
 // Mul returns a*b in GF(2^m).
 func (f *Field) Mul(a, b uint32) uint32 {
 	if a == 0 || b == 0 {
@@ -100,21 +97,6 @@ func (f *Field) Div(a, b uint32) uint32 {
 		d += f.N
 	}
 	return f.exp[d]
-}
-
-// Pow returns a^k, with a^0 = 1 (including 0^0) and 0^k = 0 for k > 0.
-func (f *Field) Pow(a uint32, k int) uint32 {
-	if k == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	e := (int(f.log[a]) * k) % f.N
-	if e < 0 {
-		e += f.N
-	}
-	return f.exp[e]
 }
 
 // Alpha returns α^i, the i-th power of the primitive element.

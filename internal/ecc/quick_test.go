@@ -122,7 +122,7 @@ func TestQuickFieldLaws(t *testing.T) {
 		a := uint32(aRaw) % uint32(f.N+1)
 		b := uint32(bRaw) % uint32(f.N+1)
 		c := uint32(cRaw) % uint32(f.N+1)
-		if f.Mul(a, f.Add(b, c)) != f.Add(f.Mul(a, b), f.Mul(a, c)) {
+		if f.Mul(a, b^c) != f.Mul(a, b)^f.Mul(a, c) {
 			return false
 		}
 		if a != 0 {

@@ -22,7 +22,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,9 +81,6 @@ type Site struct {
 	hits  uint64
 	fires uint64
 }
-
-// Name returns the site's full name.
-func (s *Site) Name() string { return s.name }
 
 // Fire reports whether the fault should trigger on this pass. It counts the
 // hit, applies the armed plan, and — when firing — increments the layer's
@@ -227,37 +223,6 @@ func (r *Registry) Arm(name string, p Plan) error {
 	s.mu.Unlock()
 	s.armed.Store(ap)
 	return nil
-}
-
-// Disarm deactivates the named site. Unknown names are a no-op.
-func (r *Registry) Disarm(name string) {
-	r.mu.Lock()
-	s := r.sites[name]
-	r.mu.Unlock()
-	if s != nil {
-		s.armed.Store(nil)
-	}
-}
-
-// DisarmAll deactivates every site.
-func (r *Registry) DisarmAll() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.sites {
-		s.armed.Store(nil)
-	}
-}
-
-// Sites lists the registered site names, sorted.
-func (r *Registry) Sites() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.sites))
-	for name := range r.sites {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // recordFire publishes one injected fault to the bound telemetry.

@@ -187,19 +187,6 @@ func TestTelemetryCountersAndEvents(t *testing.T) {
 	}
 }
 
-func TestDisarmAll(t *testing.T) {
-	r := New(1)
-	_ = r.Arm("a.x", Plan{Prob: 1})
-	_ = r.Arm("b.y", Plan{Prob: 1})
-	r.DisarmAll()
-	if r.Site("a.x").Fire() || r.Site("b.y").Fire() {
-		t.Fatal("site fired after DisarmAll")
-	}
-	if got := r.Sites(); len(got) != 2 || got[0] != "a.x" || got[1] != "b.y" {
-		t.Fatalf("Sites() = %v", got)
-	}
-}
-
 func TestConcurrentFire(t *testing.T) {
 	r := New(5)
 	if err := r.Arm("c.c", Plan{Prob: 0.5, MaxFires: 100}); err != nil {

@@ -543,19 +543,6 @@ func (a *Array) stuckValue(blockID, pos int) bool {
 	return mix64(a.cfg.Seed^uint64(blockID)*0xff51afd7ed558ccd^uint64(pos)*0xc4ceb9fe1a85ec53)&1 == 1
 }
 
-// BlockStuckColumns returns the block's current grown stuck bit positions —
-// what wear tracking exports to the layers above so their reads can hand the
-// codec erasure candidates even before the first degraded read.
-func (a *Array) BlockStuckColumns(blockID int) []int {
-	if blockID < 0 || blockID >= len(a.blocks) {
-		return nil
-	}
-	mu := a.channelMu(blockID)
-	mu.Lock()
-	defer mu.Unlock()
-	return a.stuckColumnsLocked(blockID, &a.blocks[blockID])
-}
-
 // EffectiveRBER returns the page's current raw bit-error rate: wear at
 // program time scaled by the page's endurance factor, plus read disturb.
 func (a *Array) EffectiveRBER(ppa PPA) float64 {
@@ -650,13 +637,6 @@ func (a *Array) RestoreWear(blockID int, pec uint32, dead bool) error {
 	return nil
 }
 
-// PageEnduranceScale returns the endurance factor of one page (block scale x
-// page scale); 1.0 is nominal. Scales are immutable after construction, so
-// no lock is needed.
-func (a *Array) PageEnduranceScale(ppa PPA) float64 {
-	return float64(a.blocks[ppa.Block].pageScale[ppa.Page])
-}
-
 // PageTiredness maps a page's projected wear (its block's current PEC,
 // endurance-scaled) to the tiredness level its next program would land at.
 // This is what firmware consults before reusing a page.
@@ -666,14 +646,6 @@ func (a *Array) PageTiredness(ppa PPA) int {
 	defer mu.Unlock()
 	blk := &a.blocks[ppa.Block]
 	return a.model.LevelFor(float64(blk.pec), float64(blk.pageScale[ppa.Page]))
-}
-
-// PageWritten reports whether the page currently holds data.
-func (a *Array) PageWritten(ppa PPA) bool {
-	mu := a.channelMu(ppa.Block)
-	mu.Lock()
-	defer mu.Unlock()
-	return a.blocks[ppa.Block].pages[ppa.Page].state == pageWritten
 }
 
 // Stats is a SMART-style snapshot of array activity.

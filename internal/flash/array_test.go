@@ -59,9 +59,6 @@ func TestGeometryDerived(t *testing.T) {
 	if g.TotalPages() != 4*64*64 {
 		t.Errorf("TotalPages = %d", g.TotalPages())
 	}
-	if g.DataBytes() != int64(g.TotalPages())*16384 {
-		t.Errorf("DataBytes = %d", g.DataBytes())
-	}
 	if g.ChannelOf(0) != 0 || g.ChannelOf(63) != 0 || g.ChannelOf(64) != 1 {
 		t.Error("ChannelOf mapping wrong")
 	}
@@ -181,7 +178,7 @@ func TestEraseResetsBlock(t *testing.T) {
 	if a.BlockPEC(0) != 1 {
 		t.Errorf("PEC after erase = %d", a.BlockPEC(0))
 	}
-	if a.PageWritten(PPA{0, 0}) {
+	if a.blocks[0].pages[0].state == pageWritten {
 		t.Error("page still written after erase")
 	}
 	// Programming restarts from page 0.
@@ -349,7 +346,7 @@ func TestEnduranceVarianceApplied(t *testing.T) {
 	g := a.Geometry()
 	for b := 0; b < g.TotalBlocks(); b++ {
 		for p := 0; p < g.PagesPerBlock; p++ {
-			s := a.PageEnduranceScale(PPA{b, p})
+			s := float64(a.blocks[b].pageScale[p])
 			if s < lo {
 				lo = s
 			}
@@ -372,14 +369,14 @@ func TestDeterministicBySeed(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			b := i % g.TotalBlocks()
 			p := (i / g.TotalBlocks()) % g.PagesPerBlock
-			if !a.PageWritten(PPA{b, p}) && p == 0 {
+			if a.blocks[b].pages[p].state != pageWritten && p == 0 {
 				if _, err := a.Program(PPA{b, p}, rawPage(g, byte(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		for b := 0; b < g.TotalBlocks(); b++ {
-			if a.PageWritten(PPA{b, 0}) {
+			if a.blocks[b].pages[0].state == pageWritten {
 				if _, err := a.Read(PPA{b, 0}, 0); err != nil {
 					t.Fatal(err)
 				}
@@ -461,9 +458,6 @@ func TestMetadataOnlyMode(t *testing.T) {
 
 func TestBusParallelism(t *testing.T) {
 	b := NewBus(4)
-	if b.Channels() != 4 {
-		t.Fatalf("channels = %d", b.Channels())
-	}
 	// Two ops on different channels overlap fully.
 	_, end0 := b.Reserve(0, 0, 100)
 	_, end1 := b.Reserve(1, 0, 100)
@@ -489,7 +483,9 @@ func TestBusParallelism(t *testing.T) {
 		t.Fatalf("wrapped channel start = %v", start)
 	}
 	// Degenerate bus clamps to one channel.
-	if NewBus(0).Channels() != 1 {
-		t.Fatal("zero-channel bus not clamped")
+	one := NewBus(0)
+	one.Reserve(0, 0, 10)
+	if start, _ := one.Reserve(1, 0, 10); start != 10 {
+		t.Fatalf("zero-channel bus not clamped to one channel: second op starts at %v", start)
 	}
 }

@@ -16,18 +16,12 @@ func NewBus(channels int) *Bus {
 	return &Bus{lanes: sim.NewLanes(channels)}
 }
 
-// Channels returns the channel count.
-func (b *Bus) Channels() int { return b.lanes.Len() }
-
 // Reserve schedules an operation of duration dur on channel ch no earlier
 // than now, returning its start and completion times. The channel is busy
 // until the completion time.
 func (b *Bus) Reserve(ch int, now, dur sim.Time) (start, end sim.Time) {
 	return b.lanes.Reserve(ch, now, dur)
 }
-
-// Makespan returns the latest completion time across all channels.
-func (b *Bus) Makespan() sim.Time { return b.lanes.Makespan() }
 
 // Reset clears all channel occupancy (e.g. between measured accesses, to
 // model an otherwise idle device).

@@ -56,11 +56,6 @@ func (g Geometry) TotalBlocks() int { return g.Channels * g.BlocksPerChan }
 // TotalPages returns the number of fPages in the array.
 func (g Geometry) TotalPages() int { return g.TotalBlocks() * g.PagesPerBlock }
 
-// DataBytes returns the raw data capacity (excluding spare).
-func (g Geometry) DataBytes() int64 {
-	return int64(g.TotalPages()) * int64(g.PageSize)
-}
-
 // RawPageBytes returns data+spare bytes of one fPage.
 func (g Geometry) RawPageBytes() int { return g.PageSize + g.SpareSize }
 

@@ -25,8 +25,8 @@ func TestStuckColumnsDisabledByDefault(t *testing.T) {
 	if res.Stuck != nil {
 		t.Errorf("default config reported stuck columns: %v", res.Stuck)
 	}
-	if cols := a.BlockStuckColumns(0); cols != nil {
-		t.Errorf("BlockStuckColumns with model off: %v", cols)
+	if cols := stuckColumns(a, 0); cols != nil {
+		t.Errorf("stuck columns with model off: %v", cols)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestStuckColumnsGrowWithWearAndForceValues(t *testing.T) {
 	g := a.Geometry()
 
 	// Fresh block (pec=0): nothing stuck yet.
-	if cols := a.BlockStuckColumns(0); len(cols) != 0 {
+	if cols := stuckColumns(a, 0); len(cols) != 0 {
 		t.Fatalf("fresh block has stuck columns: %v", cols)
 	}
 
@@ -45,14 +45,14 @@ func TestStuckColumnsGrowWithWearAndForceValues(t *testing.T) {
 	if _, err := a.Erase(0); err != nil {
 		t.Fatal(err)
 	}
-	first := a.BlockStuckColumns(0)
+	first := stuckColumns(a, 0)
 	if len(first) != 4 {
 		t.Fatalf("after 1 cycle: %d columns, want 4", len(first))
 	}
 	if _, err := a.Erase(0); err != nil {
 		t.Fatal(err)
 	}
-	second := a.BlockStuckColumns(0)
+	second := stuckColumns(a, 0)
 	if len(second) != 8 {
 		t.Fatalf("after 2 cycles: %d columns, want 8", len(second))
 	}
@@ -98,7 +98,7 @@ func TestStuckColumnsGrowWithWearAndForceValues(t *testing.T) {
 	if _, err := a.Erase(1); err != nil {
 		t.Fatal(err)
 	}
-	other := a.BlockStuckColumns(1)
+	other := stuckColumns(a, 1)
 	same := 0
 	for _, p := range other {
 		if seen[p] {
@@ -121,7 +121,7 @@ func TestPreWornPECStartsTired(t *testing.T) {
 		t.Fatalf("BlockPEC = %d, want %d", got, cfg.PreWornPEC)
 	}
 	// Half the nominal wear means half the stuck-column budget, pre-grown.
-	if cols := a.BlockStuckColumns(0); len(cols) != 4 {
+	if cols := stuckColumns(a, 0); len(cols) != 4 {
 		t.Fatalf("pre-worn block has %d stuck columns, want 4", len(cols))
 	}
 	if _, err := a.Erase(0); err != nil {
@@ -166,4 +166,9 @@ func TestStuckModelPreservesFlipDeterminism(t *testing.T) {
 	if offStats.InjectedFlips != onStats.InjectedFlips {
 		t.Errorf("injected flips diverged: %+v vs %+v", offStats, onStats)
 	}
+}
+
+// stuckColumns returns a block's current grown stuck bit positions.
+func stuckColumns(a *Array, block int) []int {
+	return a.stuckColumnsLocked(block, &a.blocks[block])
 }

@@ -98,7 +98,7 @@ var digestDevices = []digestDevice{
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return d, func() any { return d.Counters() }, d.Bricked, nil
+		return d, func() any { return d.Counters() }, func() bool { return d.Wear().Retired }, nil
 	}},
 	coreRow("shrinks", 0, false),
 	coreRow("regens1", 1, false),

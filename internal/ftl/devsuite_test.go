@@ -120,12 +120,11 @@ var deviceKinds = []deviceKind{
 			c := d.(*ssd.Device).Counters()
 			c.HostWrites, c.FlashWrites, c.BadBlocks = 9999, 9999, -1
 		},
-		dead: func(d suiteDevice) bool { return d.(*ssd.Device).Bricked() },
+		dead: func(d suiteDevice) bool { return d.(*ssd.Device).Wear().Retired },
 		observe: func(d suiteDevice) {
 			dev := d.(*ssd.Device)
 			dev.Counters()
 			dev.Minidisks()
-			dev.Bricked()
 			dev.Wear()
 			dev.Array().Stats()
 		},
@@ -150,7 +149,6 @@ var deviceKinds = []deviceKind{
 		observe: func(d suiteDevice) {
 			dev := d.(*core.Device)
 			dev.Counters()
-			dev.Health()
 			dev.Wear()
 			dev.LiveLBAs()
 			dev.ServingSlots()

@@ -176,7 +176,7 @@ func CarryCounters(now, old []*telemetry.Counter) {
 // minidisk/LBA and packs them into a key) and a Lifecycle.
 //
 // One mutex — the device lock — serializes everything. Every method other
-// than Lock and Unlock must be called with it held; the flash array
+// than Lock, Unlock and Delay must be called with it held; the flash array
 // underneath does its own per-channel locking, so the order is device lock
 // then flash channel, and nothing holding a channel lock takes the device
 // lock. Lifecycle methods and the host's event handler run under the device
@@ -298,6 +298,15 @@ func (e *Engine) Array() *flash.Array { return e.arr }
 // Clock returns the simulation engine every operation's latency advances;
 // it is safe without the device lock.
 func (e *Engine) Clock() *sim.Engine { return e.clk }
+
+// Delay takes the device lock and advances the device clock by d: idle
+// time a host imposes between operations, such as a cluster's retry
+// backoff.
+func (e *Engine) Delay(d sim.Time) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.clk.Advance(d)
+}
 
 // Dead reports whether the device's life has ended.
 func (e *Engine) Dead() bool { return e.dead }

@@ -54,16 +54,10 @@ func (m Mode) String() string {
 type Config struct {
 	Devices         int
 	BlocksPerDevice int
-	PagesPerBlock   int
-	Reliability     rber.Params
-	// EnduranceCV and PageCV model block- and page-level endurance
-	// variance (lognormal).
-	EnduranceCV, PageCV float64
-	// DWPD is drive writes per day against the original capacity; WriteAmp
-	// multiplies it into flash wear.
-	DWPD     float64
-	WriteAmp float64
-	Mode     Mode
+	// DWPD is drive writes per day against the original capacity;
+	// writeAmp multiplies it into flash wear.
+	DWPD float64
+	Mode Mode
 	// MaxLevel bounds RegenS (the paper recommends 1).
 	MaxLevel int
 	// RetireCapacity is the operator policy for ShrinkS/RegenS: the device
@@ -71,13 +65,11 @@ type Config struct {
 	// original. Production SLAs keep headroom; 0.8 is the default and the
 	// benches sweep it as an ablation.
 	RetireCapacity float64
-	// BrickThreshold is the baseline bad-block fraction (0.025).
-	BrickThreshold float64
 	// AFR is an optional annual rate of random (non-wear) device failures.
 	AFR float64
-	// StepDays is the simulation step; MaxDays bounds the run.
-	StepDays, MaxDays float64
-	Seed              uint64
+	// StepDays is the simulation step.
+	StepDays float64
+	Seed     uint64
 	// Telemetry, when non-nil, receives fleet counters and lifetime
 	// histograms under the "lifesim." prefix; Tracer, when non-nil,
 	// receives a minidisk_retire event per device death (N carries the
@@ -86,36 +78,42 @@ type Config struct {
 	Tracer    *telemetry.Tracer
 }
 
+// The fleet's fixed device model: 64-page blocks on the default RBER(PEC)
+// model, lognormal endurance variance per block and per page, the
+// baseline's 2.5% bad-block brick threshold, a write amplification of 2,
+// and a bound on the run.
+const (
+	pagesPerBlock  = 64
+	enduranceCV    = 0.15
+	pageCV         = 0.05
+	brickThreshold = 0.025
+	writeAmp       = 2
+	maxDays        = 20000
+)
+
 // DefaultConfig returns a 64-device fleet at 1 DWPD.
 func DefaultConfig() Config {
 	return Config{
 		Devices:         64,
 		BlocksPerDevice: 256,
-		PagesPerBlock:   64,
-		Reliability:     rber.DefaultParams(),
-		EnduranceCV:     0.15,
-		PageCV:          0.05,
 		DWPD:            1,
-		WriteAmp:        2,
 		Mode:            Baseline,
 		MaxLevel:        1,
 		RetireCapacity:  0.8,
-		BrickThreshold:  0.025,
 		StepDays:        5,
-		MaxDays:         20000,
 		Seed:            1,
 	}
 }
 
 func (c Config) validate() error {
 	switch {
-	case c.Devices <= 0 || c.BlocksPerDevice <= 0 || c.PagesPerBlock <= 0:
+	case c.Devices <= 0 || c.BlocksPerDevice <= 0:
 		return fmt.Errorf("lifesim: non-positive fleet dimension")
-	case c.DWPD <= 0 || c.WriteAmp <= 0:
+	case c.DWPD <= 0:
 		return fmt.Errorf("lifesim: non-positive load")
 	case c.RetireCapacity <= 0 || c.RetireCapacity > 1:
 		return fmt.Errorf("lifesim: retire capacity %v out of (0,1]", c.RetireCapacity)
-	case c.StepDays <= 0 || c.MaxDays <= 0:
+	case c.StepDays <= 0:
 		return fmt.Errorf("lifesim: non-positive time parameters")
 	case c.MaxLevel < 0 || c.MaxLevel > rber.MaxUsableLevel:
 		return fmt.Errorf("lifesim: MaxLevel %d out of range", c.MaxLevel)
@@ -169,7 +167,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	model, err := rber.New(cfg.Reliability)
+	model, err := rber.New(rber.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +182,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	devs := make([]*device, cfg.Devices)
-	pagesPer := cfg.BlocksPerDevice * cfg.PagesPerBlock
+	pagesPer := cfg.BlocksPerDevice * pagesPerBlock
 	for i := range devs {
 		d := &device{
 			pageScales:  make([]float64, 0, pagesPer),
@@ -196,10 +194,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 		r := rng.Split()
 		for b := 0; b < cfg.BlocksPerDevice; b++ {
-			bs := r.LogNormal(1, cfg.EnduranceCV)
+			bs := r.LogNormal(1, enduranceCV)
 			minS := math.Inf(1)
-			for p := 0; p < cfg.PagesPerBlock; p++ {
-				s := bs * r.LogNormal(1, cfg.PageCV)
+			for p := 0; p < pagesPerBlock; p++ {
+				s := bs * r.LogNormal(1, pageCV)
 				d.pageScales = append(d.pageScales, s)
 				if s < minS {
 					minS = s
@@ -238,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 	slotsPerPage := float64(rber.OPagesPerFPage)
-	for day := 0.0; day <= cfg.MaxDays; day += cfg.StepDays {
+	for day := 0.0; day <= maxDays; day += cfg.StepDays {
 		aliveN := 0
 		capSum := 0.0
 		for _, d := range devs {
@@ -252,14 +250,14 @@ func Run(cfg Config) (*Result, error) {
 			}
 			// Wear advances with the absolute byte load concentrated on
 			// the current capacity.
-			rate := cfg.DWPD * cfg.WriteAmp / math.Max(d.capFrac, 0.05)
+			rate := cfg.DWPD * writeAmp / math.Max(d.capFrac, 0.05)
 			d.wear += rate * cfg.StepDays
 
 			switch cfg.Mode {
 			case Baseline:
 				// Block is bad when its weakest page leaves L0.
 				bad := lowerBound(d.blockMins, d.wear/limits[0])
-				if float64(bad)/float64(len(d.blockMins)) > cfg.BrickThreshold {
+				if float64(bad)/float64(len(d.blockMins)) > brickThreshold {
 					d.failedSlots += d.capFrac // everything fails at once
 					d.kill(day, 0)
 					die(day, "brick", bricks)
@@ -320,7 +318,7 @@ func Run(cfg Config) (*Result, error) {
 	for _, d := range devs {
 		if d.alive {
 			// Survived MaxDays; count the horizon as a lower bound.
-			d.deathDay = cfg.MaxDays
+			d.deathDay = maxDays
 		}
 		lifeSum += d.deathDay
 		if d.shrinkSteps > 0 {

@@ -27,7 +27,6 @@ func TestValidation(t *testing.T) {
 	for i, mutate := range []func(*Config){
 		func(c *Config) { c.Devices = 0 },
 		func(c *Config) { c.DWPD = 0 },
-		func(c *Config) { c.WriteAmp = 0 },
 		func(c *Config) { c.RetireCapacity = 0 },
 		func(c *Config) { c.RetireCapacity = 1.5 },
 		func(c *Config) { c.StepDays = 0 },

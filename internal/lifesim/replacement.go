@@ -46,7 +46,7 @@ func RunReplacement(cfg Config, horizonDays, floor float64) (*ReplacementResult,
 	if horizonDays <= 0 || floor <= 0 || floor > 1 {
 		return nil, fmt.Errorf("lifesim: invalid horizon %v / floor %v", horizonDays, floor)
 	}
-	model, err := rber.New(cfg.Reliability)
+	model, err := rber.New(rber.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func RunReplacement(cfg Config, horizonDays, floor float64) (*ReplacementResult,
 	for l := 0; l <= maxLevel; l++ {
 		limits[l] = model.Level(l).PECLimit
 	}
-	pagesPer := cfg.BlocksPerDevice * cfg.PagesPerBlock
+	pagesPer := cfg.BlocksPerDevice * pagesPerBlock
 
 	newDevice := func() *replacementDevice {
 		d := &replacementDevice{
@@ -71,10 +71,10 @@ func RunReplacement(cfg Config, horizonDays, floor float64) (*ReplacementResult,
 		}
 		r := rng.Split()
 		for b := 0; b < cfg.BlocksPerDevice; b++ {
-			bs := r.LogNormal(1, cfg.EnduranceCV)
+			bs := r.LogNormal(1, enduranceCV)
 			minS := math.Inf(1)
-			for p := 0; p < cfg.PagesPerBlock; p++ {
-				s := bs * r.LogNormal(1, cfg.PageCV)
+			for p := 0; p < pagesPerBlock; p++ {
+				s := bs * r.LogNormal(1, pageCV)
 				d.pageScales = append(d.pageScales, s)
 				if s < minS {
 					minS = s
@@ -106,13 +106,13 @@ func RunReplacement(cfg Config, horizonDays, floor float64) (*ReplacementResult,
 			aliveN++
 			// The deployment's byte load is shared across live capacity;
 			// per-device wear rate follows its share (uniform spread).
-			rate := cfg.DWPD * cfg.WriteAmp / math.Max(d.capFrac, 0.05)
+			rate := cfg.DWPD * writeAmp / math.Max(d.capFrac, 0.05)
 			d.wear += rate * cfg.StepDays
 
 			switch cfg.Mode {
 			case Baseline:
 				bad := lowerBound(d.blockMins, d.wear/limits[0])
-				if float64(bad)/float64(len(d.blockMins)) > cfg.BrickThreshold {
+				if float64(bad)/float64(len(d.blockMins)) > brickThreshold {
 					d.alive = false
 					d.capFrac = 0
 					continue

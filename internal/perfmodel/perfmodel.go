@@ -80,7 +80,6 @@ type Config struct {
 	// §4.2 mitigation that overlaps RegenS's extra page reads. 0 or 1
 	// measures a serial device.
 	Channels int
-	Seed     uint64
 	// Telemetry/Tracer, when non-nil, instrument the measurement's flash
 	// array: flash.* op counters, latency histograms, and page_program
 	// events flow into them.
@@ -88,9 +87,13 @@ type Config struct {
 	Tracer    *telemetry.Tracer
 }
 
+// seed fixes the flash array's variance draws and the sampled accesses, so
+// every sweep point measures the same device.
+const seed = 9
+
 // DefaultConfig measures 32MB datasets with 2000 random reads per point.
 func DefaultConfig() Config {
-	return Config{DataMB: 32, Level: 1, RandomReads: 2000, Seed: 9}
+	return Config{DataMB: 32, Level: 1, RandomReads: 2000}
 }
 
 // layout describes where each oPage of the dataset lives.
@@ -125,7 +128,7 @@ func Measure(cfg Config, f float64) (*Result, error) {
 		Timing:      flash.DefaultTiming(),
 		Reliability: rber.DefaultParams(),
 		StoreData:   false,
-		Seed:        cfg.Seed,
+		Seed:        seed,
 	}
 	arr, err := flash.New(fcfg)
 	if err != nil {
@@ -134,7 +137,7 @@ func Measure(cfg Config, f float64) (*Result, error) {
 	if cfg.Telemetry != nil || cfg.Tracer != nil {
 		arr.Instrument(cfg.Telemetry, cfg.Tracer)
 	}
-	rng := stats.NewRNG(cfg.Seed)
+	rng := stats.NewRNG(seed)
 
 	// Lay the dataset out page by page; every (1/f)-th page is tired.
 	lay := &layout{}

@@ -166,42 +166,3 @@ func TestChannelParallelismFlattens16K(t *testing.T) {
 			s[1].SeqThroughputRel, p[1].SeqThroughputRel)
 	}
 }
-
-// TestWriteScalingSpeedup: the ISSUE acceptance bar — write throughput must
-// at least double from 1 to 4 channels, and points must be deterministic.
-func TestWriteScalingSpeedup(t *testing.T) {
-	pts, err := MeasureWriteScaling([]int{1, 2, 4}, 8, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("want 3 points, got %d", len(pts))
-	}
-	if pts[0].Speedup != 1 {
-		t.Errorf("base speedup = %v, want 1", pts[0].Speedup)
-	}
-	if pts[2].Speedup < 2 {
-		t.Errorf("1→4 channel speedup = %.2f, want >= 2", pts[2].Speedup)
-	}
-	again, err := MeasureWriteScaling([]int{1, 2, 4}, 8, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		if pts[i] != again[i] {
-			t.Errorf("point %d not deterministic: %+v vs %+v", i, pts[i], again[i])
-		}
-	}
-}
-
-func TestWriteScalingValidation(t *testing.T) {
-	if _, err := MeasureWriteScaling(nil, 8, 1); err == nil {
-		t.Error("empty channel list accepted")
-	}
-	if _, err := MeasureWriteScaling([]int{0}, 8, 1); err == nil {
-		t.Error("zero channels accepted")
-	}
-	if _, err := MeasureWriteScaling([]int{1}, 0, 1); err == nil {
-		t.Error("zero dataMB accepted")
-	}
-}

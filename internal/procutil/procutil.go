@@ -28,12 +28,10 @@ type Spec struct {
 
 	AddrFile string // data-plane address file the process will write
 	OpsFile  string // ops HTTP address file the process will write
-
-	// ReadyTimeout bounds the wait for /readyz to turn 200 (default 30s).
-	ReadyTimeout time.Duration
-	// Stdout/Stderr receive the process's output (default os.Stderr).
-	Stdout, Stderr io.Writer
 }
+
+// readyTimeout bounds the wait for /readyz to turn 200.
+const readyTimeout = 30 * time.Second
 
 // Proc is one live subprocess started from a Spec.
 type Proc struct {
@@ -55,22 +53,15 @@ type Proc struct {
 // so the waits only ever observe the new process. On any startup failure
 // the process is killed and reaped before the error returns.
 func Start(spec Spec) (*Proc, error) {
-	if spec.ReadyTimeout <= 0 {
-		spec.ReadyTimeout = 30 * time.Second
-	}
-	if spec.Stdout == nil {
-		spec.Stdout = os.Stderr
-	}
-	if spec.Stderr == nil {
-		spec.Stderr = os.Stderr
-	}
 	p := &Proc{AddrFile: spec.AddrFile, OpsFile: spec.OpsFile}
 	os.Remove(spec.AddrFile)
 	os.Remove(spec.OpsFile)
 
 	p.Cmd = exec.Command(spec.Bin, spec.Args...)
-	p.Cmd.Stdout = spec.Stdout
-	p.Cmd.Stderr = spec.Stderr
+	// The process's output goes to ours, unlabelled: the harnesses that
+	// spawn it report its log lines alongside their own.
+	p.Cmd.Stdout = os.Stderr
+	p.Cmd.Stderr = os.Stderr
 	if err := p.Cmd.Start(); err != nil {
 		return nil, fmt.Errorf("spawn %s: %w", spec.Bin, err)
 	}
@@ -87,7 +78,7 @@ func Start(spec Spec) (*Proc, error) {
 		return fail(fmt.Errorf("ops addr: %w", err))
 	}
 	p.OpsAddr = opsAddr
-	deadline := time.Now().Add(spec.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	for {
 		code, body := HTTPGet("http://" + p.OpsAddr + "/readyz")
 		if code == http.StatusServiceUnavailable && strings.HasPrefix(strings.TrimSpace(body), "recovering") {

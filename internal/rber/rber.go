@@ -186,15 +186,6 @@ func (m *Model) LevelFor(pec, enduranceScale float64) int {
 	return DeadLevel
 }
 
-// LevelPECLimit returns the (variance-scaled) wear at which a page leaves
-// level l.
-func (m *Model) LevelPECLimit(l int, enduranceScale float64) float64 {
-	if l >= DeadLevel {
-		return math.Inf(1)
-	}
-	return m.levels[l].PECLimit * enduranceScale
-}
-
 // --- alternative ECC-family ceilings (LDPC) --------------------------------
 
 // H2 is the binary entropy function (bits).

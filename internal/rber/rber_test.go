@@ -147,16 +147,6 @@ func TestLevelFor(t *testing.T) {
 	}
 }
 
-func TestLevelPECLimit(t *testing.T) {
-	m := mustModel(t)
-	if got := m.LevelPECLimit(0, 2); math.Abs(got-2*m.Level(0).PECLimit) > 1e-9 {
-		t.Errorf("scaled limit = %v", got)
-	}
-	if !math.IsInf(m.LevelPECLimit(DeadLevel, 1), 1) {
-		t.Error("dead level limit should be +Inf")
-	}
-}
-
 func TestLevelPanics(t *testing.T) {
 	m := mustModel(t)
 	defer func() {

@@ -3,7 +3,6 @@ package salnet
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"salamander/internal/faultinject"
-	"salamander/internal/shardmap"
 	"salamander/internal/stats"
 	"salamander/internal/telemetry"
 	"salamander/internal/wire"
@@ -49,9 +47,10 @@ type ClientConfig struct {
 	// with the last transport error instead of burning the caller's
 	// remaining time.
 	RetryBudget time.Duration
-	// DialTimeout bounds each (re)connect (default 5s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds each (re)connect.
+const dialTimeout = 5 * time.Second
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Conns <= 0 {
@@ -67,9 +66,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 2 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -174,7 +170,7 @@ func (cl *Client) Close() error {
 }
 
 func (cl *Client) dial() (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", cl.cfg.Addr, cl.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", cl.cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrConnBroken, cl.cfg.Addr, err)
 	}
@@ -320,18 +316,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Ping round-trips payload through the server.
-func (cl *Client) Ping(ctx context.Context, payload []byte) error {
-	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpPing, Payload: payload})
-	if err != nil {
-		return err
-	}
-	if string(resp.Payload) != string(payload) {
-		return fmt.Errorf("%w: ping echo mismatch", ErrConnBroken)
-	}
-	return nil
-}
-
 // Put stores data under key, replacing any existing object (the serving
 // layer's Put is an upsert so retries are idempotent).
 func (cl *Client) Put(ctx context.Context, key string, data []byte) error {
@@ -348,63 +332,10 @@ func (cl *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	return resp.Payload, nil
 }
 
-// GetRange reads n bytes at offset off (n = 0 means through the end).
-func (cl *Client) GetRange(ctx context.Context, key string, off uint64, n uint32) ([]byte, error) {
-	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpGet, Key: []byte(key), Offset: off, Length: n})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Payload, nil
-}
-
 // Delete removes the object at key. Deleting a missing object succeeds.
 func (cl *Client) Delete(ctx context.Context, key string) error {
 	_, err := cl.do(ctx, wire.Frame{Op: wire.OpDelete, Key: []byte(key)})
 	return err
-}
-
-// List returns the stored object names.
-func (cl *Client) List(ctx context.Context) ([]string, error) {
-	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpList})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Payload) == 0 {
-		return nil, nil
-	}
-	var names []string
-	for start, i := 0, 0; i <= len(resp.Payload); i++ {
-		if i == len(resp.Payload) || resp.Payload[i] == '\n' {
-			names = append(names, string(resp.Payload[start:i]))
-			start = i + 1
-		}
-	}
-	return names, nil
-}
-
-// ShardMap fetches the server's current shard map.
-func (cl *Client) ShardMap(ctx context.Context) (*shardmap.Map, error) {
-	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpShardMap})
-	if err != nil {
-		return nil, err
-	}
-	m, err := shardmap.Decode(resp.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: shard map response: %v", ErrConnBroken, err)
-	}
-	return m, nil
-}
-
-// Repair runs one cluster repair pass and returns the chunk copies created.
-func (cl *Client) Repair(ctx context.Context) (int, error) {
-	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpRepair})
-	if err != nil {
-		return 0, err
-	}
-	if len(resp.Payload) != 8 {
-		return 0, fmt.Errorf("%w: repair response payload %d bytes", ErrConnBroken, len(resp.Payload))
-	}
-	return int(binary.BigEndian.Uint64(resp.Payload)), nil
 }
 
 // clientConn is one pooled connection: a locked writer plus a demultiplexing

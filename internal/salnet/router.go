@@ -39,17 +39,18 @@ type Router struct {
 // RouterConfig parameterizes a Router.
 type RouterConfig struct {
 	// Map is the initial shard map (required; typically shardmap.Load of the
-	// fleet's map file, or Client.ShardMap from any endpoint).
+	// fleet's map file).
 	Map *shardmap.Map
 	// Client is the per-endpoint client template; Addr is overridden per
 	// endpoint.
 	Client ClientConfig
-	// MapRetries bounds transparent re-routes after a NotOwner rejection
-	// (default 1: refresh the map, retry against the new owner, then give
-	// up — a second rejection means the fleet and the client disagree in a
-	// way one refresh cannot fix).
-	MapRetries int
 }
+
+// mapRetries bounds transparent re-routes after a NotOwner rejection: adopt
+// the map the rejection carries, retry against the new owner, then give up —
+// a second rejection means the fleet and the client disagree in a way one
+// refresh cannot fix.
+const mapRetries = 1
 
 // rTele holds the router's registry-backed telemetry handles.
 type rTele struct {
@@ -92,9 +93,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err := cfg.Map.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MapRetries <= 0 {
-		cfg.MapRetries = 1
-	}
 	r := &Router{
 		cfg:     cfg,
 		m:       cfg.Map.Clone(),
@@ -121,13 +119,6 @@ func (r *Router) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	for _, cl := range r.clients {
 		cl.Instrument(reg, tr)
 	}
-}
-
-// Map returns the router's current shard map.
-func (r *Router) Map() *shardmap.Map {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m.Clone()
 }
 
 // Close terminates every endpoint client.
@@ -236,14 +227,14 @@ func (r *Router) route(key string) (shard int, endpoint string, err error) {
 	return shard, endpoint, nil
 }
 
-// do routes one keyed op to its owner, absorbing up to cfg.MapRetries stale-
+// do routes one keyed op to its owner, absorbing up to mapRetries stale-
 // map rejections: each NotOwner response's payload (the owner's current map)
 // is installed and the op re-issued against the re-resolved owner.
 func (r *Router) do(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	r.tele.ops.Inc()
 	key := string(f.Key)
 	var lastErr error
-	for attempt := 0; attempt <= r.cfg.MapRetries; attempt++ {
+	for attempt := 0; attempt <= mapRetries; attempt++ {
 		_, endpoint, err := r.route(key)
 		if err != nil {
 			return wire.Frame{}, err
@@ -266,21 +257,7 @@ func (r *Router) do(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 			r.install(m)
 		}
 	}
-	return wire.Frame{}, fmt.Errorf("salnet: gave up after %d re-routes: %w", r.cfg.MapRetries, lastErr)
-}
-
-// Ping round-trips payload through every endpoint in the map.
-func (r *Router) Ping(ctx context.Context, payload []byte) error {
-	for _, ep := range r.Map().Endpoints() {
-		cl, err := r.client(ep)
-		if err != nil {
-			return err
-		}
-		if err := cl.Ping(ctx, payload); err != nil {
-			return fmt.Errorf("ping %s: %w", ep, err)
-		}
-	}
-	return nil
+	return wire.Frame{}, fmt.Errorf("salnet: gave up after %d re-routes: %w", mapRetries, lastErr)
 }
 
 // Put stores data under key on the key's owner.
@@ -296,74 +273,6 @@ func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	return resp.Payload, nil
-}
-
-// Delete removes the object at key on the key's owner.
-func (r *Router) Delete(ctx context.Context, key string) error {
-	_, err := r.do(ctx, wire.Frame{Op: wire.OpDelete, Key: []byte(key)})
-	return err
-}
-
-// GetBatch reads several objects, fanning out to every owning endpoint in
-// parallel. Results are positional: data[i]/errs[i] belong to keys[i], and
-// each slot succeeds or fails independently. Keys sharing an endpoint are
-// issued concurrently over that endpoint's pooled client, so the server's
-// pipelined-GET coalescing applies within each fan-out leg.
-func (r *Router) GetBatch(ctx context.Context, keys []string) ([][]byte, []error) {
-	data := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	groups := map[string][]int{}
-	for i, key := range keys {
-		_, ep, err := r.route(key)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		groups[ep] = append(groups[ep], i)
-	}
-	var wg sync.WaitGroup
-	for ep, idxs := range groups {
-		wg.Add(1)
-		go func(ep string, idxs []int) {
-			defer wg.Done()
-			var inner sync.WaitGroup
-			for _, i := range idxs {
-				inner.Add(1)
-				go func(i int) {
-					defer inner.Done()
-					data[i], errs[i] = r.Get(ctx, keys[i])
-				}(i)
-			}
-			inner.Wait()
-		}(ep, idxs)
-	}
-	wg.Wait()
-	return data, errs
-}
-
-// RefreshMap fetches the shard map from every reachable endpoint and adopts
-// the newest. Returns the map in force afterwards.
-func (r *Router) RefreshMap(ctx context.Context) (*shardmap.Map, error) {
-	var lastErr error
-	fetched := false
-	for _, ep := range r.Map().Endpoints() {
-		cl, err := r.client(ep)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		m, err := cl.ShardMap(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		fetched = true
-		r.install(m)
-	}
-	if !fetched {
-		return nil, fmt.Errorf("salnet: refresh map: no endpoint answered: %w", lastErr)
-	}
-	return r.Map(), nil
 }
 
 // EndpointStats summarizes per-endpoint traffic, sorted by endpoint.

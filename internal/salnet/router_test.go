@@ -87,13 +87,7 @@ func TestRouterFleet(t *testing.T) {
 			t.Fatalf("get %q: %v", k, err)
 		}
 	}
-	datas, errs := r.GetBatch(ctx, keys)
-	for i, k := range keys {
-		if errs[i] != nil || !bytes.Equal(datas[i], want[k]) {
-			t.Fatalf("batch get %q: %v", k, errs[i])
-		}
-	}
-	if err := r.Delete(ctx, "o0"); err != nil {
+	if _, err := r.do(ctx, wire.Frame{Op: wire.OpDelete, Key: []byte("o0")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Get(ctx, "o0"); !errors.Is(err, difs.ErrNotFound) {
@@ -152,8 +146,11 @@ func TestRouterNotOwnerRedirect(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get after redirect: %v", err)
 	}
-	if got := r.Map().Epoch; got != fresh.Epoch {
-		t.Errorf("router map epoch %d after redirect, want %d", got, fresh.Epoch)
+	r.mu.Lock()
+	epoch := r.m.Epoch
+	r.mu.Unlock()
+	if epoch != fresh.Epoch {
+		t.Errorf("router map epoch %d after redirect, want %d", epoch, fresh.Epoch)
 	}
 	redirected := false
 	for _, es := range r.EndpointStats() {
@@ -174,7 +171,7 @@ func TestServerShardMap(t *testing.T) {
 	cl := dialTest(t, ClientConfig{Addr: addr})
 	ctx := context.Background()
 
-	if _, err := cl.ShardMap(ctx); !errors.Is(err, wire.ErrBadRequest) {
+	if _, err := cl.do(ctx, wire.Frame{Op: wire.OpShardMap}); !errors.Is(err, wire.ErrBadRequest) {
 		t.Fatalf("map served before install: %v", err)
 	}
 	m := shardmap.New(8)
@@ -185,7 +182,11 @@ func TestServerShardMap(t *testing.T) {
 	if err := srv.SetShardMap(m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.ShardMap(ctx)
+	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpShardMap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := shardmap.Decode(resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

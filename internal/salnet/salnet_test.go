@@ -3,6 +3,7 @@ package salnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -79,7 +80,7 @@ func TestRoundTripAllOps(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(42)
 
-	if err := cl.Ping(ctx, []byte("hello")); err != nil {
+	if err := ping(ctx, cl, []byte("hello")); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 
@@ -96,14 +97,14 @@ func TestRoundTripAllOps(t *testing.T) {
 	}
 
 	// Ranged read: middle slice, then an open-ended tail.
-	part, err := cl.GetRange(ctx, "obj", 1000, 2000)
+	part, err := getRange(ctx, cl, "obj", 1000, 2000)
 	if err != nil {
 		t.Fatalf("get range: %v", err)
 	}
 	if !bytes.Equal(part, want[1000:3000]) {
 		t.Fatal("ranged read mismatch")
 	}
-	tail, err := cl.GetRange(ctx, "obj", uint64(len(want)-100), 0)
+	tail, err := getRange(ctx, cl, "obj", uint64(len(want)-100), 0)
 	if err != nil {
 		t.Fatalf("get tail: %v", err)
 	}
@@ -123,7 +124,7 @@ func TestRoundTripAllOps(t *testing.T) {
 	if err := cl.Put(ctx, "other", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	names, err := cl.List(ctx)
+	names, err := list(ctx, cl)
 	if err != nil {
 		t.Fatalf("list: %v", err)
 	}
@@ -138,12 +139,12 @@ func TestRoundTripAllOps(t *testing.T) {
 	if cluster.PendingRepairs() == 0 {
 		t.Fatal("no repairs queued after minidisk failure")
 	}
-	copies, err := cl.Repair(ctx)
+	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpRepair})
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	if copies == 0 {
-		t.Fatal("repair over the wire created no copies")
+	if len(resp.Payload) != 8 || binary.BigEndian.Uint64(resp.Payload) == 0 {
+		t.Fatalf("repair over the wire created no copies: payload %x", resp.Payload)
 	}
 
 	// Delete is idempotent: removing a live then missing object both succeed.
@@ -191,7 +192,7 @@ func TestGetRangeHostileOffsets(t *testing.T) {
 		{5000, 100, want[5000:5100]},    // ordinary range still works
 	}
 	for _, tc := range cases {
-		got, err := cl.GetRange(ctx, "obj", tc.off, tc.n)
+		got, err := getRange(ctx, cl, "obj", tc.off, tc.n)
 		if err != nil {
 			t.Fatalf("GetRange(off=%d, n=%d): %v", tc.off, tc.n, err)
 		}
@@ -200,7 +201,7 @@ func TestGetRangeHostileOffsets(t *testing.T) {
 		}
 	}
 	// The server survived every hostile range: a fresh op still works.
-	if err := cl.Ping(ctx, []byte("alive")); err != nil {
+	if err := ping(ctx, cl, []byte("alive")); err != nil {
 		t.Fatalf("server dead after hostile ranges: %v", err)
 	}
 }
@@ -387,7 +388,7 @@ func TestNetworkEquivalence(t *testing.T) {
 				t.Fatalf("net put %s: %v", o.key, err)
 			}
 			// Direct path mirrors the server's atomic upsert semantics.
-			if err := dirCluster.Replace(o.key, o.data); err != nil {
+			if err := dirCluster.ReplaceCtx(context.Background(), o.key, o.data); err != nil {
 				t.Fatalf("direct replace %s: %v", o.key, err)
 			}
 		case 1:
@@ -400,7 +401,7 @@ func TestNetworkEquivalence(t *testing.T) {
 		}
 	}
 
-	netNames, err := cl.List(ctx)
+	netNames, err := list(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +542,7 @@ func TestGracefulDrain(t *testing.T) {
 		}
 	}
 	// Post-drain traffic fails: the listener is closed and conns are gone.
-	if err := cl.Ping(ctx, []byte("late")); err == nil {
+	if err := ping(ctx, cl, []byte("late")); err == nil {
 		t.Fatal("ping succeeded after shutdown")
 	}
 	// Shutdown is idempotent.
@@ -589,7 +590,7 @@ func TestClientCtxCancel(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// The connection is still usable.
-	if err := cl.Ping(context.Background(), []byte("ok")); err != nil {
+	if err := ping(context.Background(), cl, []byte("ok")); err != nil {
 		t.Fatalf("ping after canceled call: %v", err)
 	}
 }
@@ -622,7 +623,7 @@ func TestSlowOpLog(t *testing.T) {
 
 	// Fast ops: far under threshold, nothing may fire.
 	for i := 0; i < 5; i++ {
-		if err := cl.Ping(context.Background(), []byte("quick")); err != nil {
+		if err := ping(context.Background(), cl, []byte("quick")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -718,7 +719,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err = cl.Ping(context.Background(), []byte("x"))
+	err = ping(context.Background(), cl, []byte("x"))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("ping of a dead server succeeded")
@@ -757,7 +758,7 @@ func TestRetryStopsBeforeDeadline(t *testing.T) {
 	ctx, cancel2 := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	err = cl.Ping(ctx, []byte("x"))
+	err = ping(ctx, cl, []byte("x"))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("ping of a dead server succeeded")
@@ -768,4 +769,33 @@ func TestRetryStopsBeforeDeadline(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("deadline-bounded call took %v", elapsed)
 	}
+}
+
+// getRange reads n bytes of key at offset off (n = 0 means through the end)
+// with a ranged OpGet frame.
+func getRange(ctx context.Context, cl *Client, key string, off uint64, n uint32) ([]byte, error) {
+	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpGet, Key: []byte(key), Offset: off, Length: n})
+	return resp.Payload, err
+}
+
+// list returns the server's object names from an OpList frame: one name
+// per line.
+func list(ctx context.Context, cl *Client) ([]string, error) {
+	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpList})
+	if err != nil || len(resp.Payload) == 0 {
+		return nil, err
+	}
+	return strings.Split(string(resp.Payload), "\n"), nil
+}
+
+// ping round-trips payload through an OpPing frame.
+func ping(ctx context.Context, cl *Client, payload []byte) error {
+	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpPing, Payload: payload})
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(resp.Payload, payload) {
+		return fmt.Errorf("%w: ping echo mismatch", ErrConnBroken)
+	}
+	return nil
 }

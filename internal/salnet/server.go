@@ -69,9 +69,6 @@ type ServerConfig struct {
 	// cluster operations are in flight at once; the cluster serializes on its
 	// own lock, so this mainly bounds queued work and decode/encode overlap.
 	Workers int
-	// QueueDepth is the work queue capacity (default 4*Workers). When full,
-	// connection read loops block — backpressure, not load shedding.
-	QueueDepth int
 	// OpTimeout is the per-operation deadline (0 = none). Expiry aborts the
 	// cluster work via the difs context entry points and answers
 	// StatusTimeout.
@@ -96,9 +93,6 @@ type ServerConfig struct {
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
 	}
 	if c.InjectedLatency <= 0 {
 		c.InjectedLatency = 2 * time.Millisecond
@@ -213,7 +207,9 @@ func NewServer(cluster *difs.Cluster, cfg ServerConfig) *Server {
 		conns:   map[*srvConn]struct{}{},
 		tele:    bindSrvTele(telemetry.NewRegistry(), nil),
 	}
-	s.work = make(chan *request, s.cfg.QueueDepth)
+	// Four queued requests per worker; when the queue is full, connection
+	// read loops block — backpressure, not load shedding.
+	s.work = make(chan *request, 4*s.cfg.Workers)
 	s.bufPool.New = func() any { b := make([]byte, 0, 4096); return &b }
 	return s
 }
@@ -320,21 +316,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 		s.acceptLoop(ln)
 	}()
 	return ln.Addr(), nil
-}
-
-// Serve accepts connections on ln until Shutdown. It blocks.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return wire.ErrShutdown
-	}
-	s.ln = ln
-	s.startLocked()
-	s.mu.Unlock()
-	s.acceptLoop(ln)
-	return nil
 }
 
 func (s *Server) startLocked() {

@@ -25,9 +25,6 @@ func NewLanes(n int) *Lanes {
 	return &Lanes{busy: make([]Time, n)}
 }
 
-// Len returns the number of lanes.
-func (l *Lanes) Len() int { return len(l.busy) }
-
 // Reserve schedules an operation of duration dur on lane i no earlier than
 // ready, returning its start and completion times. Lane indexes wrap so
 // callers can pass raw resource IDs.
@@ -46,27 +43,6 @@ func (l *Lanes) Reserve(i int, ready, dur Time) (start, end Time) {
 	end = start + dur
 	l.busy[i] = end
 	return start, end
-}
-
-// BusyUntil returns when lane i becomes idle (zero if never reserved).
-func (l *Lanes) BusyUntil(i int) Time {
-	i %= len(l.busy)
-	if i < 0 {
-		i += len(l.busy)
-	}
-	return l.busy[i]
-}
-
-// Makespan returns the latest completion time across all lanes: the virtual
-// time at which every reserved operation has finished.
-func (l *Lanes) Makespan() Time {
-	var m Time
-	for _, b := range l.busy {
-		if b > m {
-			m = b
-		}
-	}
-	return m
 }
 
 // Reset clears all occupancy, modelling an otherwise idle device.

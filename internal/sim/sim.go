@@ -1,15 +1,11 @@
-// Package sim implements a small discrete-event simulation engine: a virtual
-// clock and an event heap. Device and cluster simulators schedule work on an
-// Engine and read time from its clock, so latency and throughput results are
-// exact functions of the configured device timing model rather than of host
-// CPU speed.
+// Package sim keeps virtual time. A device owns an Engine, a clock that its
+// flash operations advance by their modeled durations, so latency and
+// throughput results are exact functions of the configured device timing
+// model rather than of host CPU speed. Lanes overlaps operations across
+// independent resources on the same timebase.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is a virtual timestamp, measured in nanoseconds since simulation
 // start. It is a distinct type so virtual and wall-clock times cannot be
@@ -22,8 +18,6 @@ const (
 	Microsecond      = 1000 * Nanosecond
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
-	Hour             = 3600 * Second
-	Day              = 24 * Hour
 )
 
 // Duration converts a virtual duration to a time.Duration for display.
@@ -32,185 +26,25 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Seconds returns the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Days returns the time as floating-point days.
-func (t Time) Days() float64 { return float64(t) / float64(Day) }
-
 func (t Time) String() string { return t.Duration().String() }
 
-// event is a scheduled callback.
-type event struct {
-	at   Time
-	seq  uint64 // tiebreaker: FIFO among same-timestamp events
-	fn   func()
-	idx  int
-	dead bool
-}
-
-// eventQueue is a min-heap on (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Engine drives a single-threaded discrete-event simulation. It is not safe
-// for concurrent use; all scheduled callbacks run on the caller's goroutine
-// inside Run/Step.
+// Engine is a virtual clock. It is not safe for concurrent use: a device
+// advances its engine under the device lock.
 type Engine struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	nsteps uint64
+	now Time
 }
 
-// NewEngine returns an engine with the clock at zero and no pending events.
+// NewEngine returns a clock at zero.
 func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of live scheduled events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// Steps returns how many events have been executed so far.
-func (e *Engine) Steps() uint64 { return e.nsteps }
-
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ ev *event }
-
-// Cancel prevents the event from running. Cancelling an already-run or
-// already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	if h.ev != nil {
-		h.ev.dead = true
-	}
-}
-
-// At schedules fn to run at absolute virtual time at. Scheduling in the past
-// (before Now) panics: it would silently corrupt causality.
-func (e *Engine) At(at Time, fn func()) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	ev := &event{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return Handle{ev}
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) Handle {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Step executes the next pending event, advancing the clock to its timestamp.
-// It returns false when no events remain.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		e.nsteps++
-		ev.fn()
-		return true
-	}
-	return false
-}
-
-// Run executes events until the queue drains.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (even if the queue drained earlier), mirroring how a
-// real system idles until a measurement boundary.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 {
-		// Peek at the earliest live event.
-		top := e.queue[0]
-		if top.dead {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if top.at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Advance moves the clock forward by d without running a callback. It is a
-// convenience for sequential-process simulations that interleave computation
-// with explicit time costs (e.g., "this flash read takes 50µs"). Advance
-// panics if pending events exist before the new time, since skipping them
-// would break causality.
+// Advance moves the clock forward by d, the modeled duration of an
+// operation (e.g., "this flash read takes 50µs").
 func (e *Engine) Advance(d Time) {
 	if d < 0 {
 		panic("sim: negative advance")
 	}
-	target := e.now + d
-	for len(e.queue) > 0 {
-		top := e.queue[0]
-		if top.dead {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if top.at <= target {
-			panic(fmt.Sprintf("sim: Advance(%v) would skip event scheduled at %v", d, top.at))
-		}
-		break
-	}
-	e.now = target
-}
-
-// AdvanceTo moves the clock forward to absolute time t without running a
-// callback. Times at or before Now are a no-op, so callers folding several
-// overlapping completion times (e.g. a batch makespan across channels) can
-// apply them in any order. Like Advance, it panics if pending events exist
-// at or before t.
-func (e *Engine) AdvanceTo(t Time) {
-	if t <= e.now {
-		return
-	}
-	e.Advance(t - e.now)
+	e.now += d
 }

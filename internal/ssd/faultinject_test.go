@@ -43,7 +43,7 @@ func TestFTLReadYourWritesUnderProgramFailures(t *testing.T) {
 		}
 
 		rng := stats.NewRNG(seed)
-		lbas := dev.LBAs()
+		lbas := dev.Minidisks()[0].LBAs
 		model := map[int][]byte{}
 		buf := make([]byte, blockdev.OPageSize)
 		for round := 0; round < 3000; round++ {

@@ -75,15 +75,6 @@ type Counters struct {
 	WearLevelMoves          uint64 // cold blocks recycled by static WL
 }
 
-// WriteAmplification returns flash oPage writes per host oPage write.
-func (c Counters) WriteAmplification() float64 {
-	if c.HostWrites == 0 {
-		return 0
-	}
-	slots := c.FlashWrites * uint64(rber.OPagesPerFPage)
-	return float64(slots) / float64(c.HostWrites)
-}
-
 // Device is a baseline SSD: the single-minidisk address check, the
 // block-granular Lifecycle and read-only views over an ftl.Engine. All
 // entry points are safe for concurrent use; the engine's device lock
@@ -134,11 +125,11 @@ func New(cfg Config, eng *sim.Engine) (*Device, error) {
 	return d, nil
 }
 
-// LBAs returns the exported logical capacity in oPages.
-func (d *Device) LBAs() int { return d.lbas }
-
 // Engine returns the simulation engine the device advances.
 func (d *Device) Engine() *sim.Engine { return d.e.Clock() }
+
+// Delay advances the device clock by dt under the device lock.
+func (d *Device) Delay(dt sim.Time) { d.e.Delay(dt) }
 
 // Array exposes the underlying flash for inspection in tests and benches.
 func (d *Device) Array() *flash.Array { return d.e.Array() }
@@ -184,13 +175,6 @@ func (d *Device) InjectFaults(fr *faultinject.Registry) {
 	d.e.Lock()
 	defer d.e.Unlock()
 	d.e.InjectFaults(fr)
-}
-
-// Bricked reports whether the device has failed.
-func (d *Device) Bricked() bool {
-	d.e.Lock()
-	defer d.e.Unlock()
-	return d.e.Dead()
 }
 
 // Wear implements blockdev.WearReporter: the baseline device's media-wear

@@ -61,13 +61,13 @@ func TestExportsSingleMinidisk(t *testing.T) {
 	if len(mds) != 1 || mds[0].ID != 0 {
 		t.Fatalf("minidisks = %+v", mds)
 	}
-	if mds[0].LBAs != d.LBAs() {
-		t.Errorf("LBAs mismatch: %d vs %d", mds[0].LBAs, d.LBAs())
+	if mds[0].LBAs != d.lbas {
+		t.Errorf("LBAs mismatch: %d vs %d", mds[0].LBAs, d.lbas)
 	}
 	// Capacity honors over-provisioning.
 	raw := d.Array().Geometry().TotalPages() * 4
-	if d.LBAs() >= raw {
-		t.Errorf("exported %d oPages >= raw %d", d.LBAs(), raw)
+	if d.lbas >= raw {
+		t.Errorf("exported %d oPages >= raw %d", d.lbas, raw)
 	}
 }
 
@@ -166,7 +166,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 	// Lay down a cold base, then hammer random hot LBAs: GC victims then
 	// hold a mix of live (cold) and dead (overwritten) slots, forcing
 	// relocation of the live data.
-	base := d.LBAs() * 3 / 5
+	base := d.lbas * 3 / 5
 	latest := make(map[int]byte)
 	for lba := 0; lba < base; lba++ {
 		latest[lba] = byte(lba * 7)
@@ -175,7 +175,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 		}
 	}
 	rng := stats.NewRNG(7)
-	hot := d.LBAs() * 2 // enough churn for several GC rounds
+	hot := d.lbas * 2 // enough churn for several GC rounds
 	for i := 0; i < hot; i++ {
 		lba := rng.Intn(base)
 		latest[lba] = byte(i)
@@ -187,7 +187,8 @@ func TestGCReclaimsSpace(t *testing.T) {
 	if c.GCRelocations == 0 {
 		t.Error("GC never relocated anything despite heavy overwrite")
 	}
-	if wa := c.WriteAmplification(); wa <= 1 {
+	// Write amplification: flash oPage slots programmed per host oPage.
+	if wa := float64(c.FlashWrites*rber.OPagesPerFPage) / float64(c.HostWrites); wa <= 1 {
 		t.Errorf("write amplification %v, want > 1 under random overwrite", wa)
 	}
 	// Data still correct after all that churn.
@@ -204,16 +205,16 @@ func TestGCReclaimsSpace(t *testing.T) {
 
 func TestFillToCapacity(t *testing.T) {
 	d, _ := mustDevice(t, testConfig())
-	for lba := 0; lba < d.LBAs(); lba++ {
+	for lba := 0; lba < d.lbas; lba++ {
 		if err := d.Write(0, lba, pattern(byte(lba))); err != nil {
-			t.Fatalf("fill failed at lba %d/%d: %v", lba, d.LBAs(), err)
+			t.Fatalf("fill failed at lba %d/%d: %v", lba, d.lbas, err)
 		}
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, blockdev.OPageSize)
-	for _, lba := range []int{0, d.LBAs() / 2, d.LBAs() - 1} {
+	for _, lba := range []int{0, d.lbas / 2, d.lbas - 1} {
 		if err := d.Read(0, lba, got); err != nil {
 			t.Fatalf("read %d: %v", lba, err)
 		}
@@ -234,14 +235,14 @@ func TestBricksAtBadBlockThreshold(t *testing.T) {
 	buf := make([]byte, blockdev.OPageSize)
 	var err error
 	// Overwrite the full logical space repeatedly until the device dies.
-	for round := 0; round < 200 && !d.Bricked(); round++ {
-		for lba := 0; lba < d.LBAs() && !d.Bricked(); lba++ {
+	for round := 0; round < 200 && !d.e.Dead(); round++ {
+		for lba := 0; lba < d.lbas && !d.e.Dead(); lba++ {
 			if err = d.Write(0, lba, buf); err != nil {
 				break
 			}
 		}
 	}
-	if !d.Bricked() {
+	if !d.e.Dead() {
 		t.Fatal("device never bricked under sustained wear")
 	}
 	if len(events) != 1 || events[0].Kind != blockdev.EventBrick {
@@ -273,14 +274,14 @@ func TestLifetimeWastedAtBrick(t *testing.T) {
 	cfg := agingConfig(15)
 	d, _ := mustDevice(t, cfg)
 	buf := make([]byte, blockdev.OPageSize)
-	for round := 0; round < 300 && !d.Bricked(); round++ {
-		for lba := 0; lba < d.LBAs() && !d.Bricked(); lba++ {
+	for round := 0; round < 300 && !d.e.Dead(); round++ {
+		for lba := 0; lba < d.lbas && !d.e.Dead(); lba++ {
 			if d.Write(0, lba, buf) != nil {
 				break
 			}
 		}
 	}
-	if !d.Bricked() {
+	if !d.e.Dead() {
 		t.Skip("device survived the aging budget")
 	}
 	st := d.Array().Stats()
@@ -291,18 +292,6 @@ func TestLifetimeWastedAtBrick(t *testing.T) {
 	}
 	if st.MeanPEC == 0 {
 		t.Error("device bricked without wear?")
-	}
-}
-
-func TestWriteAmplificationCounter(t *testing.T) {
-	var c Counters
-	if c.WriteAmplification() != 0 {
-		t.Error("WA of idle device should be 0")
-	}
-	c.HostWrites = 100
-	c.FlashWrites = 50 // 50 fPages = 200 oPage slots
-	if got := c.WriteAmplification(); got != 2.0 {
-		t.Errorf("WA = %v, want 2.0", got)
 	}
 }
 

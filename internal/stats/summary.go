@@ -6,33 +6,6 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (0 for n < 2).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
 // Percentile returns the q-th percentile (q in [0,100]) of xs using linear
 // interpolation between closest ranks. xs need not be sorted. Returns 0 for
 // an empty slice.
@@ -89,9 +62,6 @@ func (h *Histogram) Observe(x float64) {
 	h.n++
 	h.sum += x
 }
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
 
 // Mean returns the mean of all observations (not bucketed — exact).
 func (h *Histogram) Mean() float64 {

@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func TestMeanAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Errorf("Mean = %v, want 5", m)
-	}
-	// Sample stddev of this classic set is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if sd := StdDev(xs); math.Abs(sd-want) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", sd, want)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("Mean(nil) = %v", m)
-	}
-	if sd := StdDev([]float64{1}); sd != 0 {
-		t.Errorf("StdDev(single) = %v", sd)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
@@ -51,8 +33,8 @@ func TestHistogramBasics(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(float64(i) + 0.5)
 	}
-	if h.N() != 10 {
-		t.Fatalf("N = %d, want 10", h.N())
+	if h.n != 10 {
+		t.Fatalf("N = %d, want 10", h.n)
 	}
 	if m := h.Mean(); math.Abs(m-5) > 1e-12 {
 		t.Fatalf("Mean = %v, want 5", m)
@@ -71,8 +53,8 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[4] != 1 {
 		t.Fatalf("edge buckets = %v, want first/last = 1", h.Counts)
 	}
-	if h.N() != 2 {
-		t.Fatalf("N = %d", h.N())
+	if h.n != 2 {
+		t.Fatalf("N = %d", h.n)
 	}
 }
 

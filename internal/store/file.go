@@ -120,9 +120,6 @@ func processAlive(pid int) bool {
 	return err == nil || errors.Is(err, syscall.EPERM)
 }
 
-// Root returns the store's root directory.
-func (s *FileStore) Root() string { return s.root }
-
 func shardOf(key string) string {
 	h := fnv.New32a()
 	h.Write([]byte(key))

@@ -78,14 +78,8 @@ func validSegment(seg string) bool {
 
 // strictNames gates panic-on-bad-name at instrument creation. Off by default;
 // the saldebug build tag turns it on (names_debug.go), and tests may toggle
-// it via SetStrict.
+// it.
 var strictNames atomic.Bool
-
-// SetStrict enables or disables strict name checking and returns the previous
-// setting, so tests can defer-restore it.
-func SetStrict(v bool) bool {
-	return strictNames.Swap(v)
-}
 
 // debugCheckName panics on a non-conforming instrument name when strict
 // checking is enabled. Called on the slow path only (first creation of a

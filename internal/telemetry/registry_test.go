@@ -20,9 +20,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("core.capacity_frac")
 	g.Set(0.75)
-	g.Add(0.05)
-	if got := g.Value(); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("gauge = %v, want 0.8", got)
+	if got := g.Value(); math.Abs(got-0.75) > 1e-12 {
+		t.Fatalf("gauge = %v, want 0.75", got)
 	}
 }
 
@@ -59,8 +58,8 @@ func TestHistogramEdgeValues(t *testing.T) {
 	h.Observe(math.NaN())
 	h.Observe(1e-300) // far under the smallest bucket
 	h.Observe(1e300)  // far over the largest
-	if h.N() != 5 {
-		t.Fatalf("N = %d, want 5", h.N())
+	if h.n.Load() != 5 {
+		t.Fatalf("N = %d, want 5", h.n.Load())
 	}
 	s := h.snapshot()
 	var total uint64
@@ -154,7 +153,7 @@ func TestConcurrentMutation(t *testing.T) {
 			for i := 0; i < per; i++ {
 				r.Counter("hot.counter").Inc()
 				r.Histogram("hot.hist_ns").Observe(float64(i + 1))
-				r.Gauge("hot.gauge").Add(1)
+				r.Gauge("hot.gauge").Set(1)
 			}
 		}()
 	}
@@ -162,11 +161,11 @@ func TestConcurrentMutation(t *testing.T) {
 	if got := r.Counter("hot.counter").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := r.Histogram("hot.hist_ns").N(); got != workers*per {
+	if got := r.Histogram("hot.hist_ns").n.Load(); got != workers*per {
 		t.Fatalf("hist N = %d, want %d", got, workers*per)
 	}
-	if got := r.Gauge("hot.gauge").Value(); got != workers*per {
-		t.Fatalf("gauge = %v, want %d", got, workers*per)
+	if got := r.Gauge("hot.gauge").Value(); got != 1 {
+		t.Fatalf("gauge = %v, want 1", got)
 	}
 }
 
@@ -383,7 +382,7 @@ func TestCheckName(t *testing.T) {
 }
 
 func TestStrictNamesRejectAtCreation(t *testing.T) {
-	defer SetStrict(SetStrict(true))
+	defer strictNames.Store(strictNames.Swap(true))
 	r := NewRegistry()
 	// Conforming names still work.
 	r.Counter("net.server.requests").Inc()

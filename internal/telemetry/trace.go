@@ -230,16 +230,3 @@ func CountByKind(events []Event) map[EventKind]int {
 	}
 	return out
 }
-
-// CountByLayer tallies events per originating layer.
-func CountByLayer(events []Event) map[string]int {
-	out := map[string]int{}
-	for _, e := range events {
-		l := e.Layer
-		if l == "" {
-			l = "other"
-		}
-		out[l]++
-	}
-	return out
-}

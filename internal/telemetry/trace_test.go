@@ -97,10 +97,6 @@ func TestCountHelpers(t *testing.T) {
 	if byKind[KindPageProgram] != 2 || byKind[KindGcVictim] != 1 {
 		t.Fatalf("CountByKind = %v", byKind)
 	}
-	byLayer := CountByLayer(evs)
-	if byLayer["flash"] != 2 || byLayer["other"] != 1 {
-		t.Fatalf("CountByLayer = %v", byLayer)
-	}
 }
 
 func TestTracerConcurrentEmit(t *testing.T) {

@@ -178,12 +178,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// EncodedSize returns the full on-wire size of the frame including the
-// 4-byte length prefix.
-func (f *Frame) EncodedSize() int {
-	return 4 + HeaderSize + len(f.Key) + len(f.Payload)
-}
-
 // AppendFrame appends the encoded frame (length prefix included) to dst and
 // returns the extended slice. It validates the size limits the decoder
 // enforces, so a frame that encodes always decodes.

@@ -43,8 +43,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: encode: %v", i, err)
 		}
-		if len(enc) != f.EncodedSize() {
-			t.Fatalf("frame %d: EncodedSize %d != encoded %d", i, f.EncodedSize(), len(enc))
+		if want := 4 + HeaderSize + len(f.Key) + len(f.Payload); len(enc) != want {
+			t.Fatalf("frame %d: encoded %d bytes, want %d", i, len(enc), want)
 		}
 		got, err := Decode(enc[4:])
 		if err != nil {

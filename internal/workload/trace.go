@@ -10,8 +10,7 @@ import (
 	"salamander/internal/telemetry"
 )
 
-// Trace is a recorded operation stream, replayable through Drive via
-// Player. Two on-disk formats are supported: a tiny fixed-width binary
+// Trace is a recorded operation stream. Two on-disk formats are supported: a tiny fixed-width binary
 // record per op — magic header, then {flags byte, minidisk uint32, lba
 // uint32} — and the telemetry JSONL event format, where each op is a
 // host_read/host_write event. ReadTrace sniffs which one it is given, so
@@ -159,17 +158,4 @@ func Record(gen Generator, n int) *Trace {
 		t.Ops[i] = gen.Next()
 	}
 	return t
-}
-
-// Player replays a trace as a Generator, cycling when exhausted.
-type Player struct {
-	T   *Trace
-	pos int
-}
-
-// Next implements Generator.
-func (p *Player) Next() Op {
-	op := p.T.Ops[p.pos]
-	p.pos = (p.pos + 1) % len(p.T.Ops)
-	return op
 }

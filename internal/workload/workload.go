@@ -104,73 +104,6 @@ func (m *Mix) Next() Op {
 	return op
 }
 
-// --- device driver -------------------------------------------------------------
-
-// DriveResult summarizes a driven operation batch.
-type DriveResult struct {
-	Reads, Writes   int64
-	ReadErrs        int64
-	WriteErrs       int64
-	SkippedMissing  int64 // ops aimed at decommissioned minidisks
-	UncorrectableIO int64
-}
-
-// Drive runs n operations from gen against dev, spreading LBAs across the
-// device's live minidisks (op.LBA indexes the flat logical space). A fresh
-// buffer pattern is written each time so data-path devices exercise real
-// ECC. Ops to minidisks that disappear mid-run are counted, not fatal.
-func Drive(dev blockdev.Device, gen Generator, n int) (DriveResult, error) {
-	var res DriveResult
-	buf := make([]byte, blockdev.OPageSize)
-	for i := 0; i < n; i++ {
-		op := gen.Next()
-		mds := dev.Minidisks()
-		if len(mds) == 0 {
-			return res, blockdev.ErrBricked
-		}
-		// Map the flat LBA onto (minidisk, offset).
-		total := 0
-		for _, m := range mds {
-			total += m.LBAs
-		}
-		lba := op.LBA % total
-		var md blockdev.MinidiskInfo
-		for _, m := range mds {
-			if lba < m.LBAs {
-				md = m
-				break
-			}
-			lba -= m.LBAs
-		}
-		var err error
-		if op.Read {
-			err = dev.Read(md.ID, lba, buf)
-			res.Reads++
-		} else {
-			buf[0] = byte(i)
-			buf[1] = byte(i >> 8)
-			err = dev.Write(md.ID, lba, buf)
-			res.Writes++
-		}
-		switch {
-		case err == nil:
-		case errors.Is(err, blockdev.ErrNoSuchMinidisk):
-			res.SkippedMissing++
-		case errors.Is(err, blockdev.ErrUncorrectable):
-			res.UncorrectableIO++
-		case errors.Is(err, blockdev.ErrBricked):
-			return res, err
-		default:
-			if op.Read {
-				res.ReadErrs++
-			} else {
-				res.WriteErrs++
-			}
-		}
-	}
-	return res, nil
-}
-
 // Ager overwrites every live minidisk of a device round-robin, the
 // full-device wear pattern the lifetime analyses use. It stops early when
 // the device retires.

@@ -6,10 +6,6 @@ import (
 	"testing"
 
 	"salamander/internal/blockdev"
-	"salamander/internal/core"
-	"salamander/internal/flash"
-	"salamander/internal/rber"
-	"salamander/internal/sim"
 	"salamander/internal/stats"
 	"salamander/internal/telemetry"
 )
@@ -82,47 +78,6 @@ func TestMixReadFraction(t *testing.T) {
 	frac := float64(reads) / n
 	if frac < 0.27 || frac > 0.33 {
 		t.Errorf("read fraction %v, want ~0.3", frac)
-	}
-}
-
-func TestDriveAgainstMemDevice(t *testing.T) {
-	dev := blockdev.NewMemDevice(4, 64) // 256 LBAs total
-	gen := &Mix{Gen: &Uniform{Space: 256, Rng: stats.NewRNG(4)}, ReadFrac: 0.5, Rng: stats.NewRNG(5)}
-	res, err := Drive(dev, gen, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reads+res.Writes != 2000 {
-		t.Fatalf("ops = %d", res.Reads+res.Writes)
-	}
-	if res.ReadErrs != 0 || res.WriteErrs != 0 || res.SkippedMissing != 0 {
-		t.Fatalf("unexpected errors: %+v", res)
-	}
-}
-
-func TestDriveSurvivesMinidiskLoss(t *testing.T) {
-	dev := blockdev.NewMemDevice(4, 64)
-	// Fail a minidisk mid-run via a wrapped generator trick: fail before
-	// driving and confirm ops are spread over the survivors.
-	if err := dev.FailMinidisk(1); err != nil {
-		t.Fatal(err)
-	}
-	gen := &Uniform{Space: 192, Rng: stats.NewRNG(6)}
-	res, err := Drive(dev, gen, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Writes != 500 {
-		t.Fatalf("writes = %d", res.Writes)
-	}
-}
-
-func TestDriveBrickedDevice(t *testing.T) {
-	dev := blockdev.NewMemDevice(2, 64)
-	dev.Brick()
-	_, err := Drive(dev, &Sequential{Space: 10}, 10)
-	if err == nil {
-		t.Fatal("drive of bricked device succeeded")
 	}
 }
 
@@ -262,51 +217,6 @@ func TestReadTraceCorruptCountAllocatesLittle(t *testing.T) {
 	}
 }
 
-func TestPlayerCycles(t *testing.T) {
-	tr := Record(&Sequential{Space: 3}, 3)
-	p := &Player{T: tr}
-	for i := 0; i < 7; i++ {
-		op := p.Next()
-		if op.LBA != i%3 {
-			t.Fatalf("cycle broken at %d: %+v", i, op)
-		}
-	}
-}
-
 // TestDriveAgainstSalamander exercises the generator/driver stack against a
 // real Salamander device end to end (mixed zipfian read/write traffic over
 // multiple minidisks).
-func TestDriveAgainstSalamander(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Flash.Geometry = flash.Geometry{
-		Channels:      2,
-		BlocksPerChan: 8,
-		PagesPerBlock: 8,
-		PageSize:      rber.FPageSize,
-		SpareSize:     rber.SpareSize,
-	}
-	cfg.MSizeOPages = 16
-	dev, err := core.New(cfg, sim.NewEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(21)
-	gen := &Mix{
-		Gen:      NewZipfian(rng, dev.LiveLBAs(), 0.9),
-		ReadFrac: 0.4,
-		Rng:      rng.Split(),
-	}
-	res, err := Drive(dev, gen, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reads+res.Writes != 3000 {
-		t.Fatalf("ops = %d", res.Reads+res.Writes)
-	}
-	if res.ReadErrs != 0 || res.WriteErrs != 0 || res.UncorrectableIO != 0 {
-		t.Fatalf("errors on a fresh device: %+v", res)
-	}
-	if dev.Engine().Now() == 0 {
-		t.Fatal("virtual clock did not advance")
-	}
-}

@@ -84,7 +84,7 @@ type (
 	FlashConfig = flash.Config
 	// FlashGeometry describes the array layout.
 	FlashGeometry = flash.Geometry
-	// Engine is the discrete-event clock device latencies accrue on.
+	// Engine is the virtual clock device latencies accrue on.
 	Engine = sim.Engine
 )
 
@@ -178,9 +178,6 @@ func RunReplacement(cfg FleetConfig, horizonDays, floor float64) (*ReplacementRe
 func MeasuredUpgradeRate(cfg FleetConfig, mode FleetMode, horizonDays, floor float64) (float64, error) {
 	return lifesim.MeasuredUpgradeRate(cfg, mode, horizonDays, floor)
 }
-
-// DeviceHealth is a SMART-style self-report from a Salamander device.
-type DeviceHealth = core.Health
 
 // FleetLifetimeFactor returns mode's mean lifetime relative to baseline.
 func FleetLifetimeFactor(cfg FleetConfig, mode FleetMode) (float64, error) {

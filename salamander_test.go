@@ -205,7 +205,10 @@ func TestPublicRSCodeAndPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := code.Split(bytes.Repeat([]byte{3}, 1000))
+	var shards [][]byte
+	for i := 0; i < 4; i++ {
+		shards = append(shards, bytes.Repeat([]byte{3}, 250))
+	}
 	parity, err := code.EncodeParity(shards)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +219,7 @@ func TestPublicRSCodeAndPlacement(t *testing.T) {
 	if err := code.Reconstruct(all); err != nil {
 		t.Fatal(err)
 	}
-	if got := code.Join(all[:4], 1000); len(got) != 1000 || got[0] != 3 {
+	if got := bytes.Join(all[:4], nil); len(got) != 1000 || got[0] != 3 {
 		t.Error("RS round trip failed through the facade")
 	}
 	// Placement constants usable in a config.
@@ -233,8 +236,7 @@ func TestPublicDeviceHealthAndScrub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h salamander.DeviceHealth = dev.Health()
-	if h.CapacityFrac != 1 {
+	if h := dev.Wear(); h.CapacityFrac != 1 {
 		t.Errorf("fresh health: %+v", h)
 	}
 	buf := bytes.Repeat([]byte{1}, salamander.OPageSize)
