@@ -272,9 +272,9 @@ func main() {
 		}
 	}
 	// A subset server without a map file synthesizes a partial map covering
-	// only its own shards at its bound address, so NotOwner rejections and
-	// OpShardMap always carry a routable payload even before an operator
-	// distributes the full fleet map.
+	// only its own shards at its bound address, so NotOwner rejections
+	// always carry a routable payload even before an operator distributes
+	// the full fleet map.
 	if fleetMap == nil && ownShards != nil {
 		m := shardmap.New(*shards)
 		for _, s := range ownShards {

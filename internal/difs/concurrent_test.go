@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -138,10 +137,10 @@ func repairUntilQuiet(t *testing.T, c *Cluster, rep func() (int, error)) int {
 	return total
 }
 
-// TestRepairParallelRestoresReplication decommissions two nodes and lets the
-// parallel repair fan-out restore the replication factor; every object must
+// TestRepairRestoresReplicationAfterTwoNodeLoss decommissions two nodes and
+// lets repair passes restore the replication factor; every object must
 // survive intact and the cluster metadata must stay consistent.
-func TestRepairParallelRestoresReplication(t *testing.T) {
+func TestRepairRestoresReplicationAfterTwoNodeLoss(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ChunkOPages = 4
 	c, _ := memCluster(t, cfg, 8, 4, 64)
@@ -151,9 +150,8 @@ func TestRepairParallelRestoresReplication(t *testing.T) {
 		t.Fatal("node 0 had no live targets")
 	}
 	decommissionNode(c, 1)
-	copies := repairUntilQuiet(t, c, func() (int, error) { return c.RepairParallel(4) })
-	if copies == 0 {
-		t.Fatal("parallel repair created no copies")
+	if copies := repairUntilQuiet(t, c, c.Repair); copies == 0 {
+		t.Fatal("repair created no copies")
 	}
 	if bad := c.CheckInvariants(); len(bad) > 0 {
 		t.Fatalf("invariants violated: %v", bad)
@@ -161,59 +159,11 @@ func TestRepairParallelRestoresReplication(t *testing.T) {
 	for name, want := range objs {
 		got, err := c.Get(name)
 		if err != nil {
-			t.Fatalf("get %q after parallel repair: %v", name, err)
+			t.Fatalf("get %q after repair: %v", name, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("object %q corrupted by parallel repair", name)
+			t.Fatalf("object %q corrupted by repair", name)
 		}
-	}
-}
-
-// TestRepairParallelDeterministic runs the same decommission + parallel
-// repair sequence on identically-seeded clusters and demands identical
-// stats and pending work — goroutine scheduling must not leak into results.
-func TestRepairParallelDeterministic(t *testing.T) {
-	run := func() (Stats, int, []string) {
-		cfg := DefaultConfig()
-		cfg.ChunkOPages = 4
-		c, _ := memCluster(t, cfg, 8, 4, 64)
-		fillCluster(t, c, 99, 25)
-		decommissionNode(c, 2)
-		c.CrashNode(5)
-		repairUntilQuiet(t, c, func() (int, error) { return c.RepairParallel(8) })
-		return c.Stats(), c.PendingRepairs(), c.Objects()
-	}
-	s1, p1, o1 := run()
-	for trial := 0; trial < 3; trial++ {
-		s2, p2, o2 := run()
-		if !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("trial %d: stats diverged:\n%+v\nvs\n%+v", trial, s1, s2)
-		}
-		if p1 != p2 {
-			t.Fatalf("trial %d: pending repairs diverged: %d vs %d", trial, p1, p2)
-		}
-		if !reflect.DeepEqual(o1, o2) {
-			t.Fatalf("trial %d: object lists diverged", trial)
-		}
-	}
-}
-
-// TestRepairParallelFallbackMatchesSerial: workers<=1 must take the serial
-// path exactly, producing identical stats to Repair on an identical cluster.
-func TestRepairParallelFallbackMatchesSerial(t *testing.T) {
-	build := func() *Cluster {
-		cfg := DefaultConfig()
-		cfg.ChunkOPages = 4
-		c, _ := memCluster(t, cfg, 6, 4, 64)
-		fillCluster(t, c, 7, 20)
-		decommissionNode(c, 3)
-		return c
-	}
-	cs, cp := build(), build()
-	repairUntilQuiet(t, cs, cs.Repair)
-	repairUntilQuiet(t, cp, func() (int, error) { return cp.RepairParallel(1) })
-	if s, p := cs.Stats(), cp.Stats(); !reflect.DeepEqual(s, p) {
-		t.Fatalf("serial vs workers=1 stats diverged:\n%+v\nvs\n%+v", s, p)
 	}
 }
 

@@ -284,9 +284,8 @@ type Cluster struct {
 	owned  []*shard
 	led    *slotLedger // the one physical slot book, shared by all shards
 
-	// evMu orders fanned-out device notifications; evSeq numbers them.
-	evMu  sync.Mutex
-	evSeq int
+	// evMu orders fanned-out device notifications.
+	evMu sync.Mutex
 }
 
 // NewCluster creates an empty cluster of cfg.Shards metadata shards (or the
@@ -414,19 +413,16 @@ func (c *Cluster) AddNode(devices ...blockdev.Device) NodeID {
 	return id
 }
 
-// fanEvent appends one device event to every shard's pending queue under a
-// single sequence number. evMu is held across the whole fan-out so every
-// shard receives events in the same global order, and per-shard queue order
-// equals sequence order (settleLocked applies without sorting). The queues
-// are necessary because the event fires while the *emitting* shard holds its
-// lock inside a device call — no shard lock can be taken here (lock order is
-// shard → device, never device → shard), and the blockdev contract forbids
-// calling back into the device.
+// fanEvent appends one device event to every shard's pending queue. evMu is
+// held across the whole fan-out so every shard receives events in the same
+// global order. The queues are necessary because the event fires while the
+// *emitting* shard holds its lock inside a device call — no shard lock can be
+// taken here (lock order is shard → device, never device → shard), and the
+// blockdev contract forbids calling back into the device.
 func (c *Cluster) fanEvent(nid NodeID, dev int, e blockdev.Event) {
 	c.evMu.Lock()
 	defer c.evMu.Unlock()
-	se := queuedEvent{nid: nid, dev: dev, seq: c.evSeq, e: e}
-	c.evSeq++
+	se := queuedEvent{nid: nid, dev: dev, e: e}
 	for _, sh := range c.owned {
 		sh.enqueueEvent(se)
 	}
@@ -639,21 +635,17 @@ func (c *Cluster) Repair() (copies int, err error) {
 // aborted pass puts every unprocessed chunk back on the repair queue (no work
 // is forgotten, PendingRepairs still reports it) and returns the copies made
 // so far alongside an error wrapping ctx.Err().
+//
+// The pass visits every shard with queued work, in shard order, and is
+// deliberately sequential across shards: repairs consume shared placement
+// capacity and wear the shared devices, so a scheduling-dependent
+// interleaving would break the determinism contract (chaos reports must be
+// byte-identical per seed). Shard-wise parallelism lives where it cannot
+// reorder placement: Recover() fans out per-shard.
 func (c *Cluster) RepairCtx(ctx context.Context) (copies int, err error) {
-	return c.repairPass(ctx, 1)
-}
-
-// repairPass runs a repair pass over every shard with queued work, in shard
-// order. The pass is deliberately sequential across shards: repairs consume
-// shared placement capacity and wear the shared devices, so a
-// scheduling-dependent interleaving would break the determinism contract
-// (chaos reports must be byte-identical per seed). Shard-wise parallelism
-// lives where it cannot reorder placement: Recover() fans out per-shard,
-// and RepairParallel parallelizes chunk I/O within each shard.
-func (c *Cluster) repairPass(ctx context.Context, workers int) (copies int, err error) {
 	var agg RepairError
 	for _, sh := range c.owned {
-		n, rerr := sh.repairPass(ctx, workers)
+		n, rerr := sh.repair(ctx)
 		copies += n
 		if rerr == nil {
 			continue

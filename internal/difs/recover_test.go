@@ -101,10 +101,10 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRepairParallelPersistsNewReplicas: the replicas a parallel repair pass
-// adds must reach the manifest store like the serial pass's do — after a
-// restart the cluster is fully replicated with nothing left to repair.
-func TestRepairParallelPersistsNewReplicas(t *testing.T) {
+// TestRepairPersistsNewReplicas: the replicas a repair pass adds must reach
+// the manifest store — after a restart the cluster is fully replicated with
+// nothing left to repair.
+func TestRepairPersistsNewReplicas(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ChunkOPages = 4
 	c1, devs, st := metaCluster(t, cfg, 6, 4, 64)
@@ -120,13 +120,13 @@ func TestRepairParallelPersistsNewReplicas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if copies := repairUntilQuiet(t, c1, func() (int, error) { return c1.RepairParallel(4) }); copies == 0 {
+	if copies := repairUntilQuiet(t, c1, c1.Repair); copies == 0 {
 		t.Fatal("the failed minidisk held no chunk; nothing was repaired")
 	}
 
 	c2, rep := restartCluster(t, cfg, devs, st)
 	if rep.QuarantinedReplicas != 0 || rep.RepairsQueued != 0 || c2.PendingRepairs() != 0 {
-		t.Fatalf("restart after a parallel repair left work behind: %+v, pending %d", rep, c2.PendingRepairs())
+		t.Fatalf("restart after a repair left work behind: %+v, pending %d", rep, c2.PendingRepairs())
 	}
 	if copies, err := c2.Repair(); err != nil || copies != 0 || c2.Stats().RecoveryBytes != 0 {
 		t.Fatalf("post-restart repair copied %d chunks (%d bytes), err %v; want nothing to do",

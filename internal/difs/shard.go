@@ -174,25 +174,11 @@ type shard struct {
 	pend   []queuedEvent
 }
 
-// queuedEvent is one queued device notification. seq is the cluster-wide
-// fan-out sequence number, so it also preserves per-device emission order.
+// queuedEvent is one queued device notification.
 type queuedEvent struct {
 	nid NodeID
 	dev int
-	seq int
 	e   blockdev.Event
-}
-
-// before is the (node, device, sequence) replay order of events raised while
-// several devices were driven concurrently.
-func (a queuedEvent) before(b queuedEvent) bool {
-	if a.nid != b.nid {
-		return a.nid < b.nid
-	}
-	if a.dev != b.dev {
-		return a.dev < b.dev
-	}
-	return a.seq < b.seq
 }
 
 // shardSeedStride separates the shards' RNG streams: shard i seeds its
@@ -364,17 +350,6 @@ func (sh *shard) takePending() []queuedEvent {
 // device, so no new events can arrive from this goroutine while draining.
 func (sh *shard) settleLocked() {
 	for _, se := range sh.takePending() {
-		sh.applyEvent(se.nid, se.dev, se.e)
-	}
-}
-
-// settleSortedLocked is settleLocked for the end of a parallel repair phase:
-// several devices emitted concurrently, so arrival order is
-// scheduling-dependent — sorting restores a deterministic replay.
-func (sh *shard) settleSortedLocked() {
-	pending := sh.takePending()
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].before(pending[j]) })
-	for _, se := range pending {
 		sh.applyEvent(se.nid, se.dev, se.e)
 	}
 }
@@ -981,43 +956,6 @@ func (sh *shard) downReplicas(ch *chunk) int {
 	return n
 }
 
-// repairPass drains this shard's repair queue, serially or with workers
-// device goroutines (parallel.go). A shard with nothing queued is not a
-// pass: it emits no repair_start/repair_end pair.
-func (sh *shard) repairPass(ctx context.Context, workers int) (copies int, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.settleLocked()
-	defer func() { _ = sh.flushMeta() }()
-	if len(sh.repairQ) == 0 {
-		return 0, nil
-	}
-	if workers <= 1 {
-		return sh.repair(ctx)
-	}
-	return sh.repairParallel(workers)
-}
-
-// beginRepair takes the queue for one pass and brackets the pass with its
-// repair_start/repair_end trace pair and repair-bytes histogram sample; the
-// returned func closes the bracket with the pass's copy count.
-func (sh *shard) beginRepair() (queue []*chunk, end func(copies int)) {
-	queue = sh.repairQ
-	sh.repairQ = nil
-	sh.tele.tr.Emit(telemetry.Event{
-		Kind: telemetry.KindRepairStart, Layer: "difs", N: int64(len(queue)),
-	})
-	bytesBefore := sh.tele.recoveryBytes.Value()
-	return queue, func(copies int) {
-		written := sh.tele.recoveryBytes.Value() - bytesBefore
-		sh.tele.repairBytes.Observe(float64(written))
-		sh.tele.tr.Emit(telemetry.Event{
-			Kind: telemetry.KindRepairEnd, Layer: "difs",
-			N: int64(copies), Bytes: int64(written),
-		})
-	}
-}
-
 // pruneDeadReplicas drops a queued chunk's replicas on targets that died
 // since queueing; draining ones stay as sources and down ones as
 // retained-but-unreachable data (their node may restart). It reports how
@@ -1079,9 +1017,31 @@ func (sh *shard) trimExcess(ch *chunk) {
 	}
 }
 
+// repair drains this shard's repair queue, bracketing the pass with its
+// repair_start/repair_end trace pair and repair-bytes histogram sample. A
+// shard with nothing queued is not a pass: it emits no such pair.
 func (sh *shard) repair(ctx context.Context) (copies int, err error) {
-	queue, end := sh.beginRepair()
-	defer func() { end(copies) }()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked()
+	defer func() { _ = sh.flushMeta() }()
+	if len(sh.repairQ) == 0 {
+		return 0, nil
+	}
+	queue := sh.repairQ
+	sh.repairQ = nil
+	sh.tele.tr.Emit(telemetry.Event{
+		Kind: telemetry.KindRepairStart, Layer: "difs", N: int64(len(queue)),
+	})
+	bytesBefore := sh.tele.recoveryBytes.Value()
+	defer func() {
+		written := sh.tele.recoveryBytes.Value() - bytesBefore
+		sh.tele.repairBytes.Observe(float64(written))
+		sh.tele.tr.Emit(telemetry.Event{
+			Kind: telemetry.KindRepairEnd, Layer: "difs",
+			N: int64(copies), Bytes: int64(written),
+		})
+	}()
 	var repErr RepairError
 	var drainingTouched []*target
 	for qi, ch := range queue {

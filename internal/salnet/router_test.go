@@ -163,37 +163,40 @@ func TestRouterNotOwnerRedirect(t *testing.T) {
 	}
 }
 
-// TestServerShardMap: OpShardMap serves the installed map; installs never
-// roll the epoch backwards; without a map the op is a bad request.
+// TestServerShardMap: a NotOwner rejection carries the installed map, and
+// no payload before one is installed; installs never roll the epoch
+// backwards.
 func TestServerShardMap(t *testing.T) {
-	cluster, _ := testCluster(t, 3, 2, 64)
-	srv, addr := startServer(t, cluster, ServerConfig{})
+	srv, addr := subsetServer(t, 4, []int{0, 1}, store.NewMem())
 	cl := dialTest(t, ClientConfig{Addr: addr})
 	ctx := context.Background()
 
-	if _, err := cl.do(ctx, wire.Frame{Op: wire.OpShardMap}); !errors.Is(err, wire.ErrBadRequest) {
-		t.Fatalf("map served before install: %v", err)
+	// o1 routes to shard 2, which this server does not own.
+	foreign := wire.Frame{Op: wire.OpGet, Key: []byte("o1")}
+	resp, err := cl.do(ctx, foreign)
+	if !errors.Is(err, difs.ErrNotOwner) || len(resp.Payload) != 0 {
+		t.Fatalf("rejection before install: err %v, %d payload bytes", err, len(resp.Payload))
 	}
-	m := shardmap.New(8)
-	m, err := m.Assign(addr, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	m := shardmap.New(4)
+	m, err = m.Assign(addr, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.SetShardMap(m); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpShardMap})
-	if err != nil {
-		t.Fatal(err)
+	resp, err = cl.do(ctx, foreign)
+	if !errors.Is(err, difs.ErrNotOwner) {
+		t.Fatalf("foreign key after install: %v", err)
 	}
 	got, err := shardmap.Decode(resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Epoch != m.Epoch || got.Shards != m.Shards {
-		t.Fatalf("served map %s, want %s", got, m)
+		t.Fatalf("rejection carried map %s, want %s", got, m)
 	}
-	older := shardmap.New(8) // epoch 1 < installed
+	older := shardmap.New(4) // epoch 1 < installed
 	if err := srv.SetShardMap(older); err == nil {
 		t.Error("older-epoch map installed over newer")
 	}

@@ -124,12 +124,8 @@ func TestRoundTripAllOps(t *testing.T) {
 	if err := cl.Put(ctx, "other", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	names, err := list(ctx, cl)
-	if err != nil {
-		t.Fatalf("list: %v", err)
-	}
-	if len(names) != 2 {
-		t.Fatalf("list: got %v, want 2 names", names)
+	if names := cluster.Objects(); len(names) != 2 {
+		t.Fatalf("objects: got %v, want 2 names", names)
 	}
 
 	// Repair with a failed minidisk repairs over the wire.
@@ -203,6 +199,25 @@ func TestGetRangeHostileOffsets(t *testing.T) {
 	// The server survived every hostile range: a fresh op still works.
 	if err := ping(ctx, cl, []byte("alive")); err != nil {
 		t.Fatalf("server dead after hostile ranges: %v", err)
+	}
+}
+
+// TestRetiredOpcodesRejected: opcodes 5 and 7 (a retired object listing and
+// shard-map fetch) stay reserved on the wire. A frame carrying one decodes and
+// is answered StatusBadRequest, and the connection keeps serving.
+func TestRetiredOpcodesRejected(t *testing.T) {
+	cluster, _ := testCluster(t, 3, 2, 64)
+	_, addr := startServer(t, cluster, ServerConfig{})
+	cl := dialTest(t, ClientConfig{Addr: addr})
+	ctx := context.Background()
+	for _, op := range []wire.Op{5, 7} {
+		resp, err := cl.do(ctx, wire.Frame{Op: op})
+		if !errors.Is(err, wire.ErrBadRequest) || resp.Status != wire.StatusBadRequest {
+			t.Fatalf("opcode %d: status %v, err %v; want StatusBadRequest", op, resp.Status, err)
+		}
+	}
+	if err := ping(ctx, cl, []byte("alive")); err != nil {
+		t.Fatalf("connection dead after retired opcodes: %v", err)
 	}
 }
 
@@ -401,10 +416,7 @@ func TestNetworkEquivalence(t *testing.T) {
 		}
 	}
 
-	netNames, err := list(ctx, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	netNames := netCluster.Objects()
 	dirNames := dirCluster.Objects()
 	if len(netNames) != len(dirNames) {
 		t.Fatalf("object sets differ: net=%v direct=%v", netNames, dirNames)
@@ -776,16 +788,6 @@ func TestRetryStopsBeforeDeadline(t *testing.T) {
 func getRange(ctx context.Context, cl *Client, key string, off uint64, n uint32) ([]byte, error) {
 	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpGet, Key: []byte(key), Offset: off, Length: n})
 	return resp.Payload, err
-}
-
-// list returns the server's object names from an OpList frame: one name
-// per line.
-func list(ctx context.Context, cl *Client) ([]string, error) {
-	resp, err := cl.do(ctx, wire.Frame{Op: wire.OpList})
-	if err != nil || len(resp.Payload) == 0 {
-		return nil, err
-	}
-	return strings.Split(string(resp.Payload), "\n"), nil
 }
 
 // ping round-trips payload through an OpPing frame.

@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,7 +118,6 @@ type sTele struct {
 	slowOps         *telemetry.Counter
 	batches         *telemetry.Counter
 	batchedOps      *telemetry.Counter
-	mapServes       *telemetry.Counter
 	notOwnerRejects *telemetry.Counter
 	mapEpoch        *telemetry.Gauge
 	opNs            *telemetry.Histogram
@@ -143,7 +141,6 @@ func bindSrvTele(reg *telemetry.Registry, tr *telemetry.Tracer) sTele {
 		slowOps:         reg.Counter("net.server.slow_ops"),
 		batches:         reg.Counter("net.server.batches"),
 		batchedOps:      reg.Counter("net.server.batched_ops"),
-		mapServes:       reg.Counter("shardmap.map_serves"),
 		notOwnerRejects: reg.Counter("shardmap.not_owner_rejects"),
 		mapEpoch:        reg.Gauge("shardmap.epoch"),
 		opNs:            reg.Histogram("net.server.op_ns"),
@@ -171,8 +168,8 @@ type Server struct {
 	bufPool sync.Pool // *[]byte scratch, shared by readers and workers
 
 	// smap is the server's current shard map (nil until SetShardMap). The
-	// encoded bytes are cached alongside so every NotOwner rejection and
-	// OpShardMap response reuses one encoding.
+	// encoded bytes are cached alongside so every NotOwner rejection reuses
+	// one encoding.
 	smap atomic.Pointer[srvShardMap]
 
 	tele sTele
@@ -232,8 +229,8 @@ type srvShardMap struct {
 }
 
 // SetShardMap installs (or replaces) the server's shard map. The map is what
-// OpShardMap serves and what NotOwner rejections carry; install a bumped-
-// epoch map at drain time so stale clients re-route in one round trip.
+// NotOwner rejections carry; install a bumped-epoch map at drain time so
+// stale clients re-route in one round trip.
 // Replacing with an older epoch is refused so a racing late install cannot
 // roll the fleet's routing view backwards.
 func (s *Server) SetShardMap(m *shardmap.Map) error {
@@ -648,21 +645,12 @@ func (s *Server) dispatch(ctx context.Context, f *wire.Frame) wire.Frame {
 		if err := s.cluster.DeleteCtx(ctx, key); err != nil && !errors.Is(err, difs.ErrNotFound) {
 			return fail(err)
 		}
-	case wire.OpList:
-		resp.Payload = []byte(strings.Join(s.cluster.Objects(), "\n"))
 	case wire.OpRepair:
 		copies, err := s.cluster.RepairCtx(ctx)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Payload = binary.BigEndian.AppendUint64(nil, uint64(copies))
-	case wire.OpShardMap:
-		sm := s.smap.Load()
-		if sm == nil {
-			return fail(fmt.Errorf("%w: no shard map installed", wire.ErrBadRequest))
-		}
-		s.tele.mapServes.Inc()
-		resp.Payload = sm.enc
 	default:
 		return fail(fmt.Errorf("%w: opcode %v", wire.ErrBadRequest, f.Op))
 	}

@@ -6,10 +6,9 @@
 // serves which shard.
 //
 // The map is deliberately dumb — no consensus, no leases. It is a
-// checksummed value with a monotonically increasing epoch, distributed three
+// checksummed value with a monotonically increasing epoch, distributed two
 // ways: as a file (salmap writes it, salsrv/salload read it with -shard-map),
-// over the wire (OpShardMap returns the serving process's current copy), and
-// piggybacked on rejection (a StatusNotOwner response carries the owner's
+// and piggybacked on rejection (a StatusNotOwner response carries the owner's
 // map so a stale client refreshes and re-routes in one round trip). Epochs
 // decide freshness: a client replaces its copy only with a higher epoch, and
 // a draining server publishes an epoch+1 copy with itself vacated so clients

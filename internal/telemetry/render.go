@@ -67,7 +67,7 @@ func RenderSnapshot(w io.Writer, s Snapshot) {
 }
 
 // RenderEventSummary writes a kind-by-layer tally of a trace plus its
-// retained span, the offline view cmd/salmon and saltrace summarize share.
+// retained span, the offline view cmd/salmon prints.
 func RenderEventSummary(w io.Writer, events []Event) {
 	if len(events) == 0 {
 		fmt.Fprintln(w, "(no events)")

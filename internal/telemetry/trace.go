@@ -45,11 +45,6 @@ const (
 	// minidisks instead of bricking the device — the paper's core claim,
 	// visible as an event (layer core).
 	KindBrickAvoided EventKind = "brick_avoided"
-	// KindHostRead / KindHostWrite: one host oPage operation (layer host).
-	// Devices do not emit these on the data path; they encode workload
-	// traces in JSONL form (cmd/saltrace).
-	KindHostRead  EventKind = "host_read"
-	KindHostWrite EventKind = "host_write"
 	// KindFaultInjected: a faultinject site fired (layer = site's layer
 	// prefix, Detail = full site name).
 	KindFaultInjected EventKind = "fault_injected"

@@ -26,14 +26,13 @@ func FuzzFrameDecode(f *testing.F) {
 	seed[8] = byte(OpGet)
 	seed[10], seed[11] = 0xff, 0xff // key length far past frame end
 	f.Add(seed)
-	// Shard-map frames: a bare map request, a response whose payload looks
-	// like an encoded shardmap ("SALM" magic + version + torn body), and a
-	// NotOwner rejection carrying binary map bytes.
-	mapReq := make([]byte, HeaderSize)
-	mapReq[8] = byte(OpShardMap)
-	f.Add(mapReq)
-	mapResp := append(append([]byte{}, mapReq...), 'S', 'A', 'L', 'M', 1, 0, 0, 0xff)
-	f.Add(mapResp)
+	// A bare reserved-opcode request, the same frame with a payload that
+	// looks like an encoded shardmap ("SALM" magic + version + torn body),
+	// and a NotOwner rejection carrying binary map bytes.
+	reserved := make([]byte, HeaderSize)
+	reserved[8] = byte(opReserved7)
+	f.Add(reserved)
+	f.Add(append(append([]byte{}, reserved...), 'S', 'A', 'L', 'M', 1, 0, 0, 0xff))
 	notOwner := make([]byte, HeaderSize)
 	notOwner[8] = byte(OpPut)
 	notOwner[9] = byte(StatusNotOwner)

@@ -50,7 +50,8 @@ const (
 // Op is a request opcode.
 type Op uint8
 
-// Opcodes. Responses reuse the request's opcode.
+// Opcodes. Responses reuse the request's opcode. Values are wire-pinned, so
+// new ops go before opMax only.
 const (
 	opInvalid Op = iota
 	// OpPing echoes the payload back — liveness and latency probe.
@@ -65,15 +66,15 @@ const (
 	// (idempotent), unlike difs.Delete — a retried delete whose first attempt
 	// landed must not surface an error.
 	OpDelete
-	// OpList returns the stored object names, newline-separated.
-	OpList
+	// opReserved5 and opReserved7 are retired opcodes (an object listing
+	// and a shard-map fetch). They still decode, so a peer that sends one
+	// gets StatusBadRequest rather than a dropped connection, and their
+	// numbers are never reused.
+	opReserved5
 	// OpRepair runs one cluster repair pass; the response payload is the
 	// big-endian uint64 count of chunk copies created.
 	OpRepair
-	// OpShardMap returns the server's current shard map (shardmap.Encode
-	// bytes) in the response payload. Appended after OpRepair: opcode values
-	// are wire-pinned, so new ops go before opMax only.
-	OpShardMap
+	opReserved7
 	opMax
 )
 
@@ -88,12 +89,8 @@ func (o Op) String() string {
 		return "get"
 	case OpDelete:
 		return "delete"
-	case OpList:
-		return "list"
 	case OpRepair:
 		return "repair"
-	case OpShardMap:
-		return "shard_map"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}

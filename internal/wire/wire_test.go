@@ -21,17 +21,18 @@ func roundTripFrames() []Frame {
 		{ID: 3, Op: OpGet, Key: []byte("k"), Offset: 1<<40 + 7, Length: 1 << 20},
 		{ID: 4, Op: OpGet, Status: StatusNotFound, Key: []byte("missing"), Payload: []byte("difs: object not found")},
 		{ID: 5, Op: OpDelete, Key: bytes.Repeat([]byte("k"), MaxKeyLen)},
-		{ID: 6, Op: OpList},
-		{ID: 7, Op: OpList, Status: StatusOK, Payload: []byte("a\nb\nc")},
+		// Reserved opcodes still decode: the server answers them
+		// StatusBadRequest instead of dropping the connection.
+		{ID: 6, Op: opReserved5},
+		{ID: 7, Op: opReserved5, Status: StatusBadRequest, Payload: []byte("bad request: opcode op(5)")},
 		{ID: 8, Op: OpRepair, Payload: []byte{0, 0, 0, 0, 0, 0, 0, 42}},
 		{ID: 9, Op: OpPut, Status: StatusNoSpace, Key: []byte("big")},
 		{ID: 10, Op: OpPut, Key: []byte{}, Payload: []byte{}},
 		{ID: 11, Op: OpPing, Status: StatusShutdown},
-		// Shard-map frames: a map request, a map response carrying encoded
-		// map bytes (opaque to the codec), and a NotOwner rejection whose
-		// payload is likewise a binary map, not a message.
-		{ID: 12, Op: OpShardMap},
-		{ID: 13, Op: OpShardMap, Status: StatusOK, Payload: []byte{0x53, 0x41, 0x4c, 0x4d, 0x01, 0x00, 0xff}},
+		{ID: 12, Op: opReserved7},
+		// NotOwner rejections, whose payload is a binary shard map (opaque
+		// to the codec), not a message.
+		{ID: 13, Op: OpDelete, Status: StatusNotOwner, Key: []byte("k"), Payload: []byte{0x53, 0x41, 0x4c, 0x4d, 0x01, 0x00, 0xff}},
 		{ID: 14, Op: OpGet, Status: StatusNotOwner, Key: []byte("foreign"), Payload: bytes.Repeat([]byte{0x5a}, 64)},
 		{ID: 15, Op: OpPut, Status: StatusNotOwner, Key: []byte("k")},
 	}

@@ -607,6 +607,37 @@ func TestStructure(t *testing.T) {
 		}
 	})
 
+	t.Run("EventsUnsequenced", func(t *testing.T) {
+		// difs applies queued device events in fan-out order. Numbering
+		// and re-sorting them served only a concurrent repair fork.
+		for _, p := range m.pkgs {
+			if p.path != modulePath+"/internal/difs" {
+				continue
+			}
+			for _, f := range p.files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch d := n.(type) {
+					case *ast.TypeSpec:
+						if st, ok := d.Type.(*ast.StructType); ok && d.Name.Name == "queuedEvent" {
+							for _, fld := range st.Fields.List {
+								for _, id := range fld.Names {
+									if id.Name == "seq" {
+										t.Errorf("queuedEvent has a seq field again")
+									}
+								}
+							}
+						}
+					case *ast.FuncDecl:
+						if d.Recv != nil && types.ExprString(d.Recv.List[0].Type) == "queuedEvent" {
+							t.Errorf("queuedEvent has a method %s again", d.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	})
+
 	t.Run("RetiredStaysGone", func(t *testing.T) {
 		files := moduleGoFiles(t)
 		ci, err := os.ReadFile("ci.sh")
@@ -638,6 +669,21 @@ func TestStructure(t *testing.T) {
 			{"retired durable option", "Durable" + "Options", true},
 			{"retired durable option", "Replay" + "Stats", true},
 			{"retired durable option", "Checkpoint" + "Every", true},
+			// The parallel repair fork: one repair pass (Cluster.RepairCtx)
+			// is the only path, so its events never need re-sorting.
+			{"parallel repair fork", "Repair" + "Parallel", false},
+			{"parallel repair fork", "repair" + "Parallel", false},
+			{"parallel repair fork", "settle" + "Sorted", false},
+			{"parallel repair fork", "ev" + "Seq", false},
+			// The record/replay trace tool and its codec; salmon -trace is
+			// the one trace summary.
+			{"trace codec", "Read" + "Trace", false},
+			{"trace codec", "KindHost" + "Read", false},
+			{"trace codec", "KindHost" + "Write", false},
+			{"trace tool", "sal" + "trace", true},
+			// Wire ops no client sent; their opcodes stay reserved.
+			{"retired wire op", "Op" + "List", false},
+			{"retired wire op", "Op" + "ShardMap", false},
 		}
 		var names []string
 		for name := range files {
@@ -654,8 +700,20 @@ func TestStructure(t *testing.T) {
 				t.Errorf("%s is back: ci.sh mentions %s", r.what, r.pattern)
 			}
 		}
-		if _, err := os.Stat(filepath.Join("internal", "ssd", "parallel.go")); err == nil {
-			t.Errorf("internal/ssd/parallel.go exists")
+		for _, path := range []string{
+			filepath.Join("internal", "ssd", "parallel.go"),
+			filepath.Join("internal", "difs", "parallel.go"),
+			filepath.Join("internal", "workload", "trace.go"),
+			filepath.Join("cmd", "sal"+"trace"),
+		} {
+			if _, err := os.Stat(path); err == nil {
+				t.Errorf("%s exists", path)
+			}
+		}
+		if saldifs, err := os.ReadFile(filepath.Join("cmd", "saldifs", "main.go")); err != nil {
+			t.Fatal(err)
+		} else if bytes.Contains(saldifs, []byte(`"`+`parallel"`)) {
+			t.Errorf("saldifs -parallel is back: cmd/saldifs/main.go defines it")
 		}
 	})
 
