@@ -50,6 +50,10 @@ type Code struct {
 	// (noQuadRoot when trace(v) = 1 and no solution exists).
 	qrt []uint32
 
+	// xpow[j·nw:(j+1)·nw] is x^{8j} mod g, left-aligned, for 8j < N: the
+	// decoder checks a correction against the remainder with it (fixes).
+	xpow []uint64
+
 	pool sync.Pool // *Scratch, feeds the zero-allocation fast paths
 }
 
@@ -84,6 +88,7 @@ func NewCode(m, dataBits, t int) (*Code, error) {
 		}
 	}
 	c.buildTables()
+	c.buildPowTable()
 	c.buildSyndromeTables()
 	c.buildQuadTable()
 	c.pool.New = func() any { return c.newScratch() }
@@ -379,21 +384,43 @@ func flipBit(data, parity []byte, i, k int) {
 	parity[i/8] ^= 1 << uint(7-i%8)
 }
 
-// berlekampMassey finds the error locator polynomial σ(x) from the
-// syndromes in s.syn. The returned slice aliases one of the scratch's
-// double buffers (valid until the scratch is released); no allocation.
-func (c *Code) berlekampMassey(s *Scratch) []uint32 {
+// bmState is the Berlekamp–Massey recurrence carried from one syndrome
+// round to the next. Its polynomials alias the scratch's sigA, sigB and
+// bpoly buffers, whose capacity 2T+2 bounds len(B)+gap: gap only grows
+// while the discrepancy is zero, and a length change resets it, so
+// len(B)+gap never exceeds 2T+1.
+type bmState struct {
+	sigma, next, b []uint32 // σ, the update target, and B (σ at the last length change)
+	l, gap, step   int      // LFSR length L, B's shift x^gap, syndromes consumed
+	bd             uint32   // the discrepancy at the last length change
+}
+
+// bmReset starts the recurrence: σ = B = 1, L = 0, nothing consumed.
+func (s *Scratch) bmReset() {
+	s.bm = bmState{sigma: s.sigA[:1], next: s.sigB, b: s.bpoly[:1], gap: 1, bd: 1}
+	s.bm.sigma[0], s.bm.b[0] = 1, 1
+}
+
+// locator returns σ so far with its trailing zero coefficients trimmed, so
+// len-1 is its degree. It aliases the scratch.
+func (bm *bmState) locator() []uint32 {
+	sigma := bm.sigma
+	for len(sigma) > 1 && sigma[len(sigma)-1] == 0 {
+		sigma = sigma[:len(sigma)-1]
+	}
+	return sigma
+}
+
+// bmAdvance carries the recurrence in s.bm through syndrome S_upto of s.syn
+// and returns the LFSR length L. Stopping and resuming leaves σ exactly as
+// one uninterrupted run over the same syndromes would.
+func (c *Code) bmAdvance(s *Scratch, upto int) int {
 	f := c.F
 	S := s.syn
-	// σ and the update target alternate between the two scratch buffers;
-	// B gets a copy of σ on length changes. Every buffer has capacity
-	// 2T+2, which bounds len(B)+mGap: mGap only grows while δ=0, and a
-	// length change resets it, so len(B)+mGap never exceeds 2T+1.
-	sigma, next, B := s.sigA[:1], s.sigB, s.bpoly[:1]
-	sigma[0], B[0] = 1, 1
-	L, mGap := 0, 1
-	b := uint32(1)
-	for i := 0; i < 2*c.T; i++ {
+	bm := &s.bm
+	sigma, next, B := bm.sigma, bm.next, bm.b
+	L, mGap, b := bm.l, bm.gap, bm.bd
+	for i := bm.step; i < upto; i++ {
 		// Discrepancy δ = S[i+1] + Σ_{j=1..L} σ_j S[i+1-j].
 		delta := S[i+1]
 		for j := 1; j <= L && j < len(sigma); j++ {
@@ -430,34 +457,8 @@ func (c *Code) berlekampMassey(s *Scratch) []uint32 {
 		}
 		sigma, next = out, sigma[:cap(sigma)]
 	}
-	// Trim trailing zeros.
-	for len(sigma) > 1 && sigma[len(sigma)-1] == 0 {
-		sigma = sigma[:len(sigma)-1]
-	}
-	return sigma
-}
-
-// chienSearch finds codeword bit indices whose bits are in error, appending
-// them to s.pos. Roots of σ are α^{-d} where d is the degree of the errored
-// term; degToBit maps d to a bit index and rejects degrees outside the
-// shortened window (a root outside the window would fail the count check
-// anyway, preserving the decoding-failure semantics of a full-field scan).
-// Returns nil if the in-window root count does not match deg σ (decoding
-// failure). Dispatches to the specialized kernels in chien.go by degree;
-// chienSearchRef in export_test.go is the reference they are tested against.
-func (c *Code) chienSearch(s *Scratch, sigma []uint32) []int {
-	switch degS := len(sigma) - 1; {
-	case degS == 0:
-		return s.pos[:0]
-	case degS == 1:
-		return c.chienDeg1(s, sigma)
-	case degS == 2:
-		return c.chienQuad(s, sigma)
-	case degS <= chienSmallMax:
-		return c.chienSmall(s, sigma)
-	default:
-		return c.chienLarge(s, sigma)
-	}
+	*bm = bmState{sigma: sigma, next: next, b: B, l: L, gap: mGap, step: upto, bd: b}
+	return L
 }
 
 // Decode corrects data and parity in place. It returns the number of bits
@@ -467,7 +468,9 @@ func (c *Code) chienSearch(s *Scratch, sigma []uint32) []int {
 // an uncorrectable-page event.) The clean-read fast path allocates nothing;
 // the correction path draws all working state from the scratch pool.
 func (c *Code) Decode(data, parity []byte) (int, error) {
-	return c.decode(data, parity, nil)
+	s := c.getScratch()
+	defer c.putScratch(s)
+	return c.decode(s, data, parity, nil)
 }
 
 // DecodeWithErasures corrects data and parity in place like Decode, but
@@ -475,95 +478,115 @@ func (c *Code) Decode(data, parity []byte) (int, error) {
 // indices the caller already suspects (torn pages from recovery, grown
 // stuck columns from wear tracking). σ still comes from the syndromes via
 // Berlekamp–Massey, so corrections are byte-identical to Decode's; the
-// erasure hint only replaces the O(N·deg σ) root scan with deg σ
-// evaluations of σ at the suspected positions. If the actual errors are
-// not confined to the candidates, it falls back to the full Chien search,
-// so a wrong or stale hint costs nothing but the probe. Candidates must be
-// distinct; out-of-range entries are ignored.
+// erasure hint only replaces a Chien scan (locators of degree 5 and up)
+// with deg σ evaluations of σ at the suspected positions. If the actual
+// errors are not confined to the candidates, the scan runs as in Decode,
+// so a wrong or stale hint costs nothing but the probe. Candidates must
+// be distinct; out-of-range entries are ignored.
 func (c *Code) DecodeWithErasures(data, parity []byte, erasures []int) (int, error) {
-	return c.decode(data, parity, erasures)
+	s := c.getScratch()
+	defer c.putScratch(s)
+	return c.decode(s, data, parity, erasures)
 }
 
-// decode is the one decode body. It walks the codeword once: the sliced
-// LFSR yields the remainder, which is either zero (a clean read) or the
-// source of the syndromes; the corrected word is verified from the
-// syndromes and the error degrees, without a second pass.
-func (c *Code) decode(data, parity []byte, erasures []int) (int, error) {
+// decode is the one decode body, and its work follows the errors present.
+// The sliced LFSR yields the remainder: zero is a clean read. Otherwise the
+// odd syndromes are evaluated four at a time, and after each round of w
+// odd syndromes Berlekamp–Massey is carried through S_2w. While its length
+// L is below w, σ may already be the whole locator: its roots are found
+// and checked against the remainder (fixes), and the flips are made only
+// if they verify. A verified correction of L < w < T bits is the one the
+// full decoder returns: the minimum distance is at least 2T+1, so the
+// received word has one codeword within T. L == w is the common outcome
+// when more than w bits are in error, so no attempt is made there. After
+// the last round the full-length σ decides, exactly as the reference
+// decoder does, including the flips it leaves behind when the check fails.
+func (c *Code) decode(s *Scratch, data, parity []byte, erasures []int) (int, error) {
 	if len(data) != c.K/8 {
 		return 0, fmt.Errorf("ecc: Decode wants %d data bytes, got %d", c.K/8, len(data))
 	}
 	if len(parity) != c.ParityBytes() {
 		return 0, fmt.Errorf("ecc: Decode wants %d parity bytes, got %d", c.ParityBytes(), len(parity))
 	}
-	s := c.getScratch()
-	defer c.putScratch(s)
 	if c.remainder(s.reg, data, parity) {
 		return 0, nil
 	}
-	c.syndromesInto(s.syn, s)
-	sigma := c.berlekampMassey(s)
-	degS := len(sigma) - 1
-	if degS > c.T {
+	c.packInto(s.reg, s.rem)
+	s.bmReset()
+	for w := 0; w < c.T; {
+		w = c.syndromeRound(s.syn, s.rem, w)
+		if L := c.bmAdvance(s, 2*w); w == c.T || L >= w {
+			continue
+		}
+		if pos := c.roots(s, s.bm.locator(), erasures); pos != nil && c.fixes(s, pos) {
+			for _, p := range pos {
+				flipBit(data, parity, p, c.K)
+			}
+			return len(pos), nil
+		}
+	}
+	pos := c.roots(s, s.bm.locator(), erasures)
+	if pos == nil {
 		return 0, ErrUncorrectable
-	}
-	f := c.F
-	pos := s.pos[:0]
-	if degS > 0 && len(erasures) >= degS {
-		for _, p := range erasures {
-			if p < 0 || p >= c.N {
-				continue
-			}
-			// Bit p is term degree d = N-1-p; its root is α^{-d}.
-			l := (f.N - (c.N - 1 - p)) % f.N
-			if f.PolyEval(sigma, f.Alpha(l)) == 0 {
-				pos = append(pos, p)
-				if len(pos) == degS {
-					break
-				}
-			}
-		}
-	}
-	if len(pos) != degS {
-		// No hint, or errors not confined to the candidates: full root search.
-		pos = c.chienSearch(s, sigma)
-		if pos == nil {
-			return 0, ErrUncorrectable
-		}
 	}
 	for _, p := range pos {
 		flipBit(data, parity, p, c.K)
 	}
-	if !c.corrected(s, pos) {
+	if !c.fixes(s, pos) {
 		return 0, ErrUncorrectable
 	}
 	return len(pos), nil
 }
 
-// corrected reports whether flipping the bits at pos turned the received
-// word into a codeword. g is the product of the distinct minimal
-// polynomials of α^i for odd i < 2T, so a binary word is a codeword
-// exactly when it vanishes at every such α^i: S_i ⊕ Σ_k α^{i·d_k} = 0,
-// d_k the degree of flipped bit k. Each term walks i in the log domain,
-// T·len(pos) steps in all, instead of a second pass over the codeword.
-func (c *Code) corrected(s *Scratch, pos []int) bool {
-	f := c.F
-	nf := int32(f.N)
-	lt, st := s.chienLT[:len(pos)], s.chienST[:len(pos)]
-	for k, p := range pos {
-		d := int32(c.N - 1 - p) // < N <= |F*|
-		lt[k], st[k] = d, (2*d)%nf
-	}
-	for j := 0; j < c.T; j++ {
-		v := s.syn[2*j+1]
-		for k := range lt {
-			v ^= f.exp[lt[k]]
-			if lt[k] += st[k]; lt[k] >= nf {
-				lt[k] -= nf
-			}
+// fixes reports whether flipping the bits at pos turns the received word
+// into a codeword. remainder left r mod g in s.reg, and the flips add
+// e = Σ_k x^{d_k} (d_k the degree of flipped bit k), so the result is a
+// codeword exactly when e mod g equals that remainder. Each x^d mod g is
+// the table row x^{8⌊d/8⌋} mod g shifted up d mod 8 bits, the bits that
+// overflow x^{R-1} folded back with one slicing-table row: nw words per
+// flipped bit. It reads neither data nor parity, so the check may run
+// before the flips.
+func (c *Code) fixes(s *Scratch, pos []int) bool {
+	nw := c.nw
+	acc := s.acc[:nw]
+	clear(acc)
+	for _, p := range pos {
+		d := c.N - 1 - p
+		row := c.xpow[(d/8)*nw:][:nw]
+		r := uint(d % 8)
+		fold := c.slice[int(row[nw-1]>>(64-r))*nw:][:nw] // row 0 is zero when r == 0
+		var prev uint64
+		for w, cur := range row {
+			acc[w] ^= cur<<r | prev>>(64-r) ^ fold[w]
+			prev = cur
 		}
-		if v != 0 {
+	}
+	for w, v := range acc {
+		if v != s.reg[w] {
 			return false
 		}
 	}
 	return true
+}
+
+// buildPowTable precomputes c.xpow: row j is x^{8j} mod g, left-aligned
+// like the division register, for 8j < N. Each row is the last one times
+// x^8: shifted up a byte, with the byte that leaves the register folded
+// back by its first slicing-table row (b·x^R mod g). ⌈N/8⌉·nw words, about
+// 36 KiB at tiredness level 0 and 0.7 MiB at level 2.
+func (c *Code) buildPowTable() {
+	nw := c.nw
+	rows := (c.N + 7) / 8
+	c.xpow = make([]uint64, rows*nw)
+	pad := 64*nw - c.R
+	c.xpow[pad/64] = 1 << uint(pad%64) // x^0
+	for j := 1; j < rows; j++ {
+		last, row := c.xpow[(j-1)*nw:][:nw], c.xpow[j*nw:][:nw]
+		fold := c.slice[int(last[nw-1]>>56)*nw:][:nw]
+		var prev uint64
+		for w, cur := range last {
+			row[w] = cur<<8 | prev>>56 ^ fold[w]
+			prev = cur
+		}
+	}
 }

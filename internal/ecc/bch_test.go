@@ -379,9 +379,9 @@ func TestSlicedLFSRShapes(t *testing.T) {
 	}
 }
 
-// TestCorrectedVerifiesTheWord drives the syndrome check of a corrected
-// word directly: Berlekamp–Massey plus a root count already reject nearly
-// every pattern it would, so the decode tests alone cannot show it
+// TestCorrectedVerifiesTheWord drives the remainder check of a correction
+// (fixes) directly: Berlekamp–Massey plus a root count already reject
+// nearly every pattern it would, so the decode tests alone cannot show it
 // rejects. Flipping exactly the injected positions must verify; one fewer,
 // one more, or one moved must not.
 func TestCorrectedVerifiesTheWord(t *testing.T) {
@@ -399,7 +399,7 @@ func TestCorrectedVerifiesTheWord(t *testing.T) {
 			t.Fatal(err)
 		}
 		pos := []int{}
-		for len(pos) < 1+trial%(c.T-3) { // room for the triple: corrected takes <= T
+		for len(pos) < 1+trial%(c.T-3) {
 			if p := rng.Intn(c.N); !slices.Contains(pos, p) {
 				pos = append(pos, p)
 				flipBit(data, parity, p, c.K)
@@ -408,14 +408,13 @@ func TestCorrectedVerifiesTheWord(t *testing.T) {
 		if c.remainder(s.reg, data, parity) {
 			t.Fatal("corrupted word has a zero remainder")
 		}
-		c.syndromesInto(s.syn, s)
 		other := (pos[0] + 1) % c.N
 		for slices.Contains(pos, other) {
 			other = (other + 1) % c.N
 		}
 		moved := append([]int{other}, pos[1:]...)
-		// Three more flips whose α^d sum to zero leave S_1 alone, so only
-		// the higher syndromes can reject them.
+		// Three more flips whose α^d sum to zero leave S_1 alone, so a
+		// check of S_1 alone would accept them.
 		var triple []int
 		for triple == nil {
 			a, b := rng.Intn(c.N), rng.Intn(c.N)
@@ -433,9 +432,113 @@ func TestCorrectedVerifiesTheWord(t *testing.T) {
 			"exact": pos, "one fewer": pos[1:], "one more": append(slices.Clone(pos), other), "one moved": moved,
 			"zero-sum triple more": triple,
 		} {
-			if got := c.corrected(s, try); got != (name == "exact") {
-				t.Fatalf("trial %d, %s: corrected = %v", trial, name, got)
+			if got := c.fixes(s, try); got != (name == "exact") {
+				t.Fatalf("trial %d, %s: fixes = %v", trial, name, got)
 			}
 		}
+	}
+}
+
+// locatorFromDegrees returns σ(x) = Π_k (1 + α^{d_k}·x), the locator of
+// errors at term degrees ds (repeats give repeated roots).
+func locatorFromDegrees(f *Field, ds []int) []uint32 {
+	sigma := []uint32{1}
+	for _, d := range ds {
+		u := f.Alpha(d)
+		next := make([]uint32, len(sigma)+1)
+		for j, v := range sigma {
+			next[j] ^= v
+			next[j+1] ^= f.Mul(u, v)
+		}
+		sigma = next
+	}
+	return sigma
+}
+
+// TestRootsMatchChienReference holds roots — the degree-3/4 affine solver,
+// and for degree 5 to 9 (at most t) the scan to a quartic quotient — to chienSearchRef
+// on random locators: distinct roots in the window, roots outside the
+// shortened window, repeated roots (scanned before and after the stop),
+// random coefficients (usually too few roots), and zero coefficients.
+// Both must return the same positions, or both nil.
+func TestRootsMatchChienReference(t *testing.T) {
+	l0, err := NewCode(13, 4096, 39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(99)
+	for _, c := range []*Code{smallCode(t), l0} {
+		f := c.F
+		s, ref := c.getScratch(), c.getScratch()
+		inWindow := func() int { return rng.Intn(c.N) }
+		outside := func() int { return c.N + rng.Intn(f.N-c.N) }
+		nonzero := func() uint32 { return uint32(1 + rng.Intn(f.N)) }
+		var cases [][]uint32
+		for deg := 3; deg <= min(9, c.T); deg++ {
+			for trial := 0; trial < 60; trial++ {
+				ds := make([]int, deg)
+				for k := range ds {
+					ds[k] = inWindow()
+				}
+				switch trial % 6 {
+				case 1:
+					ds[rng.Intn(deg)] = outside()
+				case 2:
+					ds[0] = ds[deg-1] // a repeated root
+				case 3:
+					ds[1] = ds[0]
+				case 4: // random coefficients
+					sigma := make([]uint32, deg+1)
+					sigma[0] = 1
+					for j := 1; j <= deg; j++ {
+						sigma[j] = nonzero()
+					}
+					cases = append(cases, sigma)
+					continue
+				case 5: // random coefficients with zeros below the top
+					sigma := make([]uint32, deg+1)
+					sigma[0], sigma[deg] = 1, nonzero()
+					for j := 1; j < deg; j++ {
+						if rng.Intn(2) == 0 {
+							sigma[j] = nonzero()
+						}
+					}
+					cases = append(cases, sigma)
+					continue
+				}
+				cases = append(cases, locatorFromDegrees(f, ds))
+			}
+		}
+		// Zero coefficients from roots: a₁ = 0 (the locators sum to zero)
+		// and its cubic counterpart.
+		for trial := 0; trial < 40; trial++ {
+			a, b := inWindow(), inWindow()
+			if x := f.Alpha(a) ^ f.Alpha(b); x != 0 {
+				third := f.Log(x)
+				cases = append(cases, locatorFromDegrees(f, []int{a, b, third}))
+				cases = append(cases, locatorFromDegrees(f, []int{a, b, third, inWindow()}))
+			}
+		}
+		found := 0
+		for i, sigma := range cases {
+			if sigma[len(sigma)-1] == 0 {
+				continue // two roots cancelled into a lower degree
+			}
+			got := slices.Clone(c.roots(s, sigma, nil))
+			want := slices.Clone(c.chienSearchRef(ref, sigma))
+			slices.Sort(got)
+			slices.Sort(want)
+			if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("N=%d case %d σ=%v: roots %v, reference %v", c.N, i, sigma, got, want)
+			}
+			if want != nil {
+				found++
+			}
+		}
+		if found < len(cases)/8 {
+			t.Fatalf("N=%d: only %d of %d locators had a full root set; the cases miss the success path", c.N, found, len(cases))
+		}
+		c.putScratch(s)
+		c.putScratch(ref)
 	}
 }

@@ -1,6 +1,6 @@
 // Differential battery for the one-pass codec: the word-sliced LFSR, the
-// syndromes evaluated from the remainder, and the syndrome check of the
-// corrected word must agree byte for byte with the reference kernels in
+// syndromes evaluated from the remainder round by round, and the remainder
+// check of the corrected word must agree byte for byte with the reference kernels in
 // export_test.go (byte-wise LFSR, Horner over the whole codeword,
 // PolyEval Chien search, a final full Check) at every level geometry.
 package ecc_test
@@ -16,10 +16,11 @@ import (
 )
 
 // differentialWeights lists the error weights the battery injects: every
-// weight 0..t+3 where t is small, otherwise weights landing in each Chien
-// kernel (0, 1, 2, 3..8, 9+) plus the band around t/2 and t. Deep weights
-// at level 3 (t=955) cost the reference Chien scan ~0.1 s each and are
-// skipped under -short.
+// weight 0..t+3 where t is small, otherwise weights landing in each root
+// solver (0, 1, 2, 3..4, 5+) and on each side of the first syndrome-round
+// boundaries (4, 5, 8, 9, 16, 17), plus the band around t/2 and t. Deep
+// weights at level 3 (t=955) cost the reference Chien scan ~0.1 s each
+// and are skipped under -short.
 func differentialWeights(code *ecc.Code, level int) []int {
 	if code.T <= 40 {
 		w := make([]int, code.T+4)
@@ -28,7 +29,7 @@ func differentialWeights(code *ecc.Code, level int) []int {
 		}
 		return w
 	}
-	w := []int{0, 1, 2, 3, 5, ecc.ChienSmallMaxForTest, ecc.ChienSmallMaxForTest + 1, 12}
+	w := []int{0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17}
 	if level == 3 && testing.Short() {
 		return w
 	}

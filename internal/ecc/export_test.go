@@ -10,10 +10,6 @@ import "bytes"
 // per-candidate PolyEval Chien search, and a final full Check of the
 // corrected word. The production path must match them byte for byte.
 
-// ChienSmallMaxForTest is the degree bound of the stack-array kernel, so
-// the battery can pick error weights that land in every kernel.
-const ChienSmallMaxForTest = chienSmallMax
-
 // refRunLFSR divides data by the generator one byte at a time with the
 // first slicing table (T_0[b] = b·x^R mod g): the register's top byte is
 // the one about to shift out.
@@ -92,7 +88,7 @@ func (c *Code) refSyndromesInto(S []uint32, data, parity []byte) bool {
 }
 
 // chienSearchRef is the reference root search: per-candidate PolyEval over
-// the shortened window. Same contract as chienSearch.
+// the shortened window. Same contract as roots.
 func (c *Code) chienSearchRef(s *Scratch, sigma []uint32) []int {
 	f := c.F
 	degS := len(sigma) - 1
@@ -120,6 +116,15 @@ func (c *Code) chienSearchRef(s *Scratch, sigma []uint32) []int {
 		return nil
 	}
 	return pos
+}
+
+// berlekampMassey runs the recurrence over all 2T syndromes in s.syn in one
+// go and returns the error locator σ(x), trimmed: the reference decoder's
+// form of what decode does round by round.
+func (c *Code) berlekampMassey(s *Scratch) []uint32 {
+	s.bmReset()
+	c.bmAdvance(s, 2*c.T)
+	return s.bm.locator()
 }
 
 // EncodeReference computes data's parity with the byte-wise reference LFSR.
@@ -214,4 +219,89 @@ func (c *Code) Encode(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	return parity, nil
+}
+
+// DecodeCounted is Decode that also reports how many syndromes
+// Berlekamp–Massey had consumed when the decode returned: 2w after the
+// round of w odd syndromes that settled it, 0 for a clean read.
+func (c *Code) DecodeCounted(data, parity []byte, erasures []int) (n, syndromes int, err error) {
+	s := c.getScratch()
+	defer c.putScratch(s)
+	s.bm.step = 0
+	n, err = c.decode(s, data, parity, erasures)
+	return n, s.bm.step, err
+}
+
+// HiddenFromRounds returns distinct codeword bit positions, found from
+// seed, whose flips leave the first 4·rounds odd syndromes (and so S_1 to
+// S_8·rounds) at zero: a nonzero pattern that the first rounds of decode
+// cannot see. Any 4·rounds·m+1 positions are linearly dependent in those
+// syndromes, so Gaussian elimination over that many random positions finds
+// a subset that sums to zero, about half of them.
+func (c *Code) HiddenFromRounds(rounds int, seed uint64) []int {
+	f := c.F
+	w := 4 * rounds
+	cand := make([]int, 0, w*f.M+1)
+	for seen := map[int]bool{}; len(cand) < cap(cand); {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		if p := int(seed % uint64(c.N)); !seen[p] {
+			seen[p] = true
+			cand = append(cand, p)
+		}
+	}
+	// Row k: the syndromes of flipping cand[k], m bits per odd syndrome,
+	// and the set of candidates combined into it.
+	type row struct{ syn, comb []uint64 }
+	words := (w*f.M + 63) / 64
+	rows := make([]row, len(cand))
+	for k, p := range cand {
+		r := row{make([]uint64, words), make([]uint64, (len(cand)+63)/64)}
+		for j := 0; j < w; j++ {
+			v := f.Alpha((2*j + 1) * (c.N - 1 - p))
+			for b := 0; b < f.M; b++ {
+				if v>>uint(b)&1 != 0 {
+					r.syn[(j*f.M+b)/64] |= 1 << uint((j*f.M+b)%64)
+				}
+			}
+		}
+		r.comb[k/64] |= 1 << uint(k%64)
+		rows[k] = r
+	}
+	for bit := 0; bit < w*f.M; bit++ {
+		pivot := -1
+		for k := range rows {
+			if rows[k].syn[bit/64]>>uint(bit%64)&1 == 0 {
+				continue
+			}
+			if pivot < 0 {
+				pivot = k
+				continue
+			}
+			for i := range rows[k].syn {
+				rows[k].syn[i] ^= rows[pivot].syn[i]
+			}
+			for i := range rows[k].comb {
+				rows[k].comb[i] ^= rows[pivot].comb[i]
+			}
+		}
+		if pivot >= 0 {
+			rows[pivot].syn = make([]uint64, words) // retired: never a pivot again
+			rows[pivot].comb = nil
+		}
+	}
+	for _, r := range rows {
+		if r.comb == nil {
+			continue
+		}
+		var out []int
+		for k, p := range cand {
+			if r.comb[k/64]>>uint(k%64)&1 != 0 {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	return nil
 }

@@ -116,6 +116,19 @@ func (f *Field) Log(a uint32) int {
 	return int(f.log[a])
 }
 
+// sqrt returns the square root of a, which is unique in GF(2^m): the
+// group order 2^m − 1 is odd, so log √a = log a / 2 mod (2^m − 1).
+func (f *Field) sqrt(a uint32) uint32 {
+	if a == 0 {
+		return 0
+	}
+	l := int(f.log[a])
+	if l%2 != 0 {
+		l += f.N
+	}
+	return f.exp[l/2]
+}
+
 // PolyEval evaluates the polynomial with coefficients coef (coef[i] is the
 // coefficient of x^i) at point x, by Horner's rule.
 func (f *Field) PolyEval(coef []uint32, x uint32) uint32 {

@@ -1,11 +1,11 @@
-// Differential battery for the specialized Chien kernels (PR 9 tentpole):
-// the deg-1 direct solve, the deg-2 quadratic solver, the small-σ
-// stack-array kernel, and the large-σ incremental scan must all be
-// byte-identical to the retained PolyEval-based reference search — same
-// corrections, same decoding-failure verdicts — across all four tiredness
-// level geometries, and the erasure fast path must match Decode under
-// exact, superset, partial, and useless hints. Allocation guards keep the
-// whole correction path on pooled scratch.
+// Differential battery for the root solvers: the deg-1 direct solve, the
+// deg-2 quadratic solver, the deg-3/4 affine solver, and the incremental
+// scan to a quartic quotient must all be byte-identical to the retained
+// PolyEval-based reference search — same corrections, same
+// decoding-failure verdicts — across all four tiredness level geometries,
+// and the erasure fast path must match Decode under exact, superset,
+// partial, and useless hints. Allocation guards keep the whole correction
+// path on pooled scratch.
 package ecc_test
 
 import (
@@ -17,15 +17,15 @@ import (
 	"salamander/internal/rber"
 )
 
-// kernelFlipCounts covers every kernel: 0 (no-op), 1 (direct solve),
-// 2 (quadratic), 3..chienSmallMax (small kernel), and several large-kernel
-// weights up to full capability. Heavy counts are trimmed under -short —
-// the reference scan at t=955 costs real time.
+// kernelFlipCounts covers every root solver: 0 (no-op), 1 (direct solve),
+// 2 (quadratic), 3 and 4 (affine), 5+ (scan to a quartic quotient), with
+// weights on each side of the first syndrome-round boundaries and up to
+// full capability. Heavy counts are trimmed under -short — the reference
+// scan at t=955 costs real time.
 func kernelFlipCounts(code *ecc.Code) []int {
-	counts := []int{0, 1, 2, 3, ecc.ChienSmallMaxForTest,
-		ecc.ChienSmallMaxForTest + 1, 25, code.T / 2, code.T}
+	counts := []int{0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 25, code.T / 2, code.T}
 	if testing.Short() && code.T > 64 {
-		counts = []int{0, 1, 2, 3, ecc.ChienSmallMaxForTest, ecc.ChienSmallMaxForTest + 1, 25}
+		counts = []int{0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 25}
 	}
 	out := counts[:0]
 	for _, n := range counts {
@@ -169,9 +169,11 @@ func TestDecodeWithErasures(t *testing.T) {
 	}
 }
 
-// TestCorrectionPathAllocations extends the PR 4 zero-alloc discipline to
-// the new kernels: every kernel band and the erasure fast path must stay
-// within the pooled-scratch bound.
+// TestCorrectionPathAllocations extends the zero-alloc discipline to every
+// branch of the correction path: each root solver, an early round that
+// settles the decode, an early attempt the remainder check refuses, the
+// last round, a word beyond t, and the erasure probe. The pooled scratch
+// holds every buffer, so none of them allocates.
 func TestCorrectionPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -186,31 +188,56 @@ func TestCorrectionPathAllocations(t *testing.T) {
 	data := make([]byte, len(orig))
 	parity := make([]byte, len(origParity))
 
-	for _, n := range []int{1, 2, 5, ecc.ChienSmallMaxForTest + 3} {
-		n := n
+	type word struct {
+		name          string
+		data, parity  []byte
+		hint          []int
+		uncorrectable bool
+	}
+	var words []word
+	for _, n := range []int{1, 2, 3, 4, 5, 9, 17, code.T, code.T + 1} {
 		copy(data, orig)
 		copy(parity, origParity)
 		flipped := flipDistinct(code, data, parity, n, uint64(n)*0x9e3779b97f4a7c15)
-		corrupt := append([]byte(nil), data...)
-		corruptParity := append([]byte(nil), parity...)
+		words = append(words, word{fmt.Sprintf("%d errors", n),
+			append([]byte(nil), data...), append([]byte(nil), parity...), flipped, n > code.T})
+	}
+	copy(data, orig)
+	copy(parity, origParity)
+	hidden := hiddenWord(code, 1, 7, 2)
+	for _, p := range hidden {
+		flipBitAt(code, data, parity, p)
+	}
+	words = append(words, word{"early attempt refused", append([]byte(nil), data...),
+		append([]byte(nil), parity...), hidden, false})
 
-		if allocs := testing.AllocsPerRun(100, func() {
-			copy(data, corrupt)
-			copy(parity, corruptParity)
-			if _, err := code.Decode(data, parity); err != nil {
-				t.Fatal(err)
+	for _, w := range words {
+		for _, hinted := range []bool{false, true} {
+			if allocs := testing.AllocsPerRun(100, func() {
+				copy(data, w.data)
+				copy(parity, w.parity)
+				var err error
+				if hinted {
+					_, err = code.DecodeWithErasures(data, parity, w.hint)
+				} else {
+					_, err = code.Decode(data, parity)
+				}
+				if (err != nil) != w.uncorrectable {
+					t.Fatalf("%s, hinted %v: err %v", w.name, hinted, err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s, hinted %v: %.1f allocs/op, want 0", w.name, hinted, allocs)
 			}
-		}); allocs > 4 {
-			t.Errorf("Decode with %d errors: %.1f allocs/op, want <= 4", n, allocs)
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			copy(data, corrupt)
-			copy(parity, corruptParity)
-			if _, err := code.DecodeWithErasures(data, parity, flipped); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs > 4 {
-			t.Errorf("DecodeWithErasures with %d errors: %.1f allocs/op, want <= 4", n, allocs)
 		}
 	}
+}
+
+// flipBitAt flips codeword bit i, MSB-first, data bits then parity bits.
+func flipBitAt(code *ecc.Code, data, parity []byte, i int) {
+	if i < code.K {
+		data[i/8] ^= 1 << uint(7-i%8)
+		return
+	}
+	i -= code.K
+	parity[i/8] ^= 1 << uint(7-i%8)
 }

@@ -6,7 +6,7 @@ import "math/bits"
 //
 // The bit-serial form of syndrome S_i is Horner over a polynomial's bits,
 // highest degree first (SyndromesBitSerial runs it over all N codeword
-// bits; Decode runs it over the R-bit remainder, see syndromesInto):
+// bits; Decode runs it over the R-bit remainder, see syndromeRound):
 //
 //	acc ← acc·α^i ⊕ bit
 //
@@ -74,24 +74,33 @@ func (c *Code) buildSyndromeTables() {
 }
 
 // syndromesInto evaluates S_1..S_2T into S (length 2T+1, 1-indexed) from
-// the remainder that remainder() left in s.reg. The received word is
+// the remainder that remainder() left in s.reg: every syndrome round in
+// turn, as Syndromes needs them all.
+func (c *Code) syndromesInto(S []uint32, s *Scratch) {
+	c.packInto(s.reg, s.rem)
+	for j := 0; j < c.T; j = c.syndromeRound(S, s.rem, j) {
+	}
+}
+
+// syndromeRound evaluates the odd syndromes S_{2j+1}, j0 <= j < w =
+// min(j0+4, T), from the packed remainder rem, then the even syndromes
+// S_{2j0+2}..S_{2w} they complete, and returns w. The received word is
 // q·g + rem and g(α^i) = 0 for i <= 2T, so S_i = rem(α^i): a Horner pass
 // over the ParityBytes() packed remainder bytes, not the N-bit codeword.
 // The pass also runs over the zero pad bits at the end of the last byte,
 // which multiplies each S_i by α^{i·pad}; synUnpad takes it back out. Even
-// syndromes follow from S_2i = S_i² (binary BCH).
-func (c *Code) syndromesInto(S []uint32, s *Scratch) {
+// syndromes follow from S_2i = S_i² (binary BCH). Decode stops calling it
+// once the syndromes so far have located the errors.
+func (c *Code) syndromeRound(S []uint32, rem []byte, j0 int) int {
 	f := c.F
-	rem := s.rem
-	c.packInto(s.reg, rem)
-	// Four odd syndromes advance together per pass over the remainder: the
-	// split tables turn each acc·α^{8i} into two independent loads, and the
-	// four accumulator chains are independent of each other, so the loads
-	// pipeline instead of serializing on one log/exp multiply chain. The
-	// &0xff masks (accumulators fit in 2^m <= 2^16 bits) keep every index
-	// in [0,256) without bounds checks.
-	j := 0
-	for ; j+4 <= c.T; j += 4 {
+	w := min(j0+4, c.T)
+	if j := j0; w-j == 4 {
+		// Four odd syndromes advance together per pass over the remainder:
+		// the split tables turn each acc·α^{8i} into two independent loads,
+		// and the four accumulator chains are independent of each other, so
+		// the loads pipeline instead of serializing on one log/exp multiply
+		// chain. The &0xff masks (accumulators fit in 2^m <= 2^16 bits) keep
+		// every index in [0,256) without bounds checks.
 		t0, t1, t2, t3 := &c.synTbl[j], &c.synTbl[j+1], &c.synTbl[j+2], &c.synTbl[j+3]
 		l0, l1, l2, l3 := &c.synLo[j], &c.synLo[j+1], &c.synLo[j+2], &c.synLo[j+3]
 		h0, h1, h2, h3 := &c.synHi[j], &c.synHi[j+1], &c.synHi[j+2], &c.synHi[j+3]
@@ -103,24 +112,26 @@ func (c *Code) syndromesInto(S []uint32, s *Scratch) {
 			a3 = l3[a3&0xff] ^ h3[(a3>>8)&0xff] ^ t3[b]
 		}
 		S[2*j+1], S[2*j+3], S[2*j+5], S[2*j+7] = a0, a1, a2, a3
-	}
-	for ; j < c.T; j++ {
-		tbl, lo, hi := &c.synTbl[j], &c.synLo[j], &c.synHi[j]
-		var acc uint32
-		for _, b := range rem {
-			acc = lo[acc&0xff] ^ hi[(acc>>8)&0xff] ^ tbl[b]
+	} else {
+		for ; j < w; j++ {
+			tbl, lo, hi := &c.synTbl[j], &c.synLo[j], &c.synHi[j]
+			var acc uint32
+			for _, b := range rem {
+				acc = lo[acc&0xff] ^ hi[(acc>>8)&0xff] ^ tbl[b]
+			}
+			S[2*j+1] = acc
 		}
-		S[2*j+1] = acc
 	}
-	for j := 0; j < c.T; j++ {
+	for j := j0; j < w; j++ {
 		S[2*j+1] = f.Mul(S[2*j+1], c.synUnpad[j])
 	}
 	// S_{2j} = S_j² for binary codes; increasing order guarantees S_{i/2}
 	// is final before S_i is derived.
-	for i := 2; i <= 2*c.T; i += 2 {
+	for i := 2*j0 + 2; i <= 2*w; i += 2 {
 		half := S[i/2]
 		S[i] = f.Mul(half, half)
 	}
+	return w
 }
 
 // Syndromes computes S_1..S_2T with the decoder's own path (sliced LFSR
